@@ -10,7 +10,7 @@ power and sample-size calculations) and a seeded Monte Carlo harness.
 from .empirical import (Sample, build_sample, ecdf_eval,
                         empirical_entropy_constant, esf_eval)
 from .errors import (CkleError, DataError, DomainError, InferenceError,
-                     SupportViolation)
+                     ParseError, SupportViolation)
 from .inference import (AsymptoticVariance, IntervalResult, RegionCutoffs,
                         SampleSizeResult, SandwichEstimate, TestResult,
                         avar_matrix, avar_scalar, c_value, chi2_quantile_df1,
@@ -33,7 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Sample", "build_sample", "ecdf_eval", "esf_eval", "empirical_entropy_constant",
-    "CkleError", "DataError", "DomainError", "InferenceError", "SupportViolation",
+    "CkleError", "DataError", "DomainError", "InferenceError", "ParseError",
+    "SupportViolation",
     "AsymptoticVariance", "IntervalResult", "RegionCutoffs", "SampleSizeResult",
     "SandwichEstimate", "TestResult", "avar_matrix", "avar_scalar", "c_value",
     "chi2_quantile_df1", "chi2_sf_df1", "divergence_interval",

@@ -3,8 +3,8 @@
 Subcommands: fit, interval, test, power, samplesize, gof, simulate.
 CSV goes in (one value per line or comma separated, optional header line),
 JSON comes out (simulate streams CSV).  Exit codes: 0 success, 1 input parse
-error, 2 domain or support error, 3 non-convergence (the document is still
-emitted), 64 usage error.
+error, 2 domain, support or degenerate-data error, 3 non-convergence (the
+document is still emitted), 64 usage error.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import re
 import sys
 
 from .empirical import build_sample
-from .errors import CkleError, DataError
+from .errors import CkleError, ParseError
 from .inference import (avar_scalar, divergence_interval, gddt_test,
                         power_approx, required_sample_size, sandwich, wald_ci)
-from .models import get_family
+from .models import FAMILIES, get_family
 from .objective import ckl_divergence
 from .simulate import StudyConfig, run_study
 from .solver import FitOptions, fit
@@ -47,10 +47,10 @@ def _read_data(path: str) -> list[float]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}") from None
+        raise ParseError(f"cannot read data file: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise DataError("empty sample")
+        raise ParseError("empty sample")
     tokens = [t for t in re.split(r"[,\s]+", lines[0].strip()) if t]
     try:
         float(tokens[0])
@@ -64,9 +64,9 @@ def _read_data(path: str) -> list[float]:
             try:
                 values.append(float(tok))
             except ValueError:
-                raise DataError(f"cannot parse value {tok!r}") from None
+                raise ParseError(f"cannot parse value {tok!r}") from None
     if not values:
-        raise DataError("empty sample")
+        raise ParseError("empty sample")
     return values
 
 
@@ -133,6 +133,7 @@ def _check_prob(value: float, name: str):
 
 
 def _fit_document(family, sample, method: str):
+    family = get_family(family)
     fres = fit(family, sample, FitOptions(method=method))
     try:
         v_hat = sandwich(family, fres, sample).V_hat.tolist()
@@ -149,10 +150,9 @@ def _fit_document(family, sample, method: str):
         "support_warning": fres.support_warning,
         "V_hat": v_hat,
     }
-    if fres.family == "exponential":
-        n = fres.n
-        doc["theta_hat_unbiased"] = {
-            "lambda": 8.0 * n / (8.0 * n + 15.0) * fres.params["lambda"]}
+    unbiased = family.mckle_unbiased(fres.params, fres.n)
+    if unbiased is not None:
+        doc["theta_hat_unbiased"] = family.param_vector(unbiased).as_dict()
     return fres, doc
 
 
@@ -269,7 +269,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ckle",
                      description="Minimum cumulative KL estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    families = ["exponential", "laplace", "twoparamexp", "pareto", "normal"]
+    families = list(FAMILIES)
 
     def add_common(p, method=True):
         p.add_argument("--model", required=True, choices=families)
@@ -336,14 +336,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        msg = str(exc)
-        # ingestion failures are parse errors; support/degenerate data are
-        # domain errors
-        parse_like = ("empty sample" in msg or "cannot" in msg
-                      or "non-finite" in msg)
-        print(f"ckle: error: {msg}", file=sys.stderr)
-        return EXIT_PARSE if parse_like else EXIT_DOMAIN
+    except ParseError as exc:
+        print(f"ckle: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except CkleError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

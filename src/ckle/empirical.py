@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,18 @@ class Sample:
 def build_sample(raw) -> Sample:
     """Validate, sort and summarize raw observations.
 
-    Raises ``DataError`` for an empty input or any non-finite value (reported
-    at its position in the original ordering).
+    Raises ``ParseError`` (a ``DataError``) for an empty input or any
+    non-finite value (reported at its position in the original ordering).
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     if arr.size == 0:
-        raise DataError("empty sample")
+        raise ParseError("empty sample")
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise DataError(f"non-finite observation at index {i}")
+        raise ParseError(f"non-finite observation at index {i}")
     obs = np.sort(arr)
     n = obs.size
     k = int(np.searchsorted(obs, 0.0, side="left"))

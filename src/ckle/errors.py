@@ -9,6 +9,11 @@ class DataError(CkleError):
     """Bad input data: empty, non-finite, or degenerate samples."""
 
 
+class ParseError(DataError):
+    """Input that cannot be read as a sample: an unreadable file, a token
+    that is not a number, no values at all, or a non-finite value."""
+
+
 class DomainError(CkleError):
     """Parameter value outside the family's declared open domain."""
 

@@ -25,22 +25,12 @@ from scipy.special import erfc, ndtri
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
 from .models import Family, get_family
-from .objective import g_hessian, g_objective, make_g, psi_matrix, _steps
+from .objective import ds_dtheta_fn, g_hessian, g_objective, make_g, psi_matrix, _steps
 from .rng import make_rng
 from .solver import FitResult, bisect_root, fit
 
 
-def _family(f) -> Family:
-    return get_family(f) if isinstance(f, str) else f
-
-
 # ---------------------------------------------------------------- chi-square
-
-def normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile requires 0 < p < 1")
-    return float(ndtri(p))
-
 
 def chi2_quantile_df1(q: float) -> float:
     """q-quantile of chi-square with 1 df, via the normal quantile:
@@ -77,99 +67,69 @@ class SandwichEstimate:
 
 def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
     """A and B by numerical integration; the independent cross-check path."""
-    family = _family(family)
+    family = get_family(family)
     theta = family.validate(theta)
     k = theta.size
     lower = family.support_lower(theta)
-    if family.name == "twoparamexp" and theta[0] < 0:
-        # (dF/dmu)^2/F ~ 1/(x - mu) at the support start: log-divergent
-        raise InferenceError("variance integral diverges")
+    family.check_avar(theta)
 
-    def b_entry(j, l):
-        def integrand(x, side):
-            d = family.dcdf_dtheta(theta, x)
-            dj, dl = float(d[j]), float(d[l])
-            if dj == 0.0 or dl == 0.0:
-                return 0.0
-            lf = float(family.log_cdf(theta, x) if side == "neg"
-                       else family.log_sf(theta, x))
-            sign = math.copysign(1.0, dj) * math.copysign(1.0, dl)
-            return sign * math.exp(math.log(abs(dj)) + math.log(abs(dl)) - lf)
+    def matrix(integrand):
+        # symmetric matrix of integrand(x, side, j, l) over the support,
+        # split at zero into the negative and the nonnegative side
+        M = np.empty((k, k))
+        for j in range(k):
+            for l in range(j, k):
+                total = 0.0
+                if lower < 0:
+                    total += quad(integrand, -np.inf, 0.0, args=("neg", j, l),
+                                  epsabs=1e-13, epsrel=1e-10, limit=400)[0]
+                total += quad(integrand, max(lower, 0.0), np.inf, args=("pos", j, l),
+                              epsabs=1e-13, epsrel=1e-10, limit=400)[0]
+                M[j, l] = M[l, j] = total
+        return M
 
-        total = 0.0
-        if lower < 0:
-            total += quad(integrand, -np.inf, 0.0, args=("neg",),
-                          epsabs=1e-13, epsrel=1e-10, limit=400)[0]
-        start = max(lower, 0.0)
-        total += quad(integrand, start, np.inf, args=("pos",),
-                      epsabs=1e-13, epsrel=1e-10, limit=400)[0]
-        return total
+    def b_integrand(x, side, j, l):
+        d = family.dcdf_dtheta(theta, x)
+        dj, dl = float(d[j]), float(d[l])
+        if dj == 0.0 or dl == 0.0:
+            return 0.0
+        lf = float(family.log_cdf(theta, x) if side == "neg"
+                   else family.log_sf(theta, x))
+        sign = math.copysign(1.0, dj) * math.copysign(1.0, dl)
+        return sign * math.exp(math.log(abs(dj)) + math.log(abs(dl)) - lf)
 
-    B = np.empty((k, k))
-    for j in range(k):
-        for l in range(j, k):
-            B[j, l] = B[l, j] = b_entry(j, l)
+    B = matrix(b_integrand)
     if not np.all(np.isfinite(B)) or abs(np.linalg.det(B)) < 1e-300:
         raise InferenceError("variance integral diverges")
 
-    if family.ds_dtheta_matrix(theta, np.array([max(lower, 0.0) + 1.0])) is not None:
-        ds_fn = lambda x: family.ds_dtheta_matrix(theta, np.array([x]))[0]
-    else:
-        steps = _steps(family, theta, 1e-5)
+    ds_fn = ds_dtheta_fn(family, theta)
 
-        def ds_fn(x):
-            xs = np.array([x])
-            out = np.empty(k)
-            for j in range(k):
-                tp = theta.copy(); tp[j] += steps[j]
-                tm = theta.copy(); tm[j] -= steps[j]
-                out[j] = (family.s_values(tp, xs)[0] - family.s_values(tm, xs)[0]) / (2 * steps[j])
-            return out
+    def a_integrand(x, side, j, l):
+        ds = ds_fn(np.array([x]))[0]
+        return ds[j] * ds[l] * float(family.pdf(theta, x))
 
-    def a_entry(j, l):
-        def integrand(x):
-            ds = ds_fn(x)
-            return ds[j] * ds[l] * float(family.pdf(theta, x))
-
-        total = 0.0
-        if lower < 0:
-            total += quad(integrand, -np.inf, 0.0, epsabs=1e-13, epsrel=1e-10, limit=400)[0]
-        total += quad(integrand, max(lower, 0.0), np.inf,
-                      epsabs=1e-13, epsrel=1e-10, limit=400)[0]
-        return total
-
-    E = np.empty((k, k))
-    for j in range(k):
-        for l in range(j, k):
-            E[j, l] = E[l, j] = a_entry(j, l)
     mag = family.mean_abs_grad(theta)
-    A = E - np.outer(mag, mag)
+    A = matrix(a_integrand) - np.outer(mag, mag)
     return A, B
 
 
 def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     """Asymptotic variance for the one-parameter families.
 
-    Closed forms: 5*lambda^2/4 for the exponential and 5*theta^2/4 for the
-    centered double exponential (whose |X| is exponential, inheriting the
-    same constant).  ``method='quadrature'`` forces the integral path.
+    The family's closed form where it has one (``Family.closed_avar``), the
+    quadrature otherwise; ``method='quadrature'`` forces the integral path.
     """
-    family = _family(family)
+    family = get_family(family)
     theta = family.validate(theta)
     if family.dim != 1:
         raise DomainError("avar_scalar expects a one-parameter family")
+    has_closed = family.descriptor().has_closed_form_variance
     if method == "auto":
-        method = "closed" if family.name in ("exponential", "laplace") else "quadrature"
+        method = "closed" if has_closed else "quadrature"
     if method == "closed":
-        v = theta[0]
-        if family.name == "exponential":
-            A = np.array([[5.0 / v**4]])
-            B = np.array([[2.0 / v**3]])
-        elif family.name == "laplace":
-            A = np.array([[5.0]])
-            B = np.array([[2.0 / v]])
-        else:
+        if not has_closed:
             raise DomainError(f"no closed-form variance for {family.name}")
+        A, B, _ = family.closed_avar(theta, 1)
         return AsymptoticVariance(A, B, None, float(A[0, 0] / B[0, 0] ** 2), "closed-form")
     A, B = _avar_quadrature(family, theta)
     return AsymptoticVariance(A, B, None, float(A[0, 0] / B[0, 0] ** 2), "quadrature")
@@ -177,30 +137,14 @@ def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
 
 def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
     """Asymptotic covariance V_n for the two-parameter families."""
-    family = _family(family)
+    family = get_family(family)
     theta = family.validate(theta)
     if family.dim < 2:
         raise DomainError("avar_matrix expects a vector family")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if family.name == "twoparamexp":
-        mu, sig = theta
-        if mu < 0:
-            raise InferenceError("variance integral diverges")
-        A = np.array([[1.0, 2.0], [2.0, 5.0]])
-        B = np.array([[1.0, 1.0], [1.0, 2.0]]) / sig
-        V = sig**2 * np.array([[1.0, -1.0], [-1.0, 2.0]]) / n
-        return AsymptoticVariance(A, B, V, None, "closed-form")
-    if family.name == "pareto":
-        a, b = theta
-        if a <= 2.0:
-            raise InferenceError("asymptotic variance undefined")
-        V = (np.array([[2.0 * a * (a - 1.0) ** 4, a * b * (a - 1.0) ** 2],
-                       [a * b * (a - 1.0) ** 2, b**2 / a * (a * a - 2.0 * a + 2.0)]])
-             / (n * (a - 2.0) ** 3))
-        B = np.array([[2.0 * b / (a - 1.0) ** 3, -a / (a - 1.0) ** 2],
-                      [-a / (a - 1.0) ** 2, a * a / (b * (a - 1.0))]])
-        A = B @ (n * V) @ B
+    if family.descriptor().has_closed_form_variance:
+        A, B, V = family.closed_avar(theta, n)
         return AsymptoticVariance(A, B, V, None, "closed-form")
     A, B = _avar_quadrature(family, theta)
     Binv = np.linalg.inv(B)
@@ -212,7 +156,7 @@ def sandwich(family, fit_result: FitResult, sample: Sample,
              rel_step: float = 1e-5) -> SandwichEstimate:
     """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
     attaches V to ``fit_result.covariance``."""
-    family = _family(family)
+    family = get_family(family)
     if not fit_result.converged:
         raise InferenceError("sandwich requires a converged fit")
     theta = np.asarray(fit_result.params.values, dtype=float)
@@ -261,20 +205,19 @@ def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
     if len(fit_result.params.values) != 1:
         raise DomainError("wald_ci expects a scalar parameter")
     theta = fit_result.params.values[0]
-    z = normal_quantile((1.0 + level) / 2.0)
+    z = float(ndtri((1.0 + level) / 2.0))
     half = z * math.sqrt(variance) / math.sqrt(fit_result.n)
     return IntervalResult(theta - half, theta + half, level, "wald")
 
 
 def c_value(family, sample: Sample, theta) -> float:
     """c(theta) = sigma_F^2(theta) * g''(theta), the scale constant of the
-    chi-square limits; closed form for the two scalar families."""
-    family = _family(family)
+    chi-square limits; the family's closed form where it has one."""
+    family = get_family(family)
     theta = family.validate(theta)
-    if family.name == "exponential":
-        return 5.0 / (2.0 * theta[0])
-    if family.name == "laplace":
-        return 5.0 * sample.mean_sq / (4.0 * theta[0])
+    closed = family.closed_c(theta, sample)
+    if closed is not None:
+        return closed
     sigma2 = avar_scalar(family, theta, method="quadrature").sigma2
     hess = g_hessian(family, theta, sample)[0, 0]
     if hess <= 0:
@@ -285,9 +228,9 @@ def c_value(family, sample: Sample, theta) -> float:
 def divergence_interval(family, sample: Sample, fit_result: FitResult,
                         level: float) -> IntervalResult:
     """Parameter set with normalized divergence above the cutoff
-    k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)); closed interval for the
-    exponential, level-crossing bisection on each side otherwise."""
-    family = _family(family)
+    k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)); the family's closed interval
+    where it has one, level-crossing bisection on each side otherwise."""
+    family = get_family(family)
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     if family.dim != 1:
@@ -301,13 +244,9 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     log_k = -c_hat * chi2 / (2.0 * n)
     k_cut = math.exp(log_k)
 
-    if family.name == "exponential":
-        m = sample.mean_sq
-        b = -log_k + math.sqrt(2.0 * m)
-        disc = b * b - 2.0 * m
-        root = math.sqrt(disc)
-        return IntervalResult((b - root) / m, (b + root) / m, level,
-                              "divergence", cutoff_k=k_cut, c_theta=c_hat)
+    closed = family.closed_divergence_interval(sample, log_k)
+    if closed is not None:
+        return IntervalResult(*closed, level, "divergence", cutoff_k=k_cut, c_theta=c_hat)
 
     g = make_g(family, sample)
     target = g(np.array([theta_hat])) - log_k
@@ -339,7 +278,7 @@ def pivotal_q(family, sample: Sample, fit_result: FitResult, theta,
               sigma2: float | None = None) -> float:
     """Q(theta_hat, theta) = 2n [g(theta) - g(theta_hat)] / (sigma_F^2 g''(theta_hat));
     asymptotically chi-square with 1 df under the model."""
-    family = _family(family)
+    family = get_family(family)
     if family.dim != 1:
         raise DomainError("pivotal_q expects a scalar parameter")
     theta_hat = fit_result.params.values[0]
@@ -377,7 +316,7 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     """Divergence-difference test of a point null (or the minimizer over a
     finite null grid): statistic 2n [g(theta0_hat) - g(theta_hat)], limiting
     law c(theta0_hat) chi-square_1."""
-    family = _family(family)
+    family = get_family(family)
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
     if family.dim != 1:
@@ -396,16 +335,7 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     chi2 = chi2_quantile_df1(1.0 - alpha)
     critical = c0 * chi2
     p = chi2_sf_df1(max(stat, 0.0) / c0)
-    region = None
-    if family.name == "exponential":
-        a = n * theta0_hat**2
-        b = 2.0 * math.sqrt(2.0) * n * theta0_hat
-        c = 2.0 * n - 2.5 * chi2
-        disc = b * b - 4.0 * a * c
-        root = math.sqrt(disc)
-        t_lo = max((b - root) / (2.0 * a), 0.0)
-        t_hi = (b + root) / (2.0 * a)
-        region = (t_lo**2, t_hi**2)
+    region = family.closed_test_region(theta0_hat, n, chi2)
     return TestResult(statistic_gddt=float(stat), c_at_null=float(c0),
                       critical_value=float(critical), p_value=float(p),
                       reject=bool(stat > critical), alpha=alpha,
@@ -417,7 +347,7 @@ def power_approx(family, sample: Sample, theta0, theta1, alpha: float,
                  n: int | None = None) -> float:
     """Tail approximation of the test power at the alternative theta1:
     P(chi2_1 > (2n [g(theta1) - g(theta0)] + c(theta0) chi2_{alpha,1}) / c(theta1))."""
-    family = _family(family)
+    family = get_family(family)
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
     n = sample.n if n is None else int(n)
@@ -445,7 +375,7 @@ def required_sample_size(family, sample: Sample, theta0, theta1,
                          alpha: float, beta: float) -> SampleSizeResult:
     """Smallest integer n with approximate power beta at theta1:
     n* = [n0] + 1 with n0 = (c1 chi2_{beta,1} - c0 chi2_{alpha,1}) / (2 [g1 - g0])."""
-    family = _family(family)
+    family = get_family(family)
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise DomainError("alpha and beta must be in (0, 1)")
     g0 = g_objective(family, (float(theta0),), sample)
@@ -482,7 +412,7 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
     """Empirical quantiles of g(theta_true) - g(theta_hat) over seeded
     replicate fits; these calibrate divergence-based confidence regions when
     the parameter has dimension above one."""
-    family = _family(family)
+    family = get_family(family)
     theta_true = family.validate(theta_true)
     if family.dim < 2:
         raise DomainError("region cutoffs apply to vector parameters")

@@ -1,13 +1,18 @@
 """Parametric families and every model-side quantity the objective needs.
 
-Each family exposes, for parameters theta in its open domain:
-
-* ``cdf``/``sf`` (with log variants stable in deep tails),
-* ``mean_abs`` = E|X| and its analytic gradient,
-* the integrated log-tails ``h(x) = int_0^x log sf(y) dy`` (x >= 0) and
-  ``u(x) = int_x^0 log cdf(y) dy`` (x <= 0), combined by ``s_value``,
-* ``quantile`` and seeded inverse-transform sampling,
-* the closed-form minimum-divergence estimate where one exists.
+A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
+``domains`` and ``support``, and implements on its open domain ``validate``,
+``cdf``/``sf``/``pdf`` (log variants where the tails need them),
+``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
+log-tails ``h_integral(x) = int_0^x log sf(y) dy`` (x >= 0) and
+``u_integral(x) = int_x^0 log cdf(y) dy`` (x <= 0) with their vectorized
+``s_values``, ``quantile``, ``mle``, ``start_point`` and, unless every
+parameter is a location, ``to_internal``/``from_internal``.  The optional
+hooks ``ds_dtheta_matrix``, ``closed_form``, ``profile_fit``,
+``closed_fit_warning``, ``check_sample``, ``mckle_unbiased``,
+``mle_unbiased``, ``check_avar``, ``closed_avar``, ``closed_c``,
+``closed_divergence_interval`` and ``closed_test_region`` default to the
+generic numerical path, so callers ask the family instead of its name.
 
 Families with support bounded below truncate ``h`` where the model survival
 is identically 1; an observation on the negative axis below the support
@@ -25,7 +30,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, ndtri, spence
 
 from .empirical import Sample
-from .errors import DataError, DomainError, SupportViolation
+from .errors import DataError, DomainError, InferenceError, SupportViolation
 from .rng import uniform_open
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -63,9 +68,18 @@ class FamilyDescriptor:
 
 
 def _as_theta(theta) -> np.ndarray:
+    if type(theta) is np.ndarray and theta.dtype == np.float64 and theta.ndim:
+        return theta                # the same array the general path returns
     if isinstance(theta, ParamVector):
         return np.asarray(theta.values, dtype=float)
     return np.atleast_1d(np.asarray(theta, dtype=float))
+
+
+def _open_unit(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 0) or np.any(p >= 1):
+        raise DomainError("quantile requires 0 < p < 1")
+    return p
 
 
 def _dilog(w):
@@ -78,10 +92,17 @@ class Family:
 
     name: str = ""
     param_names: tuple[str, ...] = ()
+    domains: tuple[str, ...] = ()
+    support: str = "real"             # "nonnegative" | "real" | "left-bounded"
 
     @property
     def dim(self) -> int:
         return len(self.param_names)
+
+    def has_hook(self, hook: str) -> bool:
+        """Whether this family's class supplies the optional ``hook`` instead
+        of inheriting the generic default."""
+        return getattr(type(self), hook) is not getattr(Family, hook)
 
     def param_vector(self, values) -> ParamVector:
         vals = tuple(float(v) for v in np.atleast_1d(values))
@@ -94,7 +115,8 @@ class Family:
         raise NotImplementedError
 
     def descriptor(self) -> FamilyDescriptor:
-        raise NotImplementedError
+        return FamilyDescriptor(self.name, self.param_names, self.domains, self.support,
+                                self.has_hook("closed_form"), self.has_hook("closed_avar"))
 
     def support_lower(self, theta) -> float:
         return -np.inf
@@ -171,9 +193,6 @@ class Family:
         return np.asarray(self.quantile(theta, uniform_open(rng, n)), dtype=float)
 
     # --- estimators and solver hooks ---
-    def closed_form(self, sample: Sample):
-        return None
-
     def mle(self, sample: Sample) -> tuple[float, ...]:
         raise NotImplementedError
 
@@ -186,29 +205,69 @@ class Family:
     def from_internal(self, t) -> np.ndarray:
         return np.atleast_1d(np.asarray(t, dtype=float)).copy()
 
-    def g_hess_closed(self, theta, sample: Sample):
-        """Analytic Hessian of the sample objective where available."""
-        return None
+    # --- optional hooks: a default of None (or no check) selects the
+    # generic path in the solver, inference and simulation layers ---
+    def closed_form(self, sample: Sample):
+        """Closed-form minimum-divergence estimate."""
+
+    def profile_fit(self, sample: Sample, tol: float):
+        """(theta, converged) from a profiled root-solve."""
+
+    def closed_fit_warning(self, theta, sample: Sample) -> bool:
+        """Extra support-warning rule for the closed-form estimate."""
+        return False
+
+    def check_sample(self, sample: Sample) -> None:
+        """Raise DataError when g has no minimizer inside the domain."""
+
+    def mckle_unbiased(self, theta, n: int):
+        """Bias-corrected minimum-divergence estimate theta at sample size n."""
+
+    def mle_unbiased(self, sample: Sample):
+        """Unbiased variant of the maximum-likelihood estimate."""
+
+    def check_avar(self, theta) -> None:
+        """Raise InferenceError where the variance integrals diverge."""
+
+    def closed_avar(self, theta, n: int):
+        """(A, B, V_n) of the asymptotic variance; V_n is None for a scalar."""
+
+    def closed_c(self, theta, sample: Sample):
+        """c(theta) = sigma^2(theta) g''(theta) of the chi-square limits."""
+
+    def closed_divergence_interval(self, sample: Sample, log_k: float):
+        """(lower, upper) of the set where g - g(theta_hat) <= -log_k."""
+
+    def closed_test_region(self, theta0: float, n: int, chi2: float):
+        """Interval of the mean of squares where the test at theta0 accepts."""
 
     def _check_pos(self, value: float, pname: str) -> None:
         if not (value > 0) or not math.isfinite(value):
             raise DomainError(f"{self.name}: parameter {pname} must be positive, got {value}")
 
 
-class Exponential(Family):
+class _PositiveScalar(Family):
+    """One positive parameter; the simplex works on its logarithm."""
+
+    def validate(self, theta):
+        th = _as_theta(theta)
+        self._check_pos(th[0], self.param_names[0])
+        return th
+
+    def to_internal(self, theta):
+        return np.log(_as_theta(theta))
+
+    def from_internal(self, t):
+        return np.exp(np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+class Exponential(_PositiveScalar):
     """Exp(rate lambda) on [0, inf): sf(x) = exp(-lambda x)."""
 
     name = "exponential"
     param_names = ("lambda",)
-
-    def validate(self, theta):
-        th = _as_theta(theta)
-        self._check_pos(th[0], "lambda")
-        return th
-
-    def descriptor(self):
-        return FamilyDescriptor(self.name, self.param_names, ("lambda > 0",),
-                                "nonnegative", True, True)
+    domains = ("lambda > 0",)
+    support = "nonnegative"
 
     def support_lower(self, theta):
         return 0.0
@@ -271,9 +330,7 @@ class Exponential(Family):
 
     def quantile(self, theta, p):
         lam = _as_theta(theta)[0]
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise DomainError("quantile requires 0 < p < 1")
+        p = _open_unit(p)
         return -np.log1p(-p) / lam
 
     def closed_form(self, sample):
@@ -291,32 +348,48 @@ class Exponential(Family):
     def start_point(self, sample):
         return (1.0 / sample.mean if sample.mean > 0 else 1.0,)
 
-    def to_internal(self, theta):
-        return np.log(_as_theta(theta))
+    def mckle_unbiased(self, theta, n):
+        # removes the first-order bias 15 lambda / (8n)
+        return (8.0 * n / (8.0 * n + 15.0) * theta[0],)
 
-    def from_internal(self, t):
-        return np.exp(np.atleast_1d(np.asarray(t, dtype=float)))
+    def mle_unbiased(self, sample):
+        if sample.mean <= 0:
+            raise DataError("degenerate data")
+        return ((sample.n - 1.0) / (sample.n * sample.mean),)
 
-    def g_hess_closed(self, theta, sample):
+    def closed_avar(self, theta, n):
+        # sigma^2 = A / B^2 = 5 lambda^2 / 4
         lam = _as_theta(theta)[0]
-        return np.array([[2.0 / lam**3]])
+        return np.array([[5.0 / lam**4]]), np.array([[2.0 / lam**3]]), None
+
+    def closed_c(self, theta, sample):
+        return 5.0 / (2.0 * _as_theta(theta)[0])
+
+    def closed_divergence_interval(self, sample, log_k):
+        m = sample.mean_sq
+        b = -log_k + math.sqrt(2.0 * m)
+        disc = b * b - 2.0 * m
+        root = math.sqrt(disc)
+        return (b - root) / m, (b + root) / m
+
+    def closed_test_region(self, theta0, n, chi2):
+        a = n * theta0**2
+        b = 2.0 * math.sqrt(2.0) * n * theta0
+        c = 2.0 * n - 2.5 * chi2
+        disc = b * b - 4.0 * a * c
+        root = math.sqrt(disc)
+        t_lo = max((b - root) / (2.0 * a), 0.0)
+        t_hi = (b + root) / (2.0 * a)
+        return (t_lo**2, t_hi**2)
 
 
-class Laplace(Family):
+class Laplace(_PositiveScalar):
     """Double exponential centered at 0 with scale theta:
     pdf(x) = exp(-|x|/theta) / (2 theta)."""
 
     name = "laplace"
     param_names = ("theta",)
-
-    def validate(self, theta):
-        th = _as_theta(theta)
-        self._check_pos(th[0], "theta")
-        return th
-
-    def descriptor(self):
-        return FamilyDescriptor(self.name, self.param_names, ("theta > 0",),
-                                "real", True, True)
+    domains = ("theta > 0",)
 
     def cdf(self, theta, x):
         th = _as_theta(theta)[0]
@@ -376,9 +449,7 @@ class Laplace(Family):
 
     def quantile(self, theta, p):
         th = _as_theta(theta)[0]
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise DomainError("quantile requires 0 < p < 1")
+        p = _open_unit(p)
         return np.where(p < 0.5, th * np.log(2.0 * p), -th * np.log(2.0 * (1.0 - p)))
 
     def closed_form(self, sample):
@@ -395,22 +466,20 @@ class Laplace(Family):
     def start_point(self, sample):
         return (sample.mean_abs if sample.mean_abs > 0 else 1.0,)
 
-    def to_internal(self, theta):
-        return np.log(_as_theta(theta))
-
-    def from_internal(self, t):
-        return np.exp(np.atleast_1d(np.asarray(t, dtype=float)))
-
-    def g_hess_closed(self, theta, sample):
+    def closed_avar(self, theta, n):
+        # |X| is exponential, so sigma^2 = 5 theta^2 / 4 as for the exponential
         th = _as_theta(theta)[0]
-        return np.array([[sample.mean_sq / th**3]])
+        return np.array([[5.0]]), np.array([[2.0 / th]]), None
+
+    def closed_c(self, theta, sample):
+        return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta)[0])
 
 
-class TwoParamExponential(Family):
-    """Shifted exponential on [mu, inf) with scale sigma."""
+class _LocationScale(Family):
+    """Location mu and scale sigma; the simplex works on (mu, log sigma)."""
 
-    name = "twoparamexp"
     param_names = ("mu", "sigma")
+    domains = ("mu real", "sigma > 0")
 
     def validate(self, theta):
         th = _as_theta(theta)
@@ -419,9 +488,20 @@ class TwoParamExponential(Family):
         self._check_pos(th[1], "sigma")
         return th
 
-    def descriptor(self):
-        return FamilyDescriptor(self.name, self.param_names, ("mu real", "sigma > 0"),
-                                "left-bounded", True, True)
+    def to_internal(self, theta):
+        mu, sig = _as_theta(theta)
+        return np.array([mu, math.log(sig)])
+
+    def from_internal(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.array([t[0], math.exp(t[1])])
+
+
+class TwoParamExponential(_LocationScale):
+    """Shifted exponential on [mu, inf) with scale sigma."""
+
+    name = "twoparamexp"
+    support = "left-bounded"
 
     def support_lower(self, theta):
         return _as_theta(theta)[0]
@@ -519,9 +599,7 @@ class TwoParamExponential(Family):
 
     def quantile(self, theta, p):
         mu, sig = _as_theta(theta)
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise DomainError("quantile requires 0 < p < 1")
+        p = _open_unit(p)
         return mu - sig * np.log1p(-p)
 
     def closed_form(self, sample):
@@ -540,13 +618,22 @@ class TwoParamExponential(Family):
     def start_point(self, sample):
         return self.closed_form(sample)
 
-    def to_internal(self, theta):
-        mu, sig = _as_theta(theta)
-        return np.array([mu, math.log(sig)])
+    def closed_fit_warning(self, theta, sample):
+        # the closed pair is derived on the nonnegative-support branch
+        return theta[0] < 0 or sample.k > 0
 
-    def from_internal(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.array([t[0], math.exp(t[1])])
+    def check_avar(self, theta):
+        # (dF/dmu)^2/F ~ 1/(x - mu) at the support start: log-divergent
+        if _as_theta(theta)[0] < 0:
+            raise InferenceError("variance integral diverges")
+
+    def closed_avar(self, theta, n):
+        self.check_avar(theta)
+        mu, sig = _as_theta(theta)
+        A = np.array([[1.0, 2.0], [2.0, 5.0]])
+        B = np.array([[1.0, 1.0], [1.0, 2.0]]) / sig
+        V = sig**2 * np.array([[1.0, -1.0], [-1.0, 2.0]]) / n
+        return A, B, V
 
 
 class Pareto(Family):
@@ -554,6 +641,8 @@ class Pareto(Family):
 
     name = "pareto"
     param_names = ("alpha", "beta")
+    domains = ("alpha > 1", "beta > 0")
+    support = "left-bounded"
 
     def validate(self, theta):
         th = _as_theta(theta)
@@ -562,10 +651,6 @@ class Pareto(Family):
                 f"{self.name}: parameter alpha must exceed 1 (infinite mean), got {th[0]}")
         self._check_pos(th[1], "beta")
         return th
-
-    def descriptor(self):
-        return FamilyDescriptor(self.name, self.param_names, ("alpha > 1", "beta > 0"),
-                                "left-bounded", False, True)
 
     def support_lower(self, theta):
         return _as_theta(theta)[1]
@@ -644,9 +729,7 @@ class Pareto(Family):
 
     def quantile(self, theta, p):
         a, b = _as_theta(theta)
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise DomainError("quantile requires 0 < p < 1")
+        p = _open_unit(p)
         return b * np.exp(-np.log1p(-p) / a)
 
     def mle(self, sample):
@@ -671,8 +754,25 @@ class Pareto(Family):
         t = np.asarray(t, dtype=float)
         return np.array([1.0 + math.exp(t[0]), math.exp(t[1])])
 
+    def profile_fit(self, sample, tol):
+        from .solver import solve_pareto_profile      # the solver imports this module
+        alpha, beta, resid = solve_pareto_profile(sample, tol=tol)
+        return np.array([alpha, beta]), resid <= 1e-10
 
-class Normal(Family):
+    def closed_avar(self, theta, n):
+        a, b = _as_theta(theta)
+        if a <= 2.0:
+            raise InferenceError("asymptotic variance undefined")
+        V = (np.array([[2.0 * a * (a - 1.0) ** 4, a * b * (a - 1.0) ** 2],
+                       [a * b * (a - 1.0) ** 2, b**2 / a * (a * a - 2.0 * a + 2.0)]])
+             / (n * (a - 2.0) ** 3))
+        B = np.array([[2.0 * b / (a - 1.0) ** 3, -a / (a - 1.0) ** 2],
+                      [-a / (a - 1.0) ** 2, a * a / (b * (a - 1.0))]])
+        A = B @ (n * V) @ B
+        return A, B, V
+
+
+class Normal(_LocationScale):
     """Gaussian on the real line.
 
     The CDF and quantile go through scipy's Cephes routines (``ndtr``,
@@ -685,18 +785,6 @@ class Normal(Family):
     """
 
     name = "normal"
-    param_names = ("mu", "sigma")
-
-    def validate(self, theta):
-        th = _as_theta(theta)
-        if not math.isfinite(th[0]):
-            raise DomainError(f"{self.name}: parameter mu must be finite, got {th[0]}")
-        self._check_pos(th[1], "sigma")
-        return th
-
-    def descriptor(self):
-        return FamilyDescriptor(self.name, self.param_names, ("mu real", "sigma > 0"),
-                                "real", False, False)
 
     def cdf(self, theta, x):
         mu, sig = _as_theta(theta)
@@ -726,7 +814,7 @@ class Normal(Family):
         return np.stack([-phi / sig, -z * phi / sig])
 
     def mean_abs(self, theta):
-        mu, sig = _as_theta(theta)
+        mu, sig = _as_theta(theta).tolist()    # python floats: same values, faster scalar math
         m = mu / sig
         return mu * (2.0 * ndtr(m) - 1.0) + 2.0 * sig * math.exp(-0.5 * m * m) / _SQRT2PI
 
@@ -765,16 +853,22 @@ class Normal(Family):
         """
         a, b = breaks[:-1], breaks[1:]
         counts = np.maximum(np.ceil((b - a) / max_len).astype(int), 1)
-        nodes, weights, parents = [], [], []
-        for j, (aj, bj, m) in enumerate(zip(a, b, counts)):
-            edges = np.linspace(aj, bj, m + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes.append((mid[:, None] + half[:, None] * _GLX[None, :]).ravel())
-            weights.append((half[:, None] * _GLW[None, :]).ravel())
-            parents.append(np.full(m, j))
-        return (np.concatenate(nodes), np.concatenate(weights),
-                np.concatenate(parents), len(a))
+        # panel k of interval j spans edges k and k + 1 of
+        # np.linspace(a[j], b[j], counts[j] + 1), computed as linspace does;
+        # its zero-step branch gives the same edges here, because the step
+        # is zero only for a zero-length interval
+        ends = np.cumsum(counts)
+        parents = np.repeat(np.arange(a.size), counts)
+        k = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(float)
+        step = ((b - a) / counts)[parents]
+        lo = a[parents]
+        left = k * step + lo
+        right = (k + 1) * step + lo
+        right[ends - 1] = b
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        return ((mid[:, None] + half[:, None] * _GLX[None, :]).ravel(),
+                (half[:, None] * _GLW[None, :]).ravel(), parents, len(a))
 
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
@@ -837,9 +931,7 @@ class Normal(Family):
 
     def quantile(self, theta, p):
         mu, sig = _as_theta(theta)
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise DomainError("quantile requires 0 < p < 1")
+        p = _open_unit(p)
         return mu + sig * ndtri(p)
 
     def mle(self, sample):
@@ -852,13 +944,10 @@ class Normal(Family):
         sd = math.sqrt(max(sample.mean_sq - sample.mean**2, 0.0))
         return (sample.mean, sd if sd > 0 else 1.0)
 
-    def to_internal(self, theta):
-        mu, sig = _as_theta(theta)
-        return np.array([mu, math.log(sig)])
-
-    def from_internal(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.array([t[0], math.exp(t[1])])
+    def check_sample(self, sample):
+        # with no spread the objective decreases all the way to sigma = 0
+        if sample.obs[0] == sample.obs[-1]:
+            raise DataError("degenerate data")
 
 
 EXPONENTIAL = Exponential()
@@ -872,8 +961,11 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def get_family(name: str) -> Family:
+def get_family(family: str | Family) -> Family:
+    """The registered family of that name; a Family instance is returned as is."""
+    if isinstance(family, Family):
+        return family
     try:
-        return FAMILIES[name]
+        return FAMILIES[family]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}") from None
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}") from None

@@ -29,13 +29,9 @@ from .models import Family, get_family
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _family(f) -> Family:
-    return get_family(f) if isinstance(f, str) else f
-
-
 @dataclass
 class ObjectiveContext:
-    """Cached pieces for repeated evaluations on one sample."""
+    """The evaluator of g and its derivatives, caching per-sample pieces."""
 
     family: Family
     sample: Sample
@@ -44,7 +40,7 @@ class ObjectiveContext:
     _s_sum: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.family = _family(self.family)
+        self.family = get_family(self.family)
         if self.grad_rel_step <= 0 or self.hess_rel_step <= 0:
             raise DomainError("differentiation steps must be positive")
         self._s_sum = self.family.s_sum_fn(self.sample)
@@ -57,10 +53,36 @@ class ObjectiveContext:
             return math.inf
 
     def gradient(self, theta) -> np.ndarray:
-        return _central_gradient(self.g, self.family, theta, self.grad_rel_step)
+        """Central-difference gradient with per-coordinate relative steps."""
+        g = self.g
+        theta = self.family.validate(theta)
+        steps = _steps(self.family, theta, self.grad_rel_step)
+        grad = np.empty(theta.size)
+        for j in range(theta.size):
+            tp = theta.copy(); tp[j] += steps[j]
+            tm = theta.copy(); tm[j] -= steps[j]
+            grad[j] = (g(tp) - g(tm)) / (2 * steps[j])
+        return grad
 
     def hessian(self, theta) -> np.ndarray:
-        return _central_hessian(self.g, self.family, theta, self.hess_rel_step)
+        """Central-difference Hessian, symmetrized as (H + H^T)/2."""
+        g = self.g
+        theta = self.family.validate(theta)
+        steps = _steps(self.family, theta, self.hess_rel_step)
+        k = theta.size
+        H = np.empty((k, k))
+        g0 = g(theta)
+        for j in range(k):
+            tp = theta.copy(); tp[j] += steps[j]
+            tm = theta.copy(); tm[j] -= steps[j]
+            H[j, j] = (g(tp) - 2 * g0 + g(tm)) / steps[j] ** 2
+            for l in range(j + 1, k):
+                tpp = tp.copy(); tpp[l] += steps[l]
+                tpm = tp.copy(); tpm[l] -= steps[l]
+                tmp = tm.copy(); tmp[l] += steps[l]
+                tmm = tm.copy(); tmm[l] -= steps[l]
+                H[j, l] = H[l, j] = (g(tpp) - g(tpm) - g(tmp) + g(tmm)) / (4 * steps[j] * steps[l])
+        return (H + H.T) / 2.0
 
 
 def make_g(family, sample: Sample):
@@ -70,12 +92,7 @@ def make_g(family, sample: Sample):
 
 def g_objective(family, theta, sample: Sample) -> float:
     """g(theta) = E_theta|X| - mean(s); +inf on support violation."""
-    family = _family(family)
-    theta = family.validate(theta)
-    try:
-        return family.mean_abs(theta) - float(family.s_values(theta, sample.obs).sum()) / sample.n
-    except SupportViolation:
-        return math.inf
+    return ObjectiveContext(family, sample).g(theta)
 
 
 def ckl_divergence(family, theta, sample: Sample) -> float:
@@ -109,25 +126,33 @@ def _steps(family: Family, theta: np.ndarray, rel: float) -> np.ndarray:
     return steps
 
 
-def psi_matrix(family, theta, sample_or_xs, rel_step: float = 1e-5) -> np.ndarray:
-    """Per-observation estimating function, shape (n, dim):
-    psi(x, theta) = d E|X| / d theta - d s(x) / d theta.
+def ds_dtheta_fn(family: Family, theta: np.ndarray, rel_step: float = 1e-5):
+    """xs -> d s(x; theta) / d theta, shape (n, dim): the family's analytic
+    gradient where it has one, else central differences of the vectorized s
+    values with steps fixed once for theta."""
+    if family.has_hook("ds_dtheta_matrix"):
+        return lambda xs: family.ds_dtheta_matrix(theta, xs)
+    steps = _steps(family, theta, rel_step)
 
-    Analytic where the family has closed-form s-gradients; otherwise central
-    differences of the vectorized s values.
-    """
-    family = _family(family)
-    theta = family.validate(theta)
-    xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else np.asarray(sample_or_xs, float)
-    ds = family.ds_dtheta_matrix(theta, xs)
-    if ds is None:
-        steps = _steps(family, theta, rel_step)
-        cols = []
+    def central(xs):
+        out = np.empty((xs.size, theta.size))
         for j in range(theta.size):
             tp = theta.copy(); tp[j] += steps[j]
             tm = theta.copy(); tm[j] -= steps[j]
-            cols.append((family.s_values(tp, xs) - family.s_values(tm, xs)) / (2 * steps[j]))
-        ds = np.column_stack(cols)
+            out[:, j] = (family.s_values(tp, xs) - family.s_values(tm, xs)) / (2 * steps[j])
+        return out
+
+    return central
+
+
+def psi_matrix(family, theta, sample_or_xs, rel_step: float = 1e-5) -> np.ndarray:
+    """Per-observation estimating function, shape (n, dim):
+    psi(x, theta) = d E|X| / d theta - d s(x) / d theta.
+    """
+    family = get_family(family)
+    theta = family.validate(theta)
+    xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else np.asarray(sample_or_xs, float)
+    ds = ds_dtheta_fn(family, theta, rel_step)(xs)
     return family.mean_abs_grad(theta)[None, :] - ds
 
 
@@ -141,46 +166,14 @@ def gee_sum(family, theta, sample: Sample) -> np.ndarray:
     return psi_matrix(family, theta, sample).sum(axis=0)
 
 
-def _central_gradient(g, family: Family, theta, rel_step: float) -> np.ndarray:
-    theta = family.validate(theta)
-    steps = _steps(family, theta, rel_step)
-    grad = np.empty(theta.size)
-    for j in range(theta.size):
-        tp = theta.copy(); tp[j] += steps[j]
-        tm = theta.copy(); tm[j] -= steps[j]
-        grad[j] = (g(tp) - g(tm)) / (2 * steps[j])
-    return grad
-
-
-def _central_hessian(g, family: Family, theta, rel_step: float) -> np.ndarray:
-    theta = family.validate(theta)
-    steps = _steps(family, theta, rel_step)
-    k = theta.size
-    H = np.empty((k, k))
-    g0 = g(theta)
-    for j in range(k):
-        tp = theta.copy(); tp[j] += steps[j]
-        tm = theta.copy(); tm[j] -= steps[j]
-        H[j, j] = (g(tp) - 2 * g0 + g(tm)) / steps[j] ** 2
-        for l in range(j + 1, k):
-            tpp = tp.copy(); tpp[l] += steps[l]
-            tpm = tp.copy(); tpm[l] -= steps[l]
-            tmp = tm.copy(); tmp[l] += steps[l]
-            tmm = tm.copy(); tmm[l] -= steps[l]
-            H[j, l] = H[l, j] = (g(tpp) - g(tpm) - g(tmp) + g(tmm)) / (4 * steps[j] * steps[l])
-    return (H + H.T) / 2.0
-
-
 def g_gradient(family, theta, sample: Sample, rel_step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of g with per-coordinate relative steps."""
-    family = _family(family)
-    return _central_gradient(make_g(family, sample), family, theta, rel_step)
+    return ObjectiveContext(family, sample, grad_rel_step=rel_step).gradient(theta)
 
 
 def g_hessian(family, theta, sample: Sample, rel_step: float = 1e-4) -> np.ndarray:
     """Central-difference Hessian of g, symmetrized as (H + H^T)/2."""
-    family = _family(family)
-    return _central_hessian(make_g(family, sample), family, theta, rel_step)
+    return ObjectiveContext(family, sample, hess_rel_step=rel_step).hessian(theta)
 
 
 def _phi_over_cdf(z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .empirical import Sample, build_sample
-from .errors import CkleError, DataError, DomainError, InferenceError
+from .errors import CkleError, DomainError, InferenceError
 from .inference import avar_scalar, divergence_interval, wald_ci
 from .models import Family, ParamVector, get_family
 from .rng import make_rng
@@ -43,8 +43,8 @@ class StudyConfig:
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise DomainError(f"unknown estimator {est!r}")
-            if est.endswith("_unbiased") and self.family != "exponential":
-                raise DomainError(f"{est} is defined for the exponential family only")
+            if est.endswith("_unbiased") and not get_family(self.family).has_hook(est):
+                raise DomainError(f"{est} is not defined for the {self.family} family")
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,22 @@ class SimulationReport:
 
 def mle_fit(family, sample: Sample) -> ParamVector:
     """Closed-form maximum-likelihood estimates used as the comparison arm."""
-    family = get_family(family) if isinstance(family, str) else family
+    family = get_family(family)
     return family.param_vector(family.mle(sample))
 
 
 def _estimate(family: Family, est: str, sample: Sample) -> np.ndarray:
-    n = sample.n
     if est == "mckle":
         res = fit(family, sample)
         if not res.converged:
             raise InferenceError("fit did not converge")
         return np.asarray(res.params.values)
     if est == "mckle_unbiased":
-        lam = family.closed_form(sample)[0]
-        return np.array([8.0 * n / (8.0 * n + 15.0) * lam])
+        return np.asarray(family.mckle_unbiased(family.closed_form(sample), sample.n))
     if est == "mle":
         return np.asarray(family.mle(sample))
     if est == "mle_unbiased":
-        if sample.mean <= 0:
-            raise DataError("degenerate data")
-        return np.array([(n - 1.0) / (n * sample.mean)])
+        return np.asarray(family.mle_unbiased(sample))
     raise DomainError(f"unknown estimator {est!r}")
 
 
@@ -179,7 +175,7 @@ class BiasReport:
 def bias_check_exponential(lambda_true: float, n: int, reps: int,
                            seed: int) -> BiasReport:
     """Mean bias of the exponential estimate against its first-order value
-    15 lambda / (8n), and the effect of the 8n/(8n+15) correction."""
+    15 lambda / (8n), and the effect of the family's bias correction."""
     if n < 10:
         raise DomainError("n must be >= 10")
     family = get_family("exponential")
@@ -189,7 +185,7 @@ def bias_check_exponential(lambda_true: float, n: int, reps: int,
         sample = build_sample(family.draw((lambda_true,), n, rng))
         total += family.closed_form(sample)[0]
     mean_hat = total / reps
-    mean_u = 8.0 * n / (8.0 * n + 15.0) * mean_hat
+    mean_u = family.mckle_unbiased((mean_hat,), n)[0]
     return BiasReport(lambda_true=lambda_true, n=n, replicates=reps,
                       mean_mckle=mean_hat, bias=mean_hat - lambda_true,
                       first_order_bias=15.0 * lambda_true / (8.0 * n),
@@ -211,7 +207,7 @@ class CoverageReport:
 def coverage_study(family, params, n: int, reps: int, level: float,
                    kind: str, seed: int) -> CoverageReport:
     """Fraction of seeded replicates whose interval covers the truth."""
-    family = get_family(family) if isinstance(family, str) else family
+    family = get_family(family)
     theta = family.validate(params)
     if family.dim != 1:
         raise DomainError("coverage_study expects a scalar family")

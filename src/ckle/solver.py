@@ -1,9 +1,9 @@
 """Minimization of the sample objective.
 
-Dispatch order: closed form where the family has one, the profile root-solve
-for the Pareto pair, and otherwise Nelder-Mead on transformed coordinates
-(log for positive parameters, identity for locations, alpha = 1 + exp(t) for
-the Pareto shape) with deterministic restarts from perturbed optima.
+Dispatch order: the family's closed form, else its profile root-solve (the
+Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
+parameters, identity for locations, alpha = 1 + exp(t) for the Pareto shape)
+with deterministic restarts from perturbed optima.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -86,19 +86,20 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
     fv = np.array([fn(p) for p in sim])
     nev = sim.shape[0]
     for it in range(max_iter):
-        order = np.argsort(fv, kind="stable")
+        order = fv.argsort(kind="stable")
         sim, fv = sim[order], fv[order]
         spread = fv[-1] - fv[0]
         if not math.isfinite(spread):
             spread = math.inf
         if spread <= tol:
-            probe = sim.mean(axis=0)
+            # sum / count is the arithmetic of ndarray.mean, without its overhead
+            probe = sim.sum(axis=0) / (m + 1)
             fp = fn(probe); nev += 1
             if fp < fv[0]:
                 sim[-1], fv[-1] = probe, fp
                 continue
             return NMResult(sim[0], float(fv[0]), it, nev, True)
-        centroid = sim[:-1].mean(axis=0)
+        centroid = sim[:-1].sum(axis=0) / m
         xr = centroid + (centroid - sim[-1])
         fr = fn(xr); nev += 1
         if fr < fv[0]:
@@ -122,7 +123,7 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
                 sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
                 fv[1:] = [fn(p) for p in sim[1:]]
                 nev += m
-    order = np.argsort(fv, kind="stable")
+    order = fv.argsort(kind="stable")
     return NMResult(sim[order][0], float(fv[order][0]), max_iter, nev, False)
 
 
@@ -213,12 +214,11 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
     g = ctx.g
 
     def obj(t):
+        # g validates theta; a point outside the domain is infeasible
         try:
-            theta = family.from_internal(t)
-            family.validate(theta)
+            return g(family.from_internal(t))
         except (DomainError, OverflowError):
             return math.inf
-        return g(theta)
 
     start = opts.start if opts.start is not None else family.start_point(sample)
     t0 = family.to_internal(np.asarray(start, dtype=float))
@@ -226,26 +226,19 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
     best = res
     iters = res.iterations
 
-    def rerun(base, scale, tol):
-        sim = [base.copy()]
-        for i in range(base.size):
-            p = base.copy()
-            p[i] += scale * max(abs(p[i]), 1.0)
-            sim.append(p)
-        return minimize_nelder_mead(obj, base, max_iter=opts.max_iter, tol=tol,
-                                    initial_simplex=np.array(sim))
-
     for r in range(opts.restarts):
         base = best.point.copy()
         j = r % base.size
         base[j] += _RESTART_SCALE * max(abs(base[j]), 1.0) * (1.0 if r % 2 == 0 else -1.0)
-        res_r = rerun(base, _RESTART_SIMPLEX, opts.simplex_tol)
+        res_r = minimize_nelder_mead(obj, base, max_iter=opts.max_iter,
+                                     tol=opts.simplex_tol, init_scale=_RESTART_SIMPLEX)
         iters += res_r.iterations
         if res_r.value < best.value:
             best = res_r
     # final unperturbed polish with a tiny simplex and a tighter spread
     # tolerance, so the stationarity diagnostic is reachable
-    res_p = rerun(best.point.copy(), 1e-6, opts.simplex_tol * 1e-3)
+    res_p = minimize_nelder_mead(obj, best.point.copy(), max_iter=opts.max_iter,
+                                 tol=opts.simplex_tol * 1e-3, init_scale=1e-6)
     iters += res_p.iterations
     if res_p.value <= best.value:
         best = NMResult(res_p.point, res_p.value, res_p.iterations,
@@ -257,13 +250,13 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
 def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Minimize g for one family on one sample.
 
-    ``auto`` uses the closed-form estimate when the family has one, the
-    profile solve for Pareto, and transformed Nelder-Mead otherwise.
+    ``auto`` uses the closed-form estimate when the family has one, its
+    profile solve when it has one, and transformed Nelder-Mead otherwise.
     Non-convergence is reported through ``converged``, never raised; an
     infeasible family/sample combination (negative data for nonnegative
-    support) raises DataError.
+    support, or data the family calls degenerate) raises DataError.
     """
-    family = get_family(family) if isinstance(family, str) else family
+    family = get_family(family)
     opts = options or FitOptions()
     has_closed = family.descriptor().has_closed_form
     method = opts.method
@@ -271,15 +264,15 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
         raise ValueError(f"{family.name} has no closed-form estimator")
     if method == "auto":
         method = "closed" if has_closed else "numeric"
+    family.check_sample(sample)
 
     ctx = ObjectiveContext(family, sample)
     if method == "closed":
         theta = np.asarray(family.closed_form(sample), dtype=float)
         method_used, iterations, converged = "closed", 0, True
-    elif family.name == "pareto":
-        alpha, beta, resid = solve_pareto_profile(sample, tol=opts.bisect_tol)
-        theta = np.array([alpha, beta])
-        method_used, iterations, converged = "profile", 0, resid <= 1e-10
+    elif (profiled := family.profile_fit(sample, opts.bisect_tol)) is not None:
+        theta, converged = profiled
+        method_used, iterations = "profile", 0
     else:
         theta, iterations, nm_ok = _numeric_fit(family, ctx, opts)
         method_used = "simplex"
@@ -306,9 +299,8 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
         hessian_pd = False
 
     warn = family.support_lower(theta) > float(sample.obs[0])
-    if family.name == "twoparamexp" and method_used == "closed":
-        # the closed pair is derived on the nonnegative-support branch
-        warn = warn or theta[0] < 0 or sample.k > 0
+    if method_used == "closed":
+        warn = warn or family.closed_fit_warning(theta, sample)
 
     return FitResult(family=family.name, params=family.param_vector(theta),
                      g_at_opt=g_at, method=method_used, iterations=iterations,

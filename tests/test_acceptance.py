@@ -180,6 +180,7 @@ def test_criterion_07_gddt_size_and_region_duality():
               f"chi-square and closed-region decisions agree on all {reps} replicates")
 
 
+@pytest.mark.slow
 def test_criterion_08_figure_level_reproduction():
     sizes = tuple(range(10, 56, 5))
 

@@ -55,6 +55,15 @@ def test_fit_pareto_negative_data_exit2(tmp_path, capsys):
     assert out == ""
 
 
+def test_fit_normal_constant_data_exit2(tmp_path, capsys):
+    data = tmp_path / "const.csv"
+    data.write_text("2.0\n2.0\n2.0\n")
+    code, out, err = run_cli(["fit", "--model", "normal", "--data", str(data)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "degenerate data" in err
+
+
 def test_parse_errors_exit1(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code, _, err = run_cli(["fit", "--model", "exponential", "--data",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ckle import (DataError, build_sample, ecdf_eval, esf_eval,
+from ckle import (DataError, ParseError, build_sample, ecdf_eval, esf_eval,
                   empirical_entropy_constant, make_rng)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -40,6 +40,13 @@ def test_build_sample_errors():
         build_sample([1.0, 2.0, math.nan])
     with pytest.raises(DataError, match="non-finite observation at index 0"):
         build_sample([math.inf, 2.0])
+
+
+def test_ingestion_errors_are_parse_errors():
+    for raw in ([], [1.0, math.nan]):
+        with pytest.raises(ParseError):
+            build_sample(raw)
+    assert issubclass(ParseError, DataError)
 
 
 def test_sample_immutable():

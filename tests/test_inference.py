@@ -121,6 +121,7 @@ def test_avar_matrix_errors():
         avar_matrix("twoparamexp", (-1.0, 1.0), 10)
 
 
+@pytest.mark.slow
 def test_avar_normal_against_direct_monte_carlo():
     av = avar_matrix("normal", (2.0, 3.0), 1)
     n, reps = 400, 300

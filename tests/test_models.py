@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckle import (DataError, DomainError, SupportViolation, build_sample,
-                  get_family, make_rng)
+from ckle import (DataError, DomainError, SupportViolation, avar_matrix,
+                  avar_scalar, build_sample, divergence_interval, fit,
+                  gddt_test, get_family, make_rng)
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -334,3 +335,46 @@ def test_descriptors():
     assert get_family("exponential").descriptor().has_closed_form
     assert not get_family("pareto").descriptor().has_closed_form
     assert not get_family("normal").descriptor().has_closed_form_variance
+    flags = {name: (d.support, d.has_closed_form, d.has_closed_form_variance)
+             for name, d in ((n, get_family(n).descriptor()) for n in ALL)}
+    assert flags == {"exponential": ("nonnegative", True, True),
+                     "laplace": ("real", True, True),
+                     "twoparamexp": ("left-bounded", True, True),
+                     "pareto": ("left-bounded", False, True),
+                     "normal": ("real", False, False)}
+
+
+def renamed(name):
+    """An instance of the family's class under another name."""
+    cls = type(get_family(name))
+    return type(f"Renamed{cls.__name__}", (cls,), {"name": f"{name}-renamed"})()
+
+
+def test_dispatch_follows_the_class_not_the_name():
+    for name, theta in (("exponential", (2.0,)), ("laplace", (1.5,))):
+        got, want = avar_scalar(renamed(name), theta), avar_scalar(name, theta)
+        assert got.source == want.source == "closed-form"
+        assert got.sigma2 == want.sigma2
+    for name, theta in (("twoparamexp", (3.0, 2.0)), ("pareto", (3.0, 5.0))):
+        got, want = avar_matrix(renamed(name), theta, 50), avar_matrix(name, theta, 50)
+        assert got.source == want.source == "closed-form"
+        assert np.array_equal(got.V_n, want.V_n)
+
+    s = build_sample(get_family("pareto").draw((3.0, 5.0), 200, make_rng(41, 0)))
+    got, want = fit(renamed("pareto"), s), fit("pareto", s)
+    assert got.method == want.method == "profile"
+    assert got.params == want.params
+
+    exp = renamed("exponential")
+    s = build_sample(get_family("exponential").draw((2.0,), 60, make_rng(41, 1)))
+    assert (divergence_interval(exp, s, fit(exp, s), 0.95)
+            == divergence_interval("exponential", s, fit("exponential", s), 0.95))
+    region = gddt_test(exp, s, 2.0, 0.05).region_mean_sq
+    assert region is not None
+    assert region == gddt_test("exponential", s, 2.0, 0.05).region_mean_sq
+
+    # closed pair below zero on positive data: only the closed-pair rule warns
+    s = build_sample([0.1, 0.2, 5.0])
+    got, want = fit(renamed("twoparamexp"), s), fit("twoparamexp", s)
+    assert got.params.values[0] < float(s.obs[0])
+    assert got.support_warning and want.support_warning

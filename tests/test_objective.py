@@ -160,6 +160,7 @@ def test_gee_zero_at_closed_optima():
         pytest.fail("no support-respecting sample found")
 
 
+@pytest.mark.slow
 def test_unbiasedness_of_psi_monte_carlo():
     # E[psi(X, theta)] = 0 at the data-generating parameters
     for name in ALL:

@@ -201,6 +201,15 @@ def test_support_warning_flags():
     assert res.support_warning
 
 
+def test_normal_degenerate_data_raises():
+    for xs in ([2.0, 2.0, 2.0], [2.0]):
+        s = build_sample(xs)
+        with pytest.raises(DataError, match="degenerate data"):
+            fit("normal", s)
+        with pytest.raises(DataError, match="degenerate data"):
+            fit("normal", s, FitOptions(start=(2.0, 1.0)))
+
+
 def test_fit_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         fit("weibull", build_sample([1.0, 2.0]))
