@@ -8,11 +8,12 @@ and zero-length intervals contribute nothing to any integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ def build_sample(raw) -> Sample:
     """Validate, sort and summarize raw observations.
 
     Raises ``ParseError`` (a ``DataError``) for an empty input or any
-    non-finite value (reported at its position in the original ordering).
+    non-finite value (reported at its position in the original ordering),
+    and ``DataError`` when a moment overflows.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
@@ -54,10 +56,13 @@ def build_sample(raw) -> Sample:
     obs = np.sort(arr)
     n = obs.size
     k = int(np.searchsorted(obs, 0.0, side="left"))
-    mean = float(obs.mean())
-    mean_abs = float(np.abs(obs).mean())
-    mean_sq = float((obs * obs).mean())
-    mean_xlogx = float((obs * np.log(obs)).mean()) if obs[0] > 0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(obs.mean())
+        mean_abs = float(np.abs(obs).mean())
+        mean_sq = float((obs * obs).mean())
+        mean_xlogx = float((obs * np.log(obs)).mean()) if obs[0] > 0 else None
+    if not all(math.isfinite(m) for m in (mean, mean_abs, mean_sq, mean_xlogx or 0.0)):
+        raise DataError("moments overflow: data too large in magnitude")
     return Sample(obs=obs, n=n, k=k, mean=mean, mean_abs=mean_abs,
                   mean_sq=mean_sq, mean_xlogx=mean_xlogx)
 

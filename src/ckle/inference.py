@@ -25,7 +25,8 @@ from scipy.special import erfc, ndtri
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
 from .models import Family, get_family
-from .objective import ds_dtheta_fn, g_hessian, g_objective, make_g, psi_matrix, _steps
+from .objective import (_GRAD_STEP, _central_diff, _steps, ds_dtheta_fn, g_hessian,
+                        g_objective, make_g, psi_matrix)
 from .rng import make_rng
 from .solver import FitResult, bisect_root, fit
 
@@ -152,8 +153,7 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
     return AsymptoticVariance(A, B, (V + V.T) / 2.0, None, "quadrature")
 
 
-def sandwich(family, fit_result: FitResult, sample: Sample,
-             rel_step: float = 1e-5) -> SandwichEstimate:
+def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
     attaches V to ``fit_result.covariance``."""
     family = get_family(family)
@@ -161,16 +161,11 @@ def sandwich(family, fit_result: FitResult, sample: Sample,
         raise InferenceError("sandwich requires a converged fit")
     theta = np.asarray(fit_result.params.values, dtype=float)
     n = sample.n
-    k = theta.size
     Psi = psi_matrix(family, theta, sample)
     J = Psi.T @ Psi / n
-    steps = _steps(family, theta, rel_step)
-    I = np.empty((k, k))
-    for j in range(k):
-        tp = theta.copy(); tp[j] += steps[j]
-        tm = theta.copy(); tm[j] -= steps[j]
-        I[:, j] = (psi_matrix(family, tp, sample) - psi_matrix(family, tm, sample)
-                   ).mean(axis=0) / (2 * steps[j])
+    # difference psi per observation, then average: I[l, j] = mean_i d psi_il / d theta_j
+    I = _central_diff(lambda t: psi_matrix(family, t, sample), theta,
+                      _steps(family, theta, _GRAD_STEP)).mean(axis=0)
     I = (I + I.T) / 2.0
     if not np.all(np.isfinite(I)) or np.linalg.cond(I) > 1e12:
         raise InferenceError("objective locally flat")
@@ -274,8 +269,7 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
                           cutoff_k=k_cut, c_theta=c_hat, boundary=boundary)
 
 
-def pivotal_q(family, sample: Sample, fit_result: FitResult, theta,
-              sigma2: float | None = None) -> float:
+def pivotal_q(family, sample: Sample, fit_result: FitResult, theta) -> float:
     """Q(theta_hat, theta) = 2n [g(theta) - g(theta_hat)] / (sigma_F^2 g''(theta_hat));
     asymptotically chi-square with 1 df under the model."""
     family = get_family(family)
@@ -283,13 +277,7 @@ def pivotal_q(family, sample: Sample, fit_result: FitResult, theta,
         raise DomainError("pivotal_q expects a scalar parameter")
     theta_hat = fit_result.params.values[0]
     n = sample.n
-    if sigma2 is None:
-        denom = c_value(family, sample, (theta_hat,))
-    else:
-        hess = g_hessian(family, (theta_hat,), sample)[0, 0]
-        if hess <= 0:
-            raise InferenceError("objective curvature not positive")
-        denom = sigma2 * hess
+    denom = c_value(family, sample, (theta_hat,))
     if denom <= 0:
         raise InferenceError("objective curvature not positive")
     num = 2.0 * n * (g_objective(family, theta, sample)

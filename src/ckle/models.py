@@ -35,6 +35,9 @@ from .rng import uniform_open
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
+# panels the Normal objective may add beyond one per interval; each costs
+# about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
+_MAX_EXTRA_PANELS = 200_000
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ class Family:
     def closed_form(self, sample: Sample):
         """Closed-form minimum-divergence estimate."""
 
-    def profile_fit(self, sample: Sample, tol: float):
+    def profile_fit(self, sample: Sample):
         """(theta, converged) from a profiled root-solve."""
 
     def closed_fit_warning(self, theta, sample: Sample) -> bool:
@@ -754,9 +757,9 @@ class Pareto(Family):
         t = np.asarray(t, dtype=float)
         return np.array([1.0 + math.exp(t[0]), math.exp(t[1])])
 
-    def profile_fit(self, sample, tol):
+    def profile_fit(self, sample):
         from .solver import solve_pareto_profile      # the solver imports this module
-        alpha, beta, resid = solve_pareto_profile(sample, tol=tol)
+        alpha, beta, resid = solve_pareto_profile(sample)
         return np.array([alpha, beta]), resid <= 1e-10
 
     def closed_avar(self, theta, n):
@@ -905,6 +908,10 @@ class Normal(_LocationScale):
         obs = sample.obs
         sig_ref = float(obs.std()) or max(abs(float(obs[0])), 1.0)
         max_len = 0.4 * sig_ref
+        span = max(float(obs[-1]), 0.0) - min(float(obs[0]), 0.0)
+        if span > _MAX_EXTRA_PANELS * max_len:
+            raise DataError(f"normal: data span {span:.3g} from zero is too wide "
+                            f"for their spread {sig_ref:.3g}")
         parts = []
         if sample.k < sample.n:
             pos = obs[sample.k:]

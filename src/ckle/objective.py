@@ -11,6 +11,12 @@ C_n + g(theta) - mean|x| with both extra terms parameter-free.
 
 Support violations (an observation where the model CDF vanishes on the
 negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
+
+Derivatives are central differences with per-coordinate steps relative to
+|theta| (1e-5 for first derivatives, 1e-4 for the Hessian), halved until
+both probes lie inside the domain.  One first-order loop, ``_central_diff``,
+serves the gradient of g, the d s/d theta fallback behind psi and the
+sandwich's derivative of psi; the Hessian keeps its own second differences.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from .errors import DomainError, SupportViolation
 from .models import Family, get_family
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_GRAD_STEP = 1e-5       # relative step of first differences
+_HESS_STEP = 1e-4       # relative step of the Hessian's second differences
 
 
 @dataclass
@@ -35,14 +43,10 @@ class ObjectiveContext:
 
     family: Family
     sample: Sample
-    grad_rel_step: float = 1e-5
-    hess_rel_step: float = 1e-4
     _s_sum: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.family = get_family(self.family)
-        if self.grad_rel_step <= 0 or self.hess_rel_step <= 0:
-            raise DomainError("differentiation steps must be positive")
         self._s_sum = self.family.s_sum_fn(self.sample)
 
     def g(self, theta) -> float:
@@ -54,21 +58,14 @@ class ObjectiveContext:
 
     def gradient(self, theta) -> np.ndarray:
         """Central-difference gradient with per-coordinate relative steps."""
-        g = self.g
         theta = self.family.validate(theta)
-        steps = _steps(self.family, theta, self.grad_rel_step)
-        grad = np.empty(theta.size)
-        for j in range(theta.size):
-            tp = theta.copy(); tp[j] += steps[j]
-            tm = theta.copy(); tm[j] -= steps[j]
-            grad[j] = (g(tp) - g(tm)) / (2 * steps[j])
-        return grad
+        return _central_diff(self.g, theta, _steps(self.family, theta, _GRAD_STEP))
 
     def hessian(self, theta) -> np.ndarray:
         """Central-difference Hessian, symmetrized as (H + H^T)/2."""
         g = self.g
         theta = self.family.validate(theta)
-        steps = _steps(self.family, theta, self.hess_rel_step)
+        steps = _steps(self.family, theta, _HESS_STEP)
         k = theta.size
         H = np.empty((k, k))
         g0 = g(theta)
@@ -126,33 +123,36 @@ def _steps(family: Family, theta: np.ndarray, rel: float) -> np.ndarray:
     return steps
 
 
-def ds_dtheta_fn(family: Family, theta: np.ndarray, rel_step: float = 1e-5):
+def _central_diff(fn, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
+    coordinate j, stacked along a new last axis; fn may return a scalar or
+    an array."""
+    cols = []
+    for j in range(theta.size):
+        tp = theta.copy(); tp[j] += steps[j]
+        tm = theta.copy(); tm[j] -= steps[j]
+        cols.append((fn(tp) - fn(tm)) / (2 * steps[j]))
+    return np.stack(cols, axis=-1)
+
+
+def ds_dtheta_fn(family: Family, theta: np.ndarray):
     """xs -> d s(x; theta) / d theta, shape (n, dim): the family's analytic
     gradient where it has one, else central differences of the vectorized s
     values with steps fixed once for theta."""
     if family.has_hook("ds_dtheta_matrix"):
         return lambda xs: family.ds_dtheta_matrix(theta, xs)
-    steps = _steps(family, theta, rel_step)
-
-    def central(xs):
-        out = np.empty((xs.size, theta.size))
-        for j in range(theta.size):
-            tp = theta.copy(); tp[j] += steps[j]
-            tm = theta.copy(); tm[j] -= steps[j]
-            out[:, j] = (family.s_values(tp, xs) - family.s_values(tm, xs)) / (2 * steps[j])
-        return out
-
-    return central
+    steps = _steps(family, theta, _GRAD_STEP)
+    return lambda xs: _central_diff(lambda t: family.s_values(t, xs), theta, steps)
 
 
-def psi_matrix(family, theta, sample_or_xs, rel_step: float = 1e-5) -> np.ndarray:
+def psi_matrix(family, theta, sample_or_xs) -> np.ndarray:
     """Per-observation estimating function, shape (n, dim):
     psi(x, theta) = d E|X| / d theta - d s(x) / d theta.
     """
     family = get_family(family)
     theta = family.validate(theta)
     xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else np.asarray(sample_or_xs, float)
-    ds = ds_dtheta_fn(family, theta, rel_step)(xs)
+    ds = ds_dtheta_fn(family, theta)(xs)
     return family.mean_abs_grad(theta)[None, :] - ds
 
 
@@ -166,14 +166,14 @@ def gee_sum(family, theta, sample: Sample) -> np.ndarray:
     return psi_matrix(family, theta, sample).sum(axis=0)
 
 
-def g_gradient(family, theta, sample: Sample, rel_step: float = 1e-5) -> np.ndarray:
+def g_gradient(family, theta, sample: Sample) -> np.ndarray:
     """Central-difference gradient of g with per-coordinate relative steps."""
-    return ObjectiveContext(family, sample, grad_rel_step=rel_step).gradient(theta)
+    return ObjectiveContext(family, sample).gradient(theta)
 
 
-def g_hessian(family, theta, sample: Sample, rel_step: float = 1e-4) -> np.ndarray:
+def g_hessian(family, theta, sample: Sample) -> np.ndarray:
     """Central-difference Hessian of g, symmetrized as (H + H^T)/2."""
-    return ObjectiveContext(family, sample, hess_rel_step=rel_step).hessian(theta)
+    return ObjectiveContext(family, sample).hessian(theta)
 
 
 def _phi_over_cdf(z: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Dispatch order: the family's closed form, else its profile root-solve (the
 Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
 parameters, identity for locations, alpha = 1 + exp(t) for the Pareto shape)
-with deterministic restarts from perturbed optima.
+with deterministic restarts from perturbed optima.  ``FitOptions`` sets only
+the method, the iteration cap and the start point; the simplex tolerance,
+the restart count and the profile bracket are fixed.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -25,16 +27,11 @@ from .objective import ObjectiveContext
 class FitOptions:
     method: str = "auto"            # auto | closed | numeric
     max_iter: int = 2000
-    simplex_tol: float = 1e-10      # convergence tolerance on objective spread
-    bisect_tol: float = 1e-12       # bracket-width tolerance
-    restarts: int = 3
     start: tuple | None = None      # explicit initial point; None uses moment seeds
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if self.simplex_tol <= 0 or self.bisect_tol <= 0:
-            raise DomainError("tolerances must be positive")
         if self.method not in ("auto", "closed", "numeric"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -63,7 +60,7 @@ class NMResult:
 
 
 def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
-                         init_scale: float = 0.05, initial_simplex=None) -> NMResult:
+                         init_scale: float = 0.05) -> NMResult:
     """Nelder-Mead with reflection/expansion/contraction/shrink coefficients
     (1, 2, 0.5, 0.5); stops when the simplex objective spread falls below
     ``tol`` or the iteration cap is reached.  The objective must be total
@@ -74,15 +71,12 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
     worst vertex when it improves on the best, otherwise the run stops."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     m = x0.size
-    if initial_simplex is None:
-        sim = [x0.copy()]
-        for i in range(m):
-            p = x0.copy()
-            p[i] += init_scale * max(abs(p[i]), 1.0)
-            sim.append(p)
-        sim = np.array(sim)
-    else:
-        sim = np.array(initial_simplex, dtype=float)
+    sim = [x0.copy()]
+    for i in range(m):
+        p = x0.copy()
+        p[i] += init_scale * max(abs(p[i]), 1.0)
+        sim.append(p)
+    sim = np.array(sim)
     fv = np.array([fn(p) for p in sim])
     nev = sim.shape[0]
     for it in range(max_iter):
@@ -157,8 +151,7 @@ def _profile_equation(alpha: float, d: float) -> float:
     return math.log(alpha / (alpha - 1.0)) - 1.0 / (alpha - 1.0) + d
 
 
-def solve_pareto_profile(sample: Sample, alpha_bracket=(1.0 + 1e-8, 1e6),
-                         tol: float = 1e-12):
+def solve_pareto_profile(sample: Sample):
     """Solve the Pareto pair by profiling the scale out of the objective.
 
     The scale satisfies beta = mean * (alpha - 1) / alpha at any stationary
@@ -173,8 +166,9 @@ def solve_pareto_profile(sample: Sample, alpha_bracket=(1.0 + 1e-8, 1e6),
     d = sample.mean_xlogx / sample.mean - math.log(sample.mean)
     if d <= 0:
         raise DataError("degenerate data")
-    lo_t = math.log(alpha_bracket[0] - 1.0)
-    hi_t = math.log(alpha_bracket[1] - 1.0)
+    # the bracket starts at alpha = 1 + 1e-8; (1 + 1e-8) - 1 is not 1e-8 exactly
+    lo_t = math.log((1.0 + 1e-8) - 1.0)
+    hi_t = math.log(1e6 - 1.0)
     r_of_t = lambda t: _profile_equation(1.0 + math.exp(t), d)
     expansions = 0
     while r_of_t(hi_t) < 0:
@@ -205,6 +199,8 @@ def solve_pareto_profile(sample: Sample, alpha_bracket=(1.0 + 1e-8, 1e6),
     return alpha, beta, abs(_profile_equation(alpha, d))
 
 
+_SIMPLEX_TOL = 1e-10       # Nelder-Mead stop on the simplex objective spread
+_RESTARTS = 3
 _RESTART_SCALE = 1e-3
 _RESTART_SIMPLEX = 1e-4
 
@@ -222,23 +218,23 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
 
     start = opts.start if opts.start is not None else family.start_point(sample)
     t0 = family.to_internal(np.asarray(start, dtype=float))
-    res = minimize_nelder_mead(obj, t0, max_iter=opts.max_iter, tol=opts.simplex_tol)
+    res = minimize_nelder_mead(obj, t0, max_iter=opts.max_iter, tol=_SIMPLEX_TOL)
     best = res
     iters = res.iterations
 
-    for r in range(opts.restarts):
+    for r in range(_RESTARTS):
         base = best.point.copy()
         j = r % base.size
         base[j] += _RESTART_SCALE * max(abs(base[j]), 1.0) * (1.0 if r % 2 == 0 else -1.0)
         res_r = minimize_nelder_mead(obj, base, max_iter=opts.max_iter,
-                                     tol=opts.simplex_tol, init_scale=_RESTART_SIMPLEX)
+                                     tol=_SIMPLEX_TOL, init_scale=_RESTART_SIMPLEX)
         iters += res_r.iterations
         if res_r.value < best.value:
             best = res_r
     # final unperturbed polish with a tiny simplex and a tighter spread
     # tolerance, so the stationarity diagnostic is reachable
     res_p = minimize_nelder_mead(obj, best.point.copy(), max_iter=opts.max_iter,
-                                 tol=opts.simplex_tol * 1e-3, init_scale=1e-6)
+                                 tol=_SIMPLEX_TOL * 1e-3, init_scale=1e-6)
     iters += res_p.iterations
     if res_p.value <= best.value:
         best = NMResult(res_p.point, res_p.value, res_p.iterations,
@@ -270,7 +266,7 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     if method == "closed":
         theta = np.asarray(family.closed_form(sample), dtype=float)
         method_used, iterations, converged = "closed", 0, True
-    elif (profiled := family.profile_fit(sample, opts.bisect_tol)) is not None:
+    elif (profiled := family.profile_fit(sample)) is not None:
         theta, converged = profiled
         method_used, iterations = "profile", 0
     else:

@@ -64,6 +64,20 @@ def test_fit_normal_constant_data_exit2(tmp_path, capsys):
     assert "degenerate data" in err
 
 
+@pytest.mark.parametrize("values", [
+    [2.0, 2.0, 2.0000000000000004],
+    (1e8 + make_rng(5, 0).uniform(-1.0, 1.0, 30)).tolist(),
+    [1e200, 2e200, 3e200],
+])
+def test_fit_wide_or_huge_data_exit2(tmp_path, capsys, values):
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(repr(v) for v in values) + "\n")
+    code, out, err = run_cli(["fit", "--model", "normal", "--data", str(data)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_parse_errors_exit1(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code, _, err = run_cli(["fit", "--model", "exponential", "--data",

@@ -49,6 +49,15 @@ def test_ingestion_errors_are_parse_errors():
     assert issubclass(ParseError, DataError)
 
 
+def test_overflowing_moments_are_data_errors():
+    # exponential data near 1e200 and Laplace data at +-1e155 overflow the
+    # mean of squares, which would otherwise reach the fit as lambda = 0
+    for raw in ([1e200, 2e200, 3e200], [-1e155, 2e155, 1e155]):
+        with pytest.raises(DataError, match="moments overflow") as exc:
+            build_sample(raw)
+        assert not isinstance(exc.value, ParseError)
+
+
 def test_sample_immutable():
     s = build_sample([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ckle import (build_sample, ckl_divergence, empirical_entropy_constant,
+from ckle import (DomainError, build_sample, ckl_divergence, empirical_entropy_constant,
                   fit, g_gradient, g_hessian, g_objective, gee_sum,
                   get_family, make_rng, normal_equation_residuals,
                   psi, psi_matrix)
@@ -129,6 +129,18 @@ def test_psi_normal_two_paths_agree():
         expect = dE - np.array([ds_mu, ds_sig])
         got = psi("normal", (mu, sig), x)
         assert np.abs(got - expect).max() < 1e-5
+
+
+def test_difference_steps_at_the_domain_edge():
+    # steps halve to keep both probes inside alpha > 1 until they underflow
+    s = draw_sample("pareto", 40, 3)
+    beta = 0.5 * float(s.obs[0])
+    assert np.all(np.isfinite(g_gradient("pareto", (1 + 1e-9, beta), s)))
+    with pytest.raises(DomainError, match="step underflow"):
+        g_gradient("pareto", (1 + 1e-13, beta), s)
+    # the Normal has no analytic d s/d theta, so psi differences s
+    with pytest.raises(DomainError, match="step underflow"):
+        psi_matrix("normal", (2.0, 1e-13), draw_sample("normal", 10, 3))
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ckle import (DataError, DomainError, FitOptions, build_sample,
-                  bisect_root, fit, get_family, make_rng,
+                  bisect_root, ckl_divergence, fit, get_family, make_rng,
                   minimize_nelder_mead, solve_pareto_profile)
 from ckle.models import Laplace
 
@@ -208,6 +209,25 @@ def test_normal_degenerate_data_raises():
             fit("normal", s)
         with pytest.raises(DataError, match="degenerate data"):
             fit("normal", s, FitOptions(start=(2.0, 1.0)))
+
+
+NORMAL_WIDE_SPAN = {
+    "near-equal": [2.0, 2.0, 2.0000000000000004],
+    "location 1e8": (1e8 + make_rng(5, 0).uniform(-1.0, 1.0, 30)).tolist(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_WIDE_SPAN))
+def test_normal_wide_span_raises_before_allocating(case):
+    # the Normal panels are sized from the spread; these inputs would ask
+    # for 2e16 and 3e8 panels
+    s = build_sample(NORMAL_WIDE_SPAN[case])
+    for call in (lambda: fit("normal", s),
+                 lambda: ckl_divergence("normal", (s.mean, 1.0), s)):
+        t0 = time.perf_counter()
+        with pytest.raises(DataError, match="too wide"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_fit_unknown_family():
