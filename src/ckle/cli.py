@@ -4,7 +4,9 @@ Subcommands: fit, interval, test, power, samplesize, gof, simulate.
 CSV goes in (one value per line or comma separated, optional header line),
 JSON comes out (simulate streams CSV).  Exit codes: 0 success, 1 input parse
 error, 2 domain, support or degenerate-data error, 3 non-convergence (the
-document is still emitted), 64 usage error.
+document is still emitted), 64 usage error, 70 internal error (any other
+exception, reported on one line without a traceback; 64 and 70 are the
+sysexits EX_USAGE and EX_SOFTWARE).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_NONCONV = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -333,6 +336,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, doc = args.handler(args)
+        if doc is not None:
+            _emit_json(doc, args.out)
     except _UsageError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,8 +350,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if doc is not None:
-        _emit_json(doc, args.out)
+    except Exception as exc:
+        print(f"ckle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     return code
 
 

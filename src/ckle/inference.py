@@ -14,6 +14,7 @@ sign here; the sign squares away inside the sandwich either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,12 +68,25 @@ class SandwichEstimate:
 
 
 def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
-    """A and B by numerical integration; the independent cross-check path."""
+    """A and B by numerical integration; the independent cross-check path.
+
+    Each entry (j, l) of A and B is one adaptive ``quad`` per side of zero,
+    and the entries of one matrix visit largely the same nodes.  When k >= 2
+    the node data that do not depend on the side (dF/dtheta for B; pdf and
+    ds/dtheta for A) are computed once per node and shared by the entries;
+    log F and log SF depend on the side and are computed per call.  With
+    k = 1 there is one entry per side and nothing to share, so no memo is
+    kept.  Where the density is exactly 0.0 the A integrand is exactly zero,
+    and ds/dtheta is not computed: for a family without an analytic gradient
+    it costs 2k ``s_values`` calls whose panel count grows with |x|/scale.
+    """
     family = get_family(family)
     theta = family.validate(theta)
     k = theta.size
     lower = family.support_lower(theta)
     family.check_avar(theta)
+    # memoized per node x; the memos live only as long as this call
+    shared = functools.cache if k > 1 else (lambda fn: fn)
 
     def matrix(integrand):
         # symmetric matrix of integrand(x, side, j, l) over the support,
@@ -89,9 +103,11 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
                 M[j, l] = M[l, j] = total
         return M
 
+    dcdf = shared(lambda x: family.dcdf_dtheta(theta, x).tolist())
+
     def b_integrand(x, side, j, l):
-        d = family.dcdf_dtheta(theta, x)
-        dj, dl = float(d[j]), float(d[l])
+        d = dcdf(x)
+        dj, dl = d[j], d[l]
         if dj == 0.0 or dl == 0.0:
             return 0.0
         lf = float(family.log_cdf(theta, x) if side == "neg"
@@ -105,9 +121,16 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
 
     ds_fn = ds_dtheta_fn(family, theta)
 
+    @shared
+    def a_node(x):
+        pdf = float(family.pdf(theta, x))
+        return pdf, (ds_fn(np.array([x]))[0].tolist() if pdf != 0.0 else None)
+
     def a_integrand(x, side, j, l):
-        ds = ds_fn(np.array([x]))[0]
-        return ds[j] * ds[l] * float(family.pdf(theta, x))
+        pdf, ds = a_node(x)
+        if pdf == 0.0:
+            return 0.0
+        return ds[j] * ds[l] * pdf
 
     mag = family.mean_abs_grad(theta)
     A = matrix(a_integrand) - np.outer(mag, mag)

@@ -35,7 +35,7 @@ from .rng import uniform_open
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _GLX, _GLW = np.polynomial.legendre.leggauss(16)
-# panels the Normal objective may add beyond one per interval; each costs
+# panels one Normal panel build may add beyond one per interval; each costs
 # about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
 _MAX_EXTRA_PANELS = 200_000
 
@@ -852,8 +852,14 @@ class Normal(_LocationScale):
         """Subdivide consecutive intervals into panels of length <= max_len.
 
         Returns flat GL nodes, per-node weights (GL weight x halfwidth) and
-        the parent-interval index of each panel's nodes.
+        the parent-interval index of each panel's nodes.  Raises DataError
+        before allocating when the breaks span more than _MAX_EXTRA_PANELS
+        panel lengths, which bounds the panels beyond one per interval.
         """
+        span = float(breaks[-1] - breaks[0])
+        if span > _MAX_EXTRA_PANELS * max_len:
+            raise DataError(f"normal: data span {span:.3g} from zero is too wide "
+                            f"for panels of length {max_len:.3g}")
         a, b = breaks[:-1], breaks[1:]
         counts = np.maximum(np.ceil((b - a) / max_len).astype(int), 1)
         # panel k of interval j spans edges k and k + 1 of
@@ -908,10 +914,6 @@ class Normal(_LocationScale):
         obs = sample.obs
         sig_ref = float(obs.std()) or max(abs(float(obs[0])), 1.0)
         max_len = 0.4 * sig_ref
-        span = max(float(obs[-1]), 0.0) - min(float(obs[0]), 0.0)
-        if span > _MAX_EXTRA_PANELS * max_len:
-            raise DataError(f"normal: data span {span:.3g} from zero is too wide "
-                            f"for their spread {sig_ref:.3g}")
         parts = []
         if sample.k < sample.n:
             pos = obs[sample.k:]

@@ -265,7 +265,7 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     ctx = ObjectiveContext(family, sample)
     if method == "closed":
         theta = np.asarray(family.closed_form(sample), dtype=float)
-        method_used, iterations, converged = "closed", 0, True
+        method_used, iterations = "closed", 0
     elif (profiled := family.profile_fit(sample)) is not None:
         theta, converged = profiled
         method_used, iterations = "profile", 0
@@ -277,6 +277,9 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     g_at = ctx.g(theta)
     if math.isinf(g_at) and method_used == "simplex":
         raise DataError("empty feasible region: objective is infinite at the optimum")
+    if method_used == "closed":
+        # a closed form stationary on the support can land where g is +inf
+        converged = math.isfinite(g_at)
 
     if method_used == "simplex" and converged:
         try:

@@ -78,6 +78,33 @@ def test_fit_wide_or_huge_data_exit2(tmp_path, capsys, values):
     assert "Traceback" not in err
 
 
+def test_twoparamexp_negative_data_not_converged_exit3(tmp_path, capsys):
+    data = tmp_path / "neg.csv"
+    data.write_text("-1.0\n0.5\n2.0\n3.0\n")
+    code, out, err = run_cli(["fit", "--model", "twoparamexp", "--data", str(data)], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["support_warning"] is True
+    assert doc["V_hat"] is None
+    assert err == ""
+
+
+def test_unexpected_exception_exit70_without_traceback(tmp_path, capsys, monkeypatch):
+    import ckle.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ckle.cli, "_cmd_fit", broken)
+    data = tmp_path / "x.csv"
+    data.write_text("1.0\n2.0\n")
+    code, out, err = run_cli(["fit", "--model", "exponential", "--data", str(data)], capsys)
+    assert code == 70
+    assert out == ""
+    assert err == "ckle: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_parse_errors_exit1(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code, _, err = run_cli(["fit", "--model", "exponential", "--data",

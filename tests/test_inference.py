@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,42 @@ def test_avar_matrix_quadrature_cross_checks():
         V = Binv @ A @ Binv
         closed = avar_matrix(name, theta, 1).V_n
         assert np.abs(V / closed - 1).max() < 1e-6
+
+
+def test_avar_quadrature_computes_each_node_once():
+    # k = 2: ds/dtheta (2k s_values calls through central differences) once
+    # per distinct node, and never where the density is exactly zero
+    from collections import Counter
+
+    from ckle.inference import _avar_quadrature
+    from ckle.models import Normal
+
+    s_calls, pdf_nodes = Counter(), set()
+
+    class Recorder(Normal):
+        def s_values(self, theta, xs):
+            s_calls.update(np.asarray(xs, dtype=float).tolist())
+            return super().s_values(theta, xs)
+
+        def pdf(self, theta, x):
+            pdf_nodes.add(float(x))
+            return super().pdf(theta, x)
+
+    fam, theta = Recorder(), (2.0, 3.0)
+    _avar_quadrature(fam, theta)
+    zero = {x for x in pdf_nodes if get_family("normal").pdf(theta, x) == 0.0}
+    assert zero and len(zero) < len(pdf_nodes)
+    assert set(s_calls) == pdf_nodes - zero
+    assert set(s_calls.values()) == {2 * 2}
+
+
+def test_avar_normal_small_scale_is_fast():
+    # quadrature nodes far out in the tails have zero density; building
+    # s_values panels there grew with |x| / sigma
+    t0 = time.perf_counter()
+    av = avar_matrix("normal", (0.0, 1e-3), 1)
+    assert time.perf_counter() - t0 < 2.0
+    assert np.all(np.isfinite(av.V_n)) and np.all(np.diag(av.V_n) > 0)
 
 
 def test_avar_matrix_errors():

@@ -6,7 +6,7 @@ import pytest
 
 from ckle import (DataError, DomainError, FitOptions, build_sample,
                   bisect_root, ckl_divergence, fit, get_family, make_rng,
-                  minimize_nelder_mead, solve_pareto_profile)
+                  minimize_nelder_mead, psi_matrix, solve_pareto_profile)
 from ckle.models import Laplace
 
 
@@ -228,6 +228,27 @@ def test_normal_wide_span_raises_before_allocating(case):
         with pytest.raises(DataError, match="too wide"):
             call()
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_normal_psi_far_from_zero_raises_before_allocating():
+    # psi's s_values panels are sized from sigma: 3e8 of them at 1e8 / 0.3
+    xs = NORMAL_WIDE_SPAN["location 1e8"]
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match="too wide"):
+        psi_matrix("normal", (1e8, 0.6), xs)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_closed_fit_at_infinite_objective_is_not_converged():
+    # negative data put the closed two-parameter pair above the sample
+    # minimum, where the real-line objective is +inf
+    res = fit("twoparamexp", build_sample([-1.0, 0.5, 2.0, 3.0]))
+    assert res.method == "closed"
+    assert math.isinf(res.g_at_opt)
+    assert not res.converged
+    assert res.support_warning
+    res = fit("twoparamexp", build_sample([0.5, 1.0, 2.0, 3.0]))
+    assert math.isfinite(res.g_at_opt) and res.converged
 
 
 def test_fit_unknown_family():
