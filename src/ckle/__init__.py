@@ -18,7 +18,7 @@ from .inference import (AsymptoticVariance, IntervalResult, RegionCutoffs,
                         divergence_region_cutoffs, gddt_test, pivotal_q,
                         power_approx, required_sample_size, sandwich, wald_ci)
 from .models import (EXPONENTIAL, FAMILIES, LAPLACE, NORMAL, PARETO,
-                     TWOPARAMEXP, FamilyDescriptor, ParamVector, get_family)
+                     TWOPARAMEXP, ParamVector, get_family)
 from .objective import (ObjectiveContext, ckl_divergence, g_gradient,
                         g_hessian, g_objective, gee_sum, make_g,
                         normal_equation_residuals, psi, psi_matrix)
@@ -41,7 +41,7 @@ __all__ = [
     "divergence_region_cutoffs", "gddt_test", "pivotal_q", "power_approx",
     "required_sample_size", "sandwich", "wald_ci",
     "EXPONENTIAL", "FAMILIES", "LAPLACE", "NORMAL", "PARETO", "TWOPARAMEXP",
-    "FamilyDescriptor", "ParamVector", "get_family",
+    "ParamVector", "get_family",
     "ObjectiveContext", "ckl_divergence", "g_gradient", "g_hessian",
     "g_objective", "gee_sum", "make_g", "normal_equation_residuals", "psi",
     "psi_matrix", "make_rng", "uniform_open",

@@ -5,8 +5,9 @@ CSV goes in (one value per line or comma separated, optional header line),
 JSON comes out (simulate streams CSV).  Exit codes: 0 success, 1 input parse
 error, 2 domain, support or degenerate-data error, 3 non-convergence (the
 document is still emitted), 64 usage error, 70 internal error (any other
-exception, reported on one line without a traceback; 64 and 70 are the
-sysexits EX_USAGE and EX_SOFTWARE).
+exception, reported on one line without a traceback), 73 the ``--out`` file
+cannot be written (64, 70 and 73 are the sysexits EX_USAGE, EX_SOFTWARE and
+EX_CANTCREAT).
 """
 
 from __future__ import annotations
@@ -33,9 +34,14 @@ EXIT_DOMAIN = 2
 EXIT_NONCONV = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -120,8 +126,11 @@ def _nine_digits(obj):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -338,18 +347,18 @@ def main(argv=None) -> int:
         code, doc = args.handler(args)
         if doc is not None:
             _emit_json(doc, args.out)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _OutputError as exc:
+        print(f"ckle: error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except ParseError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CkleError as exc:
         print(f"ckle: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"ckle: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"ckle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE

@@ -143,16 +143,13 @@ def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     The family's closed form where it has one (``Family.closed_avar``), the
     quadrature otherwise; ``method='quadrature'`` forces the integral path.
     """
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     family = get_family(family)
     theta = family.validate(theta)
     if family.dim != 1:
         raise DomainError("avar_scalar expects a one-parameter family")
-    has_closed = family.descriptor().has_closed_form_variance
-    if method == "auto":
-        method = "closed" if has_closed else "quadrature"
-    if method == "closed":
-        if not has_closed:
-            raise DomainError(f"no closed-form variance for {family.name}")
+    if method == "auto" and family.has_hook("closed_avar"):
         A, B, _ = family.closed_avar(theta, 1)
         return AsymptoticVariance(A, B, None, float(A[0, 0] / B[0, 0] ** 2), "closed-form")
     A, B = _avar_quadrature(family, theta)
@@ -167,7 +164,7 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
         raise DomainError("avar_matrix expects a vector family")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if family.descriptor().has_closed_form_variance:
+    if family.has_hook("closed_avar"):
         A, B, V = family.closed_avar(theta, n)
         return AsymptoticVariance(A, B, V, None, "closed-form")
     A, B = _avar_quadrature(family, theta)

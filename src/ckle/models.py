@@ -4,19 +4,19 @@ A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
 ``domains`` and ``support``, and implements on its open domain ``validate``,
 ``cdf``/``sf``/``pdf`` (log variants where the tails need them),
 ``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
-log-tails ``h_integral(x) = int_0^x log sf(y) dy`` (x >= 0) and
-``u_integral(x) = int_x^0 log cdf(y) dy`` (x <= 0) with their vectorized
-``s_values``, ``quantile``, ``mle``, ``start_point`` and, unless every
-parameter is a location, ``to_internal``/``from_internal``.  The optional
-hooks ``ds_dtheta_matrix``, ``closed_form``, ``profile_fit``,
-``closed_fit_warning``, ``check_sample``, ``mckle_unbiased``,
-``mle_unbiased``, ``check_avar``, ``closed_avar``, ``closed_c``,
-``closed_divergence_interval`` and ``closed_test_region`` default to the
-generic numerical path, so callers ask the family instead of its name.
+log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
+x >= 0, int_x^0 log cdf(y) dy for x < 0), ``quantile``, ``mle``,
+``start_point`` and, unless every parameter is a location,
+``to_internal``/``from_internal``.  The optional hooks ``ds_dtheta_matrix``,
+``closed_form``, ``profile_fit``, ``closed_fit_warning``, ``check_sample``,
+``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar``,
+``closed_c``, ``closed_divergence_interval`` and ``closed_test_region``
+default to the generic numerical path, so callers ask the family (through
+``has_hook`` where the choice of path depends on it) instead of its name.
 
-Families with support bounded below truncate ``h`` where the model survival
-is identically 1; an observation on the negative axis below the support
-start makes ``u`` integrate log 0 over positive measure, which is raised as
+Families with support bounded below truncate s where the model survival is
+identically 1; an observation on the negative axis below the support start
+makes s integrate log 0 over positive measure, which is raised as
 ``SupportViolation`` (the objective is +inf there).
 """
 
@@ -58,16 +58,6 @@ class ParamVector:
         if isinstance(key, str):
             return self.values[self.names.index(key)]
         return self.values[key]
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    family: str
-    param_names: tuple[str, ...]
-    domains: tuple[str, ...]
-    support: str                      # "nonnegative" | "real" | "left-bounded"
-    has_closed_form: bool
-    has_closed_form_variance: bool
 
 
 def _as_theta(theta) -> np.ndarray:
@@ -117,10 +107,6 @@ class Family:
         """Return theta as an array, raising DomainError naming the bad parameter."""
         raise NotImplementedError
 
-    def descriptor(self) -> FamilyDescriptor:
-        return FamilyDescriptor(self.name, self.param_names, self.domains, self.support,
-                                self.has_hook("closed_form"), self.has_hook("closed_avar"))
-
     def support_lower(self, theta) -> float:
         return -np.inf
 
@@ -153,23 +139,10 @@ class Family:
     def mean_abs_grad(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def h_integral(self, theta, x) -> float:
-        """int_0^x log sf(y) dy for x >= 0."""
-        raise NotImplementedError
-
-    def u_integral(self, theta, x) -> float:
-        """int_x^0 log cdf(y) dy for x <= 0; SupportViolation if cdf vanishes
-        on a positive-measure part of (x, 0)."""
-        raise NotImplementedError
-
-    def s_value(self, theta, x) -> float:
-        """u(x) on the negative axis, h(x) on the nonnegative axis."""
-        x = float(x)
-        return self.u_integral(theta, x) if x < 0 else self.h_integral(theta, x)
-
     def s_values(self, theta, xs: np.ndarray) -> np.ndarray:
-        """Vectorized s over sorted observations."""
-        return np.array([self.s_value(theta, x) for x in xs])
+        """s(x) per observation; SupportViolation if cdf vanishes on a
+        positive-measure part of (x, 0)."""
+        raise NotImplementedError
 
     def s_sum_fn(self, sample: Sample):
         """Callable theta -> sum_i s(x_i); built once per sample for speed."""
@@ -307,19 +280,6 @@ class Exponential(_PositiveScalar):
         lam = _as_theta(theta)[0]
         return np.array([-1.0 / lam**2])
 
-    def h_integral(self, theta, x):
-        if x < 0:
-            raise DomainError("h_integral requires x >= 0")
-        lam = _as_theta(theta)[0]
-        return -lam * x * x / 2.0
-
-    def u_integral(self, theta, x):
-        if x > 0:
-            raise DomainError("u_integral requires x <= 0")
-        if x == 0:
-            return 0.0
-        raise SupportViolation("support violation: negative observation for nonnegative support")
-
     def s_values(self, theta, xs):
         lam = _as_theta(theta)[0]
         xs = np.asarray(xs, dtype=float)
@@ -427,18 +387,6 @@ class Laplace(_PositiveScalar):
 
     def mean_abs_grad(self, theta):
         return np.array([1.0])
-
-    def h_integral(self, theta, x):
-        if x < 0:
-            raise DomainError("h_integral requires x >= 0")
-        th = _as_theta(theta)[0]
-        return -x * math.log(2.0) - x * x / (2.0 * th)
-
-    def u_integral(self, theta, x):
-        if x > 0:
-            raise DomainError("u_integral requires x <= 0")
-        th = _as_theta(theta)[0]
-        return x * math.log(2.0) - x * x / (2.0 * th)
 
     def s_values(self, theta, xs):
         th = _as_theta(theta)[0]
@@ -550,25 +498,6 @@ class TwoParamExponential(_LocationScale):
         e = math.exp(mu / sig)
         return np.array([-1.0 + 2.0 * e, -1.0 + 2.0 * e * (1.0 - mu / sig)])
 
-    def h_integral(self, theta, x):
-        if x < 0:
-            raise DomainError("h_integral requires x >= 0")
-        mu, sig = _as_theta(theta)
-        a = max(x - mu, 0.0)
-        b = max(-mu, 0.0)
-        return -(a * a - b * b) / (2.0 * sig)
-
-    def u_integral(self, theta, x):
-        if x > 0:
-            raise DomainError("u_integral requires x <= 0")
-        mu, sig = _as_theta(theta)
-        if x < mu:
-            raise SupportViolation("support violation: observation below the support start")
-        if x == 0:
-            return 0.0
-        # int log(1 - e^{-t}) dt = -Li2(e^{-t}) + const
-        return sig * (_dilog(math.exp(mu / sig)) - _dilog(math.exp((mu - x) / sig)))
-
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
@@ -580,6 +509,7 @@ class TwoParamExponential(_LocationScale):
         neg = xs < 0
         if np.any(neg):
             xn = xs[neg]
+            # int log(1 - e^{-t}) dt = -Li2(e^{-t}) + const
             out[neg] = sig * (_dilog(np.exp(mu / sig)) - _dilog(np.exp((mu - xn) / sig)))
         return out
 
@@ -699,21 +629,6 @@ class Pareto(Family):
         a, b = _as_theta(theta)
         return np.array([-b / (a - 1.0) ** 2, a / (a - 1.0)])
 
-    def h_integral(self, theta, x):
-        if x < 0:
-            raise DomainError("h_integral requires x >= 0")
-        a, b = _as_theta(theta)
-        if x <= b:
-            return 0.0
-        return -a * (x * (math.log(x) - math.log(b) - 1.0) + b)
-
-    def u_integral(self, theta, x):
-        if x > 0:
-            raise DomainError("u_integral requires x <= 0")
-        if x == 0:
-            return 0.0
-        raise SupportViolation("support violation: negative observation for nonnegative support")
-
     def s_values(self, theta, xs):
         a, b = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
@@ -780,11 +695,11 @@ class Normal(_LocationScale):
 
     The CDF and quantile go through scipy's Cephes routines (``ndtr``,
     ``ndtri``): erf-based with absolute error far below 1e-12, and a rational
-    approximation polished to give the inverse to ~1e-15.  ``h``/``u`` have no
-    closed form; single-point values use adaptive quadrature (QUADPACK,
-    relative tolerance 1e-10) and the vectorized path uses fixed 16-node
-    Gauss-Legendre panels no longer than half a scale, which agrees with the
-    adaptive path to machine precision (the integrand is entire).
+    approximation polished to give the inverse to ~1e-15.  ``s`` has no
+    closed form; ``s_values`` uses fixed 16-node Gauss-Legendre panels no
+    longer than half a scale, which agrees to machine precision (the
+    integrand is entire) with the adaptive quadrature of ``s_value``
+    (QUADPACK, relative tolerance 1e-10).
     """
 
     name = "normal"
@@ -827,23 +742,15 @@ class Normal(_LocationScale):
         phi = math.exp(-0.5 * m * m) / _SQRT2PI
         return np.array([2.0 * ndtr(m) - 1.0, 2.0 * phi])
 
-    def h_integral(self, theta, x):
-        if x < 0:
-            raise DomainError("h_integral requires x >= 0")
+    def s_value(self, theta, x) -> float:
+        """s at one point by adaptive quadrature; the reference the panel
+        paths are tested against."""
+        x = float(x)
         if x == 0:
             return 0.0
         mu, sig = _as_theta(theta)
-        val, _ = quad(lambda y: log_ndtr((mu - y) / sig), 0.0, x,
-                      epsabs=1e-13, epsrel=1e-10, limit=200)
-        return val
-
-    def u_integral(self, theta, x):
-        if x > 0:
-            raise DomainError("u_integral requires x <= 0")
-        if x == 0:
-            return 0.0
-        mu, sig = _as_theta(theta)
-        val, _ = quad(lambda y: log_ndtr((y - mu) / sig), x, 0.0,
+        sign = 1.0 if x < 0 else -1.0       # log cdf below zero, log sf above
+        val, _ = quad(lambda y: log_ndtr(sign * (y - mu) / sig), min(x, 0.0), max(x, 0.0),
                       epsabs=1e-13, epsrel=1e-10, limit=200)
         return val
 

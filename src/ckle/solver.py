@@ -254,7 +254,7 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """
     family = get_family(family)
     opts = options or FitOptions()
-    has_closed = family.descriptor().has_closed_form
+    has_closed = family.has_hook("closed_form")
     method = opts.method
     if method == "closed" and not has_closed:
         raise ValueError(f"{family.name} has no closed-form estimator")

@@ -268,6 +268,24 @@ def test_out_file(tmp_path, capsys):
     assert doc["theta_hat"]["theta"] == pytest.approx(0.707107, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--model", "exponential", "--data", "{data}"],
+    ["simulate", "--model", "exponential", "--params", "lambda=5", "--sizes", "10",
+     "--reps", "5", "--threads", "1"],
+])
+def test_out_in_missing_directory_exit73(tmp_path, capsys, command):
+    data = tmp_path / "x.csv"
+    data.write_text("1.0\n2.0\n")
+    dest = tmp_path / "nodir" / "out"
+    args = [a.format(data=data) for a in command] + ["--out", str(dest)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 73
+    assert out == ""
+    assert err.startswith("ckle: error: cannot write output: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not dest.parent.exists()
+
+
 def test_nine_significant_digits(tmp_path, capsys):
     data = tmp_path / "pm1.csv"
     data.write_text("-1\n1\n")

@@ -75,6 +75,12 @@ def test_avar_exponential_quadrature_reproduces_closed():
         assert av.sigma2 == pytest.approx(5.0 * lam**2 / 4.0, rel=1e-8)
 
 
+def test_avar_scalar_rejects_unknown_method():
+    for method in ("closed", "quad", ""):
+        with pytest.raises(ValueError, match="unknown method"):
+            avar_scalar("exponential", (2.0,), method=method)
+
+
 def test_avar_laplace_closed_and_monte_carlo():
     th = 1.0
     assert avar_scalar("laplace", (th,)).sigma2 == pytest.approx(1.25)

@@ -131,12 +131,28 @@ def test_mean_abs_gradient_matches_numeric():
 
 # ----------------------------------------------------------- h, u, s values
 
+def s_at(fam, theta, x):
+    """s at one point through the production path."""
+    return float(fam.s_values(theta, np.array([x]))[0])
+
+
+def s_oracle(fam, theta, x):
+    """Adaptive quadrature of the log-tail, split at the support start."""
+    lo = fam.support_lower(theta)
+    if x < 0:
+        return quad(lambda y: float(fam.log_cdf(theta, y)), x, 0.0,
+                    epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    return quad(lambda y: float(fam.log_sf(theta, y)), 0.0, x,
+                points=[lo] if 0.0 < lo < x else None,
+                epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+
+
 def test_h_integral_closed_forms():
-    assert get_family("exponential").h_integral((3.0,), 2.0) == pytest.approx(-6.0)
+    assert s_at(get_family("exponential"), (3.0,), 2.0) == pytest.approx(-6.0)
     for name in ALL:
-        assert get_family(name).h_integral(THETAS[name], 0.0) == 0.0
+        assert s_at(get_family(name), THETAS[name], 0.0) == 0.0
     # oracle: quadrature of the log-survival over [0, x]
-    val = get_family("pareto").h_integral((2.0, 5.0), 7.0)
+    val = s_at(get_family("pareto"), (2.0, 5.0), 7.0)
     assert val == pytest.approx(-0.710611312696981, abs=1e-12)
     oracle = quad(lambda y: float(get_family("pareto").log_sf((2.0, 5.0), y)),
                   0.0, 7.0, points=[5.0])[0]
@@ -145,26 +161,26 @@ def test_h_integral_closed_forms():
 
 def test_u_integral_values():
     lap = get_family("laplace")
-    assert lap.u_integral((1.0,), 0.0) == 0.0
-    assert lap.u_integral((1.0,), -1.0) == pytest.approx(-math.log(2) - 0.5, abs=1e-12)
+    assert s_at(lap, (1.0,), 0.0) == 0.0
+    assert s_at(lap, (1.0,), -1.0) == pytest.approx(-math.log(2) - 0.5, abs=1e-12)
     nrm = get_family("normal")
-    val = nrm.u_integral((0.0, 1.0), -1.0)
+    val = s_at(nrm, (0.0, 1.0), -1.0)
     assert val == pytest.approx(-1.2063382293005378, abs=1e-8)  # quadrature oracle
 
 
 def test_u_integral_support_violation():
     with pytest.raises(SupportViolation):
-        get_family("exponential").u_integral((1.0,), -0.5)
+        s_at(get_family("exponential"), (1.0,), -0.5)
     with pytest.raises(SupportViolation):
-        get_family("twoparamexp").u_integral((-0.25, 1.0), -0.5)
+        s_at(get_family("twoparamexp"), (-0.25, 1.0), -0.5)
     with pytest.raises(SupportViolation):
-        get_family("pareto").u_integral((2.0, 5.0), -0.5)
+        s_at(get_family("pareto"), (2.0, 5.0), -0.5)
 
 
 def test_tpe_u_dilogarithm_matches_quadrature():
     fam = get_family("twoparamexp")
     for mu, sig, x in [(-2.0, 1.5, -0.5), (-1.0, 0.7, -0.9), (-3.0, 2.0, -2.9)]:
-        closed = fam.u_integral((mu, sig), x)
+        closed = s_at(fam, (mu, sig), x)
         oracle = quad(lambda y: math.log(float(fam.cdf((mu, sig), y))), x, 0.0,
                       epsabs=1e-13, epsrel=1e-11)[0]
         assert closed == pytest.approx(oracle, rel=1e-9, abs=1e-11)
@@ -172,10 +188,10 @@ def test_tpe_u_dilogarithm_matches_quadrature():
 
 def test_s_value_dispatch_and_symmetry():
     lap = get_family("laplace")
-    assert lap.s_value((1.0,), 1.0) == pytest.approx(-math.log(2) - 0.5)
-    assert lap.s_value((1.0,), -1.0) == pytest.approx(-math.log(2) - 0.5)
+    assert s_at(lap, (1.0,), 1.0) == pytest.approx(-math.log(2) - 0.5)
+    assert s_at(lap, (1.0,), -1.0) == pytest.approx(-math.log(2) - 0.5)
     for name in ALL:
-        assert get_family(name).s_value(THETAS[name], 0.0) == 0.0
+        assert s_at(get_family(name), THETAS[name], 0.0) == 0.0
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -186,8 +202,19 @@ def test_s_values_match_pointwise(name):
     xs = np.linspace(max(lo, -8.0), 20.0, 23)
     vec = fam.s_values(theta, xs)
     for x, v in zip(xs, vec):
-        assert v == pytest.approx(fam.s_value(theta, float(x)), rel=1e-9, abs=1e-9)
+        assert v == pytest.approx(s_oracle(fam, theta, float(x)), rel=1e-9, abs=1e-9)
     assert np.all(vec <= 1e-12)
+
+
+def test_normal_panel_paths_match_adaptive_reference():
+    nrm = get_family("normal")
+    xs = np.sort(nrm.draw((0.5, 2.0), 40, make_rng(7, 0)))
+    assert xs[0] < 0 < xs[-1]
+    g_sum = nrm.s_sum_fn(build_sample(xs))
+    for theta in ((0.5, 2.0), (1.0, 4.0), (-0.5, 1.0)):
+        ref = np.array([nrm.s_value(theta, x) for x in xs])
+        assert nrm.s_values(theta, xs) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert g_sum(theta) == pytest.approx(ref.sum(), rel=1e-9)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -195,11 +222,11 @@ def test_h_decreasing_and_derivative_recovers_log_sf(name):
     fam = get_family(name)
     theta = THETAS[name]
     xs = np.linspace(0.5, 12.0, 8)
-    h = [fam.h_integral(theta, x) for x in xs]
+    h = [s_at(fam, theta, x) for x in xs]
     assert all(a >= b for a, b in zip(h, h[1:]))
     for x in xs:
         d = 5e-5 * max(x, 1.0)
-        num = (fam.h_integral(theta, x + d) - fam.h_integral(theta, x - d)) / (2 * d)
+        num = (s_at(fam, theta, x + d) - s_at(fam, theta, x - d)) / (2 * d)
         expect = float(fam.log_sf(theta, x))
         if name == "pareto" and abs(x - theta[1]) < 2 * d:
             continue      # kink at the support start
@@ -211,7 +238,7 @@ def test_u_decreasing_away_from_zero():
         fam = get_family(name)
         theta = THETAS[name]
         xs = np.linspace(-6.0, -0.5, 8)
-        u = [fam.u_integral(theta, x) for x in xs]
+        u = [s_at(fam, theta, x) for x in xs]
         assert all(a <= b for a, b in zip(u, u[1:]))
 
 
@@ -329,14 +356,14 @@ def test_closed_form_equivariance():
 
 def test_descriptors():
     for name in ALL:
-        d = get_family(name).descriptor()
-        assert d.family == name
-        assert len(d.param_names) == get_family(name).dim
-    assert get_family("exponential").descriptor().has_closed_form
-    assert not get_family("pareto").descriptor().has_closed_form
-    assert not get_family("normal").descriptor().has_closed_form_variance
-    flags = {name: (d.support, d.has_closed_form, d.has_closed_form_variance)
-             for name, d in ((n, get_family(n).descriptor()) for n in ALL)}
+        fam = get_family(name)
+        assert fam.name == name
+        assert len(fam.param_names) == len(fam.domains) == fam.dim
+    assert get_family("exponential").has_hook("closed_form")
+    assert not get_family("pareto").has_hook("closed_form")
+    assert not get_family("normal").has_hook("closed_avar")
+    flags = {name: (fam.support, fam.has_hook("closed_form"), fam.has_hook("closed_avar"))
+             for name, fam in zip(ALL, map(get_family, ALL))}
     assert flags == {"exponential": ("nonnegative", True, True),
                      "laplace": ("real", True, True),
                      "twoparamexp": ("left-bounded", True, True),
