@@ -145,7 +145,7 @@ def main():
             for seed in SEEDS:
                 analysis(name, theta, n, seed)
     # quadrature variance at other locations and scales, and psi far from zero
-    for theta in ((0.0, 1.0), (-3.0, 0.2), (0.0, 1e-3)):
+    for theta in ((0.0, 1.0), (-3.0, 0.2), (0.0, 1e-3), (50.0, 1.0), (100.0, 1.0)):
         emit(f"normal/avar_matrix{theta}", lambda: avar_matrix("normal", theta, 1).V_n)
     xs = 1e4 + np.linspace(-1.0, 1.0, 30)
     emit("normal/psi.location1e4", lambda: psi_matrix("normal", (1e4, 0.6), xs))

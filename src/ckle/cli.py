@@ -13,6 +13,7 @@ EX_CANTCREAT).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -133,6 +134,22 @@ def _emit(text: str, out: str | None):
             raise _OutputError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str | None):
+    """Raise the _OutputError that writing ``out`` would raise, where that is
+    known without creating or truncating the file: a missing directory or
+    one (or an existing file) that cannot be written."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _OutputError(f"cannot write output: {OSError(code, os.strerror(code), out)}")
 
 
 def _emit_json(doc: dict, out: str | None):
@@ -272,6 +289,7 @@ def _cmd_simulate(args):
     config = StudyConfig(family=args.model, params=params, sizes=sizes,
                          replicates=args.reps, seed=args.seed,
                          estimators=estimators, threads=args.threads)
+    _check_out(args.out)            # a study can run for minutes
     report = run_study(config)
     _emit(report.to_csv(), args.out)
     return EXIT_OK, None

@@ -5,7 +5,8 @@ A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
 ``cdf``/``sf``/``pdf`` (log variants where the tails need them),
 ``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
 log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
-x >= 0, int_x^0 log cdf(y) dy for x < 0), ``quantile``, ``mle``,
+x >= 0, int_x^0 log cdf(y) dy for x < 0), ``quantile``, the upper-tail
+quantile ``isf`` (accurate for tiny survival probabilities), ``mle``,
 ``start_point`` and, unless every parameter is a location,
 ``to_internal``/``from_internal``.  The optional hooks ``ds_dtheta_matrix``,
 ``closed_form``, ``profile_fit``, ``closed_fit_warning``, ``check_sample``,
@@ -162,6 +163,11 @@ class Family:
     def quantile(self, theta, p):
         raise NotImplementedError
 
+    def isf(self, theta, v):
+        """Inverse survival function: the x with sf(x) = v, computed from v
+        itself so that it keeps full relative accuracy as v -> 0."""
+        raise NotImplementedError
+
     def draw(self, theta, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. draws by inverse transform on open-interval uniforms."""
         if n < 1:
@@ -296,6 +302,10 @@ class Exponential(_PositiveScalar):
         p = _open_unit(p)
         return -np.log1p(-p) / lam
 
+    def isf(self, theta, v):
+        lam = _as_theta(theta)[0]
+        return -np.log(_open_unit(v)) / lam
+
     def closed_form(self, sample):
         if sample.k > 0:
             raise DataError("negative data for nonnegative family")
@@ -402,6 +412,10 @@ class Laplace(_PositiveScalar):
         th = _as_theta(theta)[0]
         p = _open_unit(p)
         return np.where(p < 0.5, th * np.log(2.0 * p), -th * np.log(2.0 * (1.0 - p)))
+
+    def isf(self, theta, v):
+        # the law is symmetric about zero: sf(x) = cdf(-x)
+        return -self.quantile(theta, v)
 
     def closed_form(self, sample):
         if sample.mean_sq <= 0:
@@ -535,6 +549,10 @@ class TwoParamExponential(_LocationScale):
         p = _open_unit(p)
         return mu - sig * np.log1p(-p)
 
+    def isf(self, theta, v):
+        mu, sig = _as_theta(theta)
+        return mu - sig * np.log(_open_unit(v))
+
     def closed_form(self, sample):
         var = sample.mean_sq - sample.mean**2
         if var <= 0:
@@ -650,6 +668,10 @@ class Pareto(Family):
         p = _open_unit(p)
         return b * np.exp(-np.log1p(-p) / a)
 
+    def isf(self, theta, v):
+        a, b = _as_theta(theta)
+        return b * np.exp(-np.log(_open_unit(v)) / a)
+
     def mle(self, sample):
         if sample.obs[0] <= 0:
             raise DataError("degenerate data")
@@ -677,10 +699,14 @@ class Pareto(Family):
         alpha, beta, resid = solve_pareto_profile(sample)
         return np.array([alpha, beta]), resid <= 1e-10
 
-    def closed_avar(self, theta, n):
-        a, b = _as_theta(theta)
-        if a <= 2.0:
+    def check_avar(self, theta):
+        # (d s / d alpha)^2 grows like x^2 log^2 x against the density x^-(alpha+1)
+        if _as_theta(theta)[0] <= 2.0:
             raise InferenceError("asymptotic variance undefined")
+
+    def closed_avar(self, theta, n):
+        self.check_avar(theta)
+        a, b = _as_theta(theta)
         V = (np.array([[2.0 * a * (a - 1.0) ** 4, a * b * (a - 1.0) ** 2],
                        [a * b * (a - 1.0) ** 2, b**2 / a * (a * a - 2.0 * a + 2.0)]])
              / (n * (a - 2.0) ** 3))
@@ -849,6 +875,10 @@ class Normal(_LocationScale):
         mu, sig = _as_theta(theta)
         p = _open_unit(p)
         return mu + sig * ndtri(p)
+
+    def isf(self, theta, v):
+        mu, sig = _as_theta(theta)
+        return mu - sig * ndtri(_open_unit(v))
 
     def mle(self, sample):
         sd = math.sqrt(max(sample.mean_sq - sample.mean**2, 0.0))

@@ -286,6 +286,20 @@ def test_out_in_missing_directory_exit73(tmp_path, capsys, command):
     assert not dest.parent.exists()
 
 
+def test_simulate_checks_out_before_the_study(tmp_path, capsys, monkeypatch):
+    def no_study(config):
+        raise AssertionError("run_study ran before --out was checked")
+
+    monkeypatch.setattr("ckle.cli.run_study", no_study)
+    dest = tmp_path / "nodir" / "o.csv"
+    code, out, err = run_cli(["simulate", "--model", "normal", "--params", "mu=2",
+                              "sigma=3", "--sizes", "10,20", "--reps", "200",
+                              "--threads", "1", "--out", str(dest)], capsys)
+    assert code == 73 and out == ""
+    assert err == f"ckle: error: cannot write output: [Errno 2] No such file or directory: '{dest}'\n"
+    assert not dest.parent.exists()
+
+
 def test_nine_significant_digits(tmp_path, capsys):
     data = tmp_path / "pm1.csv"
     data.write_text("-1\n1\n")

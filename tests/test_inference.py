@@ -122,30 +122,53 @@ def test_avar_matrix_quadrature_cross_checks():
 
 
 def test_avar_quadrature_computes_each_node_once():
-    # k = 2: ds/dtheta (2k s_values calls through central differences) once
-    # per distinct node, and never where the density is exactly zero
-    from collections import Counter
-
+    # k = 2: ds/dtheta through central differences is 2k s_values calls in
+    # all, each on the same array of distinct nodes from both sides of zero
     from ckle.inference import _avar_quadrature
     from ckle.models import Normal
 
-    s_calls, pdf_nodes = Counter(), set()
+    calls = []
 
     class Recorder(Normal):
         def s_values(self, theta, xs):
-            s_calls.update(np.asarray(xs, dtype=float).tolist())
+            calls.append(np.array(xs, dtype=float))
             return super().s_values(theta, xs)
 
-        def pdf(self, theta, x):
-            pdf_nodes.add(float(x))
-            return super().pdf(theta, x)
+    _avar_quadrature(Recorder(), (2.0, 3.0))
+    assert len(calls) == 2 * 2
+    nodes = calls[0]
+    assert nodes.ndim == 1 and nodes.size <= 2 * 241
+    assert np.unique(nodes).size == nodes.size
+    assert nodes.min() < 0.0 < nodes.max()
+    assert all(np.array_equal(c, nodes) for c in calls[1:])
 
-    fam, theta = Recorder(), (2.0, 3.0)
-    _avar_quadrature(fam, theta)
-    zero = {x for x in pdf_nodes if get_family("normal").pdf(theta, x) == 0.0}
-    assert zero and len(zero) < len(pdf_nodes)
-    assert set(s_calls) == pdf_nodes - zero
-    assert set(s_calls.values()) == {2 * 2}
+
+def test_avar_normal_far_from_zero():
+    # with (almost) all the mass above zero V_n no longer depends on mu
+    base = avar_matrix("normal", (30.0, 1.0), 1).V_n
+    for mu in (50.0, 100.0):
+        V = avar_matrix("normal", (mu, 1.0), 1).V_n
+        assert np.all(np.isfinite(V))
+        assert np.abs(V - base).max() <= 1e-5 * np.abs(base).max()
+
+
+SCALES = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,theta", [
+    *[("exponential", (s,)) for s in SCALES],
+    *[("laplace", (s,)) for s in SCALES],
+    *[("twoparamexp", (m * s, s)) for s in SCALES for m in (0.0, 3.0)],
+    *[("pareto", (a, b)) for a in (2.2, 3.0, 10.0) for b in (1e-3, 1.0, 1e3)],
+])
+def test_avar_quadrature_is_scale_invariant(name, theta):
+    from ckle.inference import _avar_quadrature
+    family = get_family(name)
+    A, B = _avar_quadrature(family, theta)
+    A0, B0, _ = family.closed_avar(theta, 1)
+    assert np.abs(A - A0).max() <= 1e-10 * np.abs(A0).max()
+    assert np.abs(B - B0).max() <= 1e-10 * np.abs(B0).max()
 
 
 def test_avar_normal_small_scale_is_fast():

@@ -284,6 +284,20 @@ def test_quantile_inverts_cdf(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_isf_inverts_sf_into_the_far_tail(name):
+    # relative accuracy where 1 - v rounds to 1 and quantile cannot reach
+    fam = get_family(name)
+    theta = THETAS[name]
+    vs = np.array([1e-300, 1e-100, 1e-20, 1e-3, 0.3, 0.9])
+    xs = np.asarray(fam.isf(theta, vs), dtype=float)
+    assert np.all(np.diff(xs) < 0)
+    back = np.asarray(fam.sf(theta, xs), dtype=float)
+    assert np.abs(back / vs - 1.0).max() < 1e-12
+    with pytest.raises(DomainError):
+        fam.isf(theta, 0.0)
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_sampling_golden_and_support(name):
     fam = get_family(name)
     xs = fam.draw(np.asarray(THETAS[name]), 3, make_rng(20250601, 0))
