@@ -109,8 +109,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         a, b, s = (int(p) for p in parts)
         if s <= 0 or b < a:
             raise _UsageError("bad sizes range")
-        return tuple(range(a, b + 1, s))
-    return tuple(int(p) for p in text.split(","))
+        sizes = tuple(range(a, b + 1, s))
+    else:
+        sizes = tuple(int(p) for p in text.split(","))
+    if any(n < 1 for n in sizes):
+        raise _UsageError("sizes must be positive")
+    return sizes
 
 
 def _nine_digits(obj):

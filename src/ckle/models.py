@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, ndtri, spence
 
 from .empirical import Sample
@@ -39,6 +38,14 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 # panels one Normal panel build may add beyond one per interval; each costs
 # about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
 _MAX_EXTRA_PANELS = 200_000
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first call: scipy.integrate
+    (with scipy.optimize and scipy.linalg behind it) is about a third of
+    ``import ckle``, and only the two adaptive reference paths use it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

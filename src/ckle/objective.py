@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
 from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
 from .errors import DomainError, SupportViolation
-from .models import Family, get_family
+from .models import Family, get_family, quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _GRAD_STEP = 1e-5       # relative step of first differences

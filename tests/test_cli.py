@@ -257,6 +257,16 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("sizes", ["0:10:5", "0", "10,0,20", "10,-1"])
+def test_simulate_nonpositive_sizes_exit64(capsys, sizes):
+    code, out, err = run_cli(["simulate", "--model", "exponential", "--params",
+                              "lambda=5", "--sizes", sizes, "--reps", "3",
+                              "--threads", "1"], capsys)
+    assert code == 64
+    assert out == ""
+    assert err == "ckle: error: sizes must be positive\n"
+
+
 def test_out_file(tmp_path, capsys):
     data = tmp_path / "pm1.csv"
     data.write_text("-1\n1\n")
