@@ -42,8 +42,9 @@ _MAX_EXTRA_PANELS = 200_000
 
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on first call: scipy.integrate
-    (with scipy.optimize and scipy.linalg behind it) is about a third of
-    ``import ckle``, and only the two adaptive reference paths use it."""
+    (with scipy.optimize and scipy.linalg behind it) would add about 300
+    modules to ``import ckle``, and only the two adaptive reference paths
+    use it."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
