@@ -30,9 +30,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ckle import (CkleError, FitOptions, avar_matrix, avar_scalar, build_sample,
-                  c_value, cli, divergence_interval, fit, gddt_test, get_family,
-                  make_rng, psi_matrix, sandwich, wald_ci)
+from ckle import (CkleError, avar_matrix, avar_scalar, build_sample, c_value, cli,
+                  divergence_interval, fit, gddt_test, get_family, make_rng,
+                  psi_matrix, sandwich, wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
@@ -70,7 +70,7 @@ def analysis(name: str, theta_true, n: int, seed: int):
     sample = build_sample(family.draw(theta_true, n, make_rng(seed, 0)))
     tag = f"{name}/n{n}/s{seed}"
     for method in ("auto", "numeric"):
-        res = fit(family, sample, FitOptions(method=method))
+        res = fit(family, sample, method=method)
         emit(f"{tag}/fit.{method}", lambda: [*res.params.values, res.g_at_opt, res.iterations])
         emit(f"{tag}/fit.{method}.flags",
              lambda: (res.converged, res.hessian_pd, res.support_warning))

@@ -19,15 +19,14 @@ from .inference import (AsymptoticVariance, IntervalResult, RegionCutoffs,
                         power_approx, required_sample_size, sandwich, wald_ci)
 from .models import (EXPONENTIAL, FAMILIES, LAPLACE, NORMAL, PARETO,
                      TWOPARAMEXP, ParamVector, get_family)
-from .objective import (ObjectiveContext, ckl_divergence, g_gradient,
-                        g_hessian, g_objective, gee_sum, make_g,
-                        normal_equation_residuals, psi, psi_matrix)
+from .objective import (ObjectiveContext, ckl_divergence, g_objective, gee_sum,
+                        normal_equation_residuals, psi_matrix)
 from .rng import make_rng, uniform_open
 from .simulate import (BiasReport, CoverageReport, SimulationReport,
                        StudyConfig, bias_check_exponential, coverage_study,
-                       mle_fit, run_study)
-from .solver import (FitOptions, FitResult, NMResult, bisect_root, fit,
-                     minimize_nelder_mead, solve_pareto_profile)
+                       run_study)
+from .solver import (FitResult, NMResult, bisect_root, fit, minimize_nelder_mead,
+                     solve_pareto_profile)
 
 __version__ = "0.1.0"
 
@@ -42,11 +41,10 @@ __all__ = [
     "required_sample_size", "sandwich", "wald_ci",
     "EXPONENTIAL", "FAMILIES", "LAPLACE", "NORMAL", "PARETO", "TWOPARAMEXP",
     "ParamVector", "get_family",
-    "ObjectiveContext", "ckl_divergence", "g_gradient", "g_hessian",
-    "g_objective", "gee_sum", "make_g", "normal_equation_residuals", "psi",
-    "psi_matrix", "make_rng", "uniform_open",
+    "ObjectiveContext", "ckl_divergence", "g_objective", "gee_sum",
+    "normal_equation_residuals", "psi_matrix", "make_rng", "uniform_open",
     "BiasReport", "CoverageReport", "SimulationReport", "StudyConfig",
-    "bias_check_exponential", "coverage_study", "mle_fit", "run_study",
-    "FitOptions", "FitResult", "NMResult", "bisect_root", "fit",
+    "bias_check_exponential", "coverage_study", "run_study",
+    "FitResult", "NMResult", "bisect_root", "fit",
     "minimize_nelder_mead", "solve_pareto_profile",
 ]

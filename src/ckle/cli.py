@@ -27,7 +27,7 @@ from .inference import (avar_scalar, divergence_interval, gddt_test,
 from .models import FAMILIES, get_family
 from .objective import ckl_divergence
 from .simulate import StudyConfig, run_study
-from .solver import FitOptions, fit
+from .solver import fit
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -167,7 +167,7 @@ def _check_prob(value: float, name: str):
 
 def _fit_document(family, sample, method: str):
     family = get_family(family)
-    fres = fit(family, sample, FitOptions(method=method))
+    fres = fit(family, sample, method=method)
     try:
         v_hat = sandwich(family, fres, sample).V_hat.tolist()
     except CkleError:
@@ -287,6 +287,8 @@ def _cmd_gof(args):
 def _cmd_simulate(args):
     if args.reps < 1:
         raise _UsageError("reps must be positive")
+    if args.threads < 1:
+        raise _UsageError("threads must be positive")
     params = _parse_params(args.model, args.params or [])
     sizes = _parse_sizes(args.sizes)
     estimators = tuple(args.estimators.split(","))

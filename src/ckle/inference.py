@@ -32,10 +32,9 @@ from scipy.special import erfc, expit, ndtri
 
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
-from .models import Family, get_family
+from .models import _GRAD_STEP, Family, _central_diff, _steps, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
-from .objective import (_GRAD_STEP, _central_diff, _steps, ds_dtheta_fn, g_hessian,
-                        g_objective, make_g, psi_matrix)
+from .objective import ObjectiveContext, g_objective, psi_matrix
 from .rng import make_rng
 from .solver import FitResult, bisect_root, fit
 
@@ -101,9 +100,9 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
     with p = u or v and m = d E|X| / d theta.  Each side is one tanh-sinh
     rule (h = 1/16, at most 241 nodes) scaled to the side's mass F(0) or
     SF(max(lower, 0)); a side whose mass is exactly 0.0 is skipped.  The
-    nodes of both sides are concatenated, so ds/dtheta is one call on one
-    node array (for a family without an analytic gradient, 2k ``s_values``
-    calls) and A and B are one matrix product each.  dF/f is formed before
+    nodes of both sides are concatenated, so ds/dtheta is one
+    ``ds_dtheta_matrix`` call on one node array (2k ``s_values`` calls for
+    the Normal) and A and B are one matrix product each.  dF/f is formed before
     the product and A is summed as (sqrt(w) ds)^T (sqrt(w) ds), so neither
     underflows nor overflows in the far tails; nodes where the density is
     0.0 (underflow) add nothing to B.
@@ -138,7 +137,7 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(B)) or abs(np.linalg.det(B)) < 1e-300:
         raise InferenceError("variance integral diverges")
 
-    G = ds_dtheta_fn(family, theta)(x) * np.sqrt(w)[:, None]
+    G = family.ds_dtheta_matrix(theta, x) * np.sqrt(w)[:, None]
     mag = family.mean_abs_grad(theta)
     A = G.T @ G - np.outer(mag, mag)
     return (A + A.T) / 2.0, B
@@ -181,8 +180,7 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
 
 
 def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
-    """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
-    attaches V to ``fit_result.covariance``."""
+    """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point."""
     family = get_family(family)
     if not fit_result.converged:
         raise InferenceError("sandwich requires a converged fit")
@@ -199,7 +197,6 @@ def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     Iinv = np.linalg.inv(I)
     V = Iinv @ J @ Iinv / n
     V = (V + V.T) / 2.0
-    fit_result.covariance = V
     return SandwichEstimate(J=J, I=I, V_hat=V)
 
 
@@ -241,7 +238,7 @@ def c_value(family, sample: Sample, theta) -> float:
     if closed is not None:
         return closed
     sigma2 = avar_scalar(family, theta, method="quadrature").sigma2
-    hess = g_hessian(family, theta, sample)[0, 0]
+    hess = ObjectiveContext(family, sample).hessian(theta)[0, 0]
     if hess <= 0:
         raise InferenceError("objective curvature not positive")
     return sigma2 * hess
@@ -270,7 +267,7 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     if closed is not None:
         return IntervalResult(*closed, level, "divergence", cutoff_k=k_cut, c_theta=c_hat)
 
-    g = make_g(family, sample)
+    g = ObjectiveContext(family, sample).g
     target = g(np.array([theta_hat])) - log_k
     t_hat = float(family.to_internal((theta_hat,))[0])
 

@@ -1,15 +1,17 @@
 """Parametric families and every model-side quantity the objective needs.
 
 A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
-``domains`` and ``support``, and implements on its open domain ``validate``,
-``cdf``/``sf``/``pdf`` (log variants where the tails need them),
-``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
-log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
-x >= 0, int_x^0 log cdf(y) dy for x < 0), ``quantile``, the upper-tail
+``domains`` and ``support``, and implements on its open domain ``validate``
+(which also rejects a theta of the wrong length), ``cdf``/``sf``/``pdf``
+(log variants where the tails need them), ``dcdf_dtheta``, ``mean_abs`` =
+E|X| with ``mean_abs_grad``, the integrated log-tail ``s_values`` per
+observation (s(x) = int_0^x log sf(y) dy for x >= 0, int_x^0 log cdf(y) dy
+for x < 0) with its gradient ``ds_dtheta_matrix`` (central differences of s
+for the Normal, whose s has no closed form), ``quantile``, the upper-tail
 quantile ``isf`` (accurate for tiny survival probabilities), ``mle``,
 ``start_point`` and, unless every parameter is a location,
-``to_internal``/``from_internal``.  The optional hooks ``ds_dtheta_matrix``,
-``closed_form``, ``profile_fit``, ``closed_fit_warning``, ``check_sample``,
+``to_internal``/``from_internal``.  The optional hooks ``closed_form``,
+``profile_fit``, ``closed_fit_warning``, ``check_sample``,
 ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar``,
 ``closed_c``, ``closed_divergence_interval`` and ``closed_test_region``
 default to the generic numerical path, so callers ask the family (through
@@ -38,6 +40,7 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 # panels one Normal panel build may add beyond one per interval; each costs
 # about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
 _MAX_EXTRA_PANELS = 200_000
+_GRAD_STEP = 1e-5       # relative step of first differences
 
 
 def quad(*args, **kwargs):
@@ -89,6 +92,36 @@ def _dilog(w):
     return spence(1.0 - w)
 
 
+def _steps(family: "Family", theta: np.ndarray, rel: float) -> np.ndarray:
+    """Per-coordinate central-difference steps, shrunk to stay in the domain."""
+    steps = rel * np.maximum(np.abs(theta), 1.0)
+    for j in range(theta.size):
+        while True:
+            try:
+                for sgn in (1.0, -1.0):
+                    t = theta.copy()
+                    t[j] += sgn * steps[j]
+                    family.validate(t)
+                break
+            except DomainError:
+                steps[j] /= 2.0
+                if steps[j] < 1e-12:
+                    raise DomainError("boundary point: differentiation step underflow") from None
+    return steps
+
+
+def _central_diff(fn, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
+    coordinate j, stacked along a new last axis; fn may return a scalar or
+    an array."""
+    cols = []
+    for j in range(theta.size):
+        tp = theta.copy(); tp[j] += steps[j]
+        tm = theta.copy(); tm[j] -= steps[j]
+        cols.append((fn(tp) - fn(tm)) / (2 * steps[j]))
+    return np.stack(cols, axis=-1)
+
+
 class Family:
     """Shared plumbing; subclasses fill in the closed forms."""
 
@@ -106,11 +139,15 @@ class Family:
         of inheriting the generic default."""
         return getattr(type(self), hook) is not getattr(Family, hook)
 
+    def _theta(self, theta) -> np.ndarray:
+        """theta as an array, raising DomainError unless it has dim entries."""
+        th = _as_theta(theta)
+        if th.size != len(self.param_names):
+            raise DomainError(f"{self.name} expects {self.dim} parameters, got {th.size}")
+        return th
+
     def param_vector(self, values) -> ParamVector:
-        vals = tuple(float(v) for v in np.atleast_1d(values))
-        if len(vals) != self.dim:
-            raise DomainError(f"{self.name} expects {self.dim} parameters, got {len(vals)}")
-        return ParamVector(self.param_names, vals)
+        return ParamVector(self.param_names, tuple(self._theta(values).tolist()))
 
     def validate(self, theta) -> np.ndarray:
         """Return theta as an array, raising DomainError naming the bad parameter."""
@@ -162,10 +199,9 @@ class Family:
 
         return fn
 
-    def ds_dtheta_matrix(self, theta, xs: np.ndarray):
-        """Analytic per-observation gradient of s, shape (n, dim); None if the
-        family has no closed form (callers fall back to central differences)."""
-        return None
+    def ds_dtheta_matrix(self, theta, xs: np.ndarray) -> np.ndarray:
+        """Per-observation gradient of s in theta, shape (n, dim)."""
+        raise NotImplementedError
 
     # --- sampling ---
     def quantile(self, theta, p):
@@ -240,7 +276,7 @@ class _PositiveScalar(Family):
     """One positive parameter; the simplex works on its logarithm."""
 
     def validate(self, theta):
-        th = _as_theta(theta)
+        th = self._theta(theta)
         self._check_pos(th[0], self.param_names[0])
         return th
 
@@ -455,7 +491,7 @@ class _LocationScale(Family):
     domains = ("mu real", "sigma > 0")
 
     def validate(self, theta):
-        th = _as_theta(theta)
+        th = self._theta(theta)
         if not math.isfinite(th[0]):
             raise DomainError(f"{self.name}: parameter mu must be finite, got {th[0]}")
         self._check_pos(th[1], "sigma")
@@ -604,7 +640,7 @@ class Pareto(Family):
     support = "left-bounded"
 
     def validate(self, theta):
-        th = _as_theta(theta)
+        th = self._theta(theta)
         if not (th[0] > 1) or not math.isfinite(th[0]):
             raise DomainError(
                 f"{self.name}: parameter alpha must exceed 1 (infinite mean), got {th[0]}")
@@ -846,6 +882,12 @@ class Normal(_LocationScale):
             vals[:kneg] = np.cumsum(seg[::-1])[::-1]
         out[order] = vals
         return out
+
+    def ds_dtheta_matrix(self, theta, xs):
+        # s has no closed form here, so its gradient is differenced too
+        theta = self.validate(theta)
+        return _central_diff(lambda t: self.s_values(t, xs), theta,
+                             _steps(self, theta, _GRAD_STEP))
 
     def s_sum_fn(self, sample: Sample):
         # Precompute panel nodes once; each objective evaluation is then a

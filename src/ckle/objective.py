@@ -12,11 +12,13 @@ C_n + g(theta) - mean|x| with both extra terms parameter-free.
 Support violations (an observation where the model CDF vanishes on the
 negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
 
-Derivatives are central differences with per-coordinate steps relative to
-|theta| (1e-5 for first derivatives, 1e-4 for the Hessian), halved until
-both probes lie inside the domain.  One first-order loop, ``_central_diff``,
-serves the gradient of g, the d s/d theta fallback behind psi and the
-sandwich's derivative of psi; the Hessian keeps its own second differences.
+``ObjectiveContext`` is the one evaluator of g and its derivatives; psi
+takes d s/d theta from the family's ``ds_dtheta_matrix``.  Derivatives of g
+are central differences with per-coordinate steps relative to |theta| (1e-5
+for the gradient, 1e-4 for the Hessian), halved until both probes lie inside
+the domain.  The first-order loop ``models._central_diff`` serves the
+gradient, the Normal's d s/d theta and the sandwich's derivative of psi; the
+Hessian keeps its own second differences.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from scipy.special import log_ndtr, ndtr
 
 from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
 from .errors import DomainError, SupportViolation
-from .models import Family, get_family, quad
+from .models import _GRAD_STEP, Family, _central_diff, _steps, get_family, quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_GRAD_STEP = 1e-5       # relative step of first differences
 _HESS_STEP = 1e-4       # relative step of the Hessian's second differences
 
 
@@ -81,11 +82,6 @@ class ObjectiveContext:
         return (H + H.T) / 2.0
 
 
-def make_g(family, sample: Sample):
-    """theta -> g(theta) with per-sample precomputation done once."""
-    return ObjectiveContext(family, sample).g
-
-
 def g_objective(family, theta, sample: Sample) -> float:
     """g(theta) = E_theta|X| - mean(s); +inf on support violation."""
     return ObjectiveContext(family, sample).g(theta)
@@ -100,50 +96,6 @@ def ckl_divergence(family, theta, sample: Sample) -> float:
     return empirical_entropy_constant(sample) + g - sample.mean_abs
 
 
-def _steps(family: Family, theta: np.ndarray, rel: float) -> np.ndarray:
-    """Per-coordinate central-difference steps, shrunk to stay in the domain."""
-    steps = rel * np.maximum(np.abs(theta), 1.0)
-    for j in range(theta.size):
-        while steps[j] >= 1e-12:
-            ok = True
-            for sgn in (1.0, -1.0):
-                t = theta.copy()
-                t[j] += sgn * steps[j]
-                try:
-                    family.validate(t)
-                except DomainError:
-                    ok = False
-                    break
-            if ok:
-                break
-            steps[j] /= 2.0
-        if steps[j] < 1e-12:
-            raise DomainError("boundary point: differentiation step underflow")
-    return steps
-
-
-def _central_diff(fn, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
-    coordinate j, stacked along a new last axis; fn may return a scalar or
-    an array."""
-    cols = []
-    for j in range(theta.size):
-        tp = theta.copy(); tp[j] += steps[j]
-        tm = theta.copy(); tm[j] -= steps[j]
-        cols.append((fn(tp) - fn(tm)) / (2 * steps[j]))
-    return np.stack(cols, axis=-1)
-
-
-def ds_dtheta_fn(family: Family, theta: np.ndarray):
-    """xs -> d s(x; theta) / d theta, shape (n, dim): the family's analytic
-    gradient where it has one, else central differences of the vectorized s
-    values with steps fixed once for theta."""
-    if family.has_hook("ds_dtheta_matrix"):
-        return lambda xs: family.ds_dtheta_matrix(theta, xs)
-    steps = _steps(family, theta, _GRAD_STEP)
-    return lambda xs: _central_diff(lambda t: family.s_values(t, xs), theta, steps)
-
-
 def psi_matrix(family, theta, sample_or_xs) -> np.ndarray:
     """Per-observation estimating function, shape (n, dim):
     psi(x, theta) = d E|X| / d theta - d s(x) / d theta.
@@ -151,28 +103,13 @@ def psi_matrix(family, theta, sample_or_xs) -> np.ndarray:
     family = get_family(family)
     theta = family.validate(theta)
     xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else np.asarray(sample_or_xs, float)
-    ds = ds_dtheta_fn(family, theta)(xs)
+    ds = family.ds_dtheta_matrix(theta, xs)
     return family.mean_abs_grad(theta)[None, :] - ds
-
-
-def psi(family, theta, x) -> np.ndarray:
-    """Estimating function at one observation."""
-    return psi_matrix(family, theta, np.atleast_1d(float(x)))[0]
 
 
 def gee_sum(family, theta, sample: Sample) -> np.ndarray:
     """Sum of psi over the sample; equals n times the gradient of g."""
     return psi_matrix(family, theta, sample).sum(axis=0)
-
-
-def g_gradient(family, theta, sample: Sample) -> np.ndarray:
-    """Central-difference gradient of g with per-coordinate relative steps."""
-    return ObjectiveContext(family, sample).gradient(theta)
-
-
-def g_hessian(family, theta, sample: Sample) -> np.ndarray:
-    """Central-difference Hessian of g, symmetrized as (H + H^T)/2."""
-    return ObjectiveContext(family, sample).hessian(theta)
 
 
 def _phi_over_cdf(z: np.ndarray) -> np.ndarray:

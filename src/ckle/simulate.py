@@ -18,7 +18,7 @@ import numpy as np
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
 from .inference import avar_scalar, divergence_interval, wald_ci
-from .models import Family, ParamVector, get_family
+from .models import Family, get_family
 from .rng import make_rng
 from .solver import fit
 
@@ -40,6 +40,8 @@ class StudyConfig:
             raise DomainError("replicates must be >= 1")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise DomainError("sizes must be nonempty and positive")
+        if self.threads < 1:
+            raise DomainError("threads must be >= 1")
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise DomainError(f"unknown estimator {est!r}")
@@ -76,12 +78,6 @@ class SimulationReport:
             if (r.size, r.estimator, r.param) == (size, estimator, param):
                 return r
         raise KeyError((size, estimator, param))
-
-
-def mle_fit(family, sample: Sample) -> ParamVector:
-    """Closed-form maximum-likelihood estimates used as the comparison arm."""
-    family = get_family(family)
-    return family.param_vector(family.mle(sample))
 
 
 def _estimate(family: Family, est: str, sample: Sample) -> np.ndarray:
@@ -128,8 +124,7 @@ def run_study(config: StudyConfig) -> SimulationReport:
     estimators = tuple(config.estimators)
     dim = family.dim
 
-    threads = max(int(config.threads), 1)
-    threads = min(threads, R)
+    threads = min(int(config.threads), R)
     if threads == 1:
         _, estimates = _replicate_chunk(
             (family.name, tuple(theta), sizes, estimators, config.seed, 0, R))

@@ -3,9 +3,10 @@
 Dispatch order: the family's closed form, else its profile root-solve (the
 Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
 parameters, identity for locations, alpha = 1 + exp(t) for the Pareto shape)
-with deterministic restarts from perturbed optima.  ``FitOptions`` sets only
-the method, the iteration cap and the start point; the simplex tolerance,
-the restart count and the profile bracket are fixed.
+with deterministic restarts from perturbed optima.  The only choice a caller
+makes is the method; the start point (``Family.start_point``), the iteration
+cap, the simplex tolerance, the restart count and the profile bracket are
+fixed.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -13,7 +14,7 @@ identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +22,6 @@ from .empirical import Sample
 from .errors import DataError, DomainError
 from .models import ParamVector, get_family
 from .objective import ObjectiveContext
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    method: str = "auto"            # auto | closed | numeric
-    max_iter: int = 2000
-    start: tuple | None = None      # explicit initial point; None uses moment seeds
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-        if self.method not in ("auto", "closed", "numeric"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -47,7 +35,6 @@ class FitResult:
     hessian_pd: bool
     support_warning: bool
     n: int
-    covariance: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -205,7 +192,7 @@ _RESTART_SCALE = 1e-3
 _RESTART_SIMPLEX = 1e-4
 
 
-def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
+def _numeric_fit(family, ctx: ObjectiveContext):
     sample = ctx.sample
     g = ctx.g
 
@@ -216,9 +203,8 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
         except (DomainError, OverflowError):
             return math.inf
 
-    start = opts.start if opts.start is not None else family.start_point(sample)
-    t0 = family.to_internal(np.asarray(start, dtype=float))
-    res = minimize_nelder_mead(obj, t0, max_iter=opts.max_iter, tol=_SIMPLEX_TOL)
+    t0 = family.to_internal(np.asarray(family.start_point(sample), dtype=float))
+    res = minimize_nelder_mead(obj, t0, tol=_SIMPLEX_TOL)
     best = res
     iters = res.iterations
 
@@ -226,15 +212,15 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
         base = best.point.copy()
         j = r % base.size
         base[j] += _RESTART_SCALE * max(abs(base[j]), 1.0) * (1.0 if r % 2 == 0 else -1.0)
-        res_r = minimize_nelder_mead(obj, base, max_iter=opts.max_iter,
-                                     tol=_SIMPLEX_TOL, init_scale=_RESTART_SIMPLEX)
+        res_r = minimize_nelder_mead(obj, base, tol=_SIMPLEX_TOL,
+                                     init_scale=_RESTART_SIMPLEX)
         iters += res_r.iterations
         if res_r.value < best.value:
             best = res_r
     # final unperturbed polish with a tiny simplex and a tighter spread
     # tolerance, so the stationarity diagnostic is reachable
-    res_p = minimize_nelder_mead(obj, best.point.copy(), max_iter=opts.max_iter,
-                                 tol=_SIMPLEX_TOL * 1e-3, init_scale=1e-6)
+    res_p = minimize_nelder_mead(obj, best.point.copy(), tol=_SIMPLEX_TOL * 1e-3,
+                                 init_scale=1e-6)
     iters += res_p.iterations
     if res_p.value <= best.value:
         best = NMResult(res_p.point, res_p.value, res_p.iterations,
@@ -243,19 +229,20 @@ def _numeric_fit(family, ctx: ObjectiveContext, opts: FitOptions):
     return theta, iters, best.converged
 
 
-def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
+def fit(family, sample: Sample, method: str = "auto") -> FitResult:
     """Minimize g for one family on one sample.
 
-    ``auto`` uses the closed-form estimate when the family has one, its
-    profile solve when it has one, and transformed Nelder-Mead otherwise.
+    ``method`` is ``auto``, ``closed`` or ``numeric``.  ``auto`` uses the
+    closed-form estimate when the family has one, its profile solve when it
+    has one, and transformed Nelder-Mead otherwise.
     Non-convergence is reported through ``converged``, never raised; an
     infeasible family/sample combination (negative data for nonnegative
     support, or data the family calls degenerate) raises DataError.
     """
     family = get_family(family)
-    opts = options or FitOptions()
+    if method not in ("auto", "closed", "numeric"):
+        raise ValueError(f"unknown method {method!r}")
     has_closed = family.has_hook("closed_form")
-    method = opts.method
     if method == "closed" and not has_closed:
         raise ValueError(f"{family.name} has no closed-form estimator")
     if method == "auto":
@@ -270,7 +257,7 @@ def fit(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
         theta, converged = profiled
         method_used, iterations = "profile", 0
     else:
-        theta, iterations, nm_ok = _numeric_fit(family, ctx, opts)
+        theta, iterations, nm_ok = _numeric_fit(family, ctx)
         method_used = "simplex"
         converged = nm_ok
 

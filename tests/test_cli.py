@@ -216,6 +216,23 @@ def test_power_and_samplesize_contract(tmp_path, capsys):
     assert doc["n0"] == pytest.approx(n0, rel=1e-6)
 
 
+@pytest.mark.parametrize("model,extra", [
+    ("normal", ["power", "--alt", "2"]),
+    ("normal", ["samplesize", "--alt", "2", "--beta", "0.9"]),
+    ("pareto", ["samplesize", "--alt", "2", "--beta", "0.9"]),
+])
+def test_power_and_samplesize_on_a_vector_family_exit2(tmp_path, capsys, model, extra):
+    data = tmp_path / "n30.csv"
+    xs = get_family(model).draw((4.0, 2.0) if model == "pareto" else (2.0, 3.0), 30,
+                                make_rng(3, 0))
+    data.write_text("\n".join(repr(float(v)) for v in xs))
+    command, *rest = extra
+    code, out, err = run_cli([command, "--model", model, "--data", str(data),
+                              "--null", "1", *rest], capsys)
+    assert code == 2 and out == ""
+    assert err == f"ckle: error: {model} expects 2 parameters, got 1\n"
+
+
 def test_gof_single_point_and_misspecification(tmp_path, capsys):
     one = tmp_path / "one.csv"
     one.write_text("2.5\n")
@@ -259,6 +276,15 @@ def test_simulate_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["simulate", "--model", "normal", "--params",
                           "mu=2", "--sizes", "10", "--reps", "5"], capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize("threads", ["--threads=0", "--threads=-1"])
+def test_simulate_nonpositive_threads_exit64(capsys, threads):
+    code, out, err = run_cli(["simulate", "--model", "exponential", "--params",
+                              "lambda=5", "--sizes", "10", "--reps", "3", threads], capsys)
+    assert code == 64
+    assert out == ""
+    assert err == "ckle: error: threads must be positive\n"
 
 
 @pytest.mark.parametrize("sizes", ["0:10:5", "0", "10,0,20", "10,-1"])

@@ -99,3 +99,8 @@ def test_quad_names_the_tracer_binds():
         assert callable(module.quad)
         assert module.quad is ckle.models.quad
     assert ckle.models.quad(math.cos, 0.0, 1.0) == scipy.integrate.quad(math.cos, 0.0, 1.0)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ckle.__all__ if not hasattr(ckle, name)]
+    assert missing == []

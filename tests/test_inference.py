@@ -220,7 +220,6 @@ def test_sandwich_matches_limit(name, theta, stream):
     sw = sandwich(name, res, s)
     assert np.array_equal(sw.V_hat, sw.V_hat.T)
     assert np.linalg.eigvalsh(sw.V_hat).min() > -1e-10 * np.trace(sw.V_hat)
-    assert res.covariance is sw.V_hat
     if get_family(name).dim == 1:
         lim = avar_scalar(name, res.params.values).sigma2
         assert n * sw.V_hat[0, 0] == pytest.approx(lim, rel=0.15)
@@ -474,3 +473,10 @@ def test_region_cutoffs_validation():
         divergence_region_cutoffs("exponential", (2.0,), 50, 200, (0.9,), 1)
     with pytest.raises(DomainError):
         divergence_region_cutoffs("twoparamexp", (3.0, 2.0), 50, 50, (0.9,), 1)
+
+
+@pytest.mark.parametrize("name,theta", [("normal", (2.0,)), ("normal", (2.0, 3.0, 1.0)),
+                                        ("pareto", (4.0,))])
+def test_avar_matrix_rejects_a_theta_of_the_wrong_length(name, theta):
+    with pytest.raises(DomainError, match=f"expects 2 parameters, got {len(theta)}"):
+        avar_matrix(name, theta, 30)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 from ckle import (DataError, DomainError, SupportViolation, avar_matrix,
                   avar_scalar, build_sample, divergence_interval, fit,
@@ -240,6 +241,47 @@ def test_u_decreasing_away_from_zero():
         xs = np.linspace(-6.0, -0.5, 8)
         u = [s_at(fam, theta, x) for x in xs]
         assert all(a <= b for a, b in zip(u, u[1:]))
+
+
+# ------------------------------------------------------------- d s / d theta
+
+DS_CASES = [
+    ("exponential", (2.0,), [0.0, 0.3, 1.7, 6.0]),
+    ("laplace", (1.5,), [-4.0, -0.2, 0.0, 0.9, 5.0]),
+    ("twoparamexp", (3.0, 2.0), [3.5, 4.0, 9.0]),
+    ("twoparamexp", (-1.0, 0.7), [-0.8, -0.3, 0.4, 2.5]),    # the dilog branch
+    ("pareto", (3.0, 5.0), [1.0, 5.5, 8.0, 30.0]),
+]
+
+
+@pytest.mark.parametrize("name,theta,xs", DS_CASES)
+def test_ds_dtheta_matches_differences_of_s(name, theta, xs):
+    fam = get_family(name)
+    theta, xs = np.asarray(theta), np.asarray(xs)
+    cols = []
+    for j in range(theta.size):
+        h = 1e-5 * max(abs(theta[j]), 1.0)
+        step = h * np.eye(theta.size)[j]
+        cols.append((fam.s_values(theta + step, xs) - fam.s_values(theta - step, xs))
+                    / (2 * h))
+    np.testing.assert_allclose(fam.ds_dtheta_matrix(theta, xs), np.column_stack(cols),
+                               rtol=1e-8, atol=1e-14)
+
+
+@pytest.mark.parametrize("theta", [(2.0, 3.0), (-0.5, 1.0), (0.0, 0.7)])
+def test_normal_ds_dtheta_matches_exact_identities(theta):
+    # d s/d mu is a difference of log Phi values; s is homogeneous of degree
+    # 1 in (x, mu, sigma), so sigma d s/d sigma = s - x d s/d x - mu d s/d mu
+    mu, sig = theta
+    nrm = get_family("normal")
+    xs = np.array([-4.0, -1.3, -0.2, 0.3, 1.7, 5.0])
+    pos = xs >= 0
+    ds_mu = np.where(pos, log_ndtr(mu / sig) - log_ndtr((mu - xs) / sig),
+                     log_ndtr((xs - mu) / sig) - log_ndtr(-mu / sig))
+    ds_x = np.where(pos, log_ndtr((mu - xs) / sig), -log_ndtr((xs - mu) / sig))
+    ds_sig = (nrm.s_values(theta, xs) - xs * ds_x - mu * ds_mu) / sig
+    np.testing.assert_allclose(nrm.ds_dtheta_matrix(theta, xs),
+                               np.column_stack([ds_mu, ds_sig]), rtol=1e-8)
 
 
 # ------------------------------------------------------- quantile / sampling

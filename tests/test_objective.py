@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ckle import (DomainError, build_sample, ckl_divergence, empirical_entropy_constant,
-                  fit, g_gradient, g_hessian, g_objective, gee_sum,
-                  get_family, make_rng, normal_equation_residuals,
-                  psi, psi_matrix)
+from ckle import (DomainError, ObjectiveContext, build_sample, ckl_divergence,
+                  empirical_entropy_constant, fit, g_objective, gee_sum,
+                  get_family, make_rng, normal_equation_residuals, psi_matrix)
 
 ALL = ["exponential", "laplace", "twoparamexp", "pareto", "normal"]
 THETAS = {
@@ -29,7 +28,7 @@ def test_g_exponential_matches_reduced_form():
         assert g_objective("exponential", (lam,), s) == pytest.approx(
             1 / lam + lam * s.mean_sq / 2, rel=1e-14)
     lam_hat = math.sqrt(2 / s.mean_sq)
-    grad = g_gradient("exponential", (lam_hat,), s)
+    grad = ObjectiveContext("exponential", s).gradient((lam_hat,))
     assert abs(grad[0]) < 1e-9
 
 
@@ -54,6 +53,15 @@ def test_g_support_violation_is_inf():
     assert g_objective("twoparamexp", (-2.0, 1.0), s) < math.inf
     assert g_objective("twoparamexp", (-0.5, 1.0), s) == math.inf
     assert ckl_divergence("pareto", (2.0, 5.0), s) == math.inf
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_g_rejects_a_theta_of_the_wrong_length(name):
+    s = draw_sample(name, 10, 1)
+    k = len(THETAS[name])
+    for theta in (THETAS[name] * 2, THETAS[name][:1] * (k - 1)):
+        with pytest.raises(DomainError, match=f"{name} expects {k} parameters, got {len(theta)}"):
+            g_objective(name, theta, s)
 
 
 def test_ckl_divergence_identity_and_minimum():
@@ -94,7 +102,7 @@ def test_ckl_nonnegative_singletons(name):
 
 def test_psi_exponential_formula():
     lam, x = 2.0, 1.5
-    assert psi("exponential", (lam,), x)[0] == pytest.approx(
+    assert psi_matrix("exponential", (lam,), [x])[0, 0] == pytest.approx(
         -1 / lam**2 + x * x / 2, rel=1e-12)
     s = build_sample([1.0, 1.0])
     assert gee_sum("exponential", (1.0,), s)[0] == pytest.approx(-1.0)
@@ -127,7 +135,7 @@ def test_psi_normal_two_paths_agree():
             ds_sig = -quad(lambda w: w * _phi_over_cdf(np.asarray(w)),
                            (x - mu) / sig, -m, epsabs=1e-13, epsrel=1e-11)[0]
         expect = dE - np.array([ds_mu, ds_sig])
-        got = psi("normal", (mu, sig), x)
+        got = psi_matrix("normal", (mu, sig), [x])[0]
         assert np.abs(got - expect).max() < 1e-5
 
 
@@ -135,9 +143,9 @@ def test_difference_steps_at_the_domain_edge():
     # steps halve to keep both probes inside alpha > 1 until they underflow
     s = draw_sample("pareto", 40, 3)
     beta = 0.5 * float(s.obs[0])
-    assert np.all(np.isfinite(g_gradient("pareto", (1 + 1e-9, beta), s)))
+    assert np.all(np.isfinite(ObjectiveContext("pareto", s).gradient((1 + 1e-9, beta))))
     with pytest.raises(DomainError, match="step underflow"):
-        g_gradient("pareto", (1 + 1e-13, beta), s)
+        ObjectiveContext("pareto", s).gradient((1 + 1e-13, beta))
     # the Normal has no analytic d s/d theta, so psi differences s
     with pytest.raises(DomainError, match="step underflow"):
         psi_matrix("normal", (2.0, 1e-13), draw_sample("normal", 10, 3))
@@ -151,7 +159,7 @@ def test_gee_sum_equals_n_times_gradient(name):
         if name == "pareto":
             theta[1] = min(theta[1], 0.9 * float(s.obs[0]))
         lhs = gee_sum(name, theta, s)
-        rhs = s.n * g_gradient(name, theta, s)
+        rhs = s.n * ObjectiveContext(name, s).gradient(theta)
         assert np.abs(lhs - rhs).max() <= 1e-6 * (1.0 + np.abs(rhs).max())
 
 
@@ -188,16 +196,16 @@ def test_unbiasedness_of_psi_monte_carlo():
 def test_g_second_derivative_exponential():
     s = draw_sample("exponential", 60, 8)
     for lam in (0.7, 2.0, 9.0):
-        H = g_hessian("exponential", (lam,), s)
+        H = ObjectiveContext("exponential", s).hessian((lam,))
         assert H[0, 0] == pytest.approx(2 / lam**3, rel=1e-6)
 
 
 def test_gradient_zero_and_hessian_pd_at_optimum():
     s = draw_sample("normal", 90, 9)
     res = fit("normal", s)
-    grad = g_gradient("normal", res.params.values, s)
+    grad = ObjectiveContext("normal", s).gradient(res.params.values)
     assert np.linalg.norm(grad) < 1e-6 * (1 + abs(res.g_at_opt))
-    H = g_hessian("normal", res.params.values, s)
+    H = ObjectiveContext("normal", s).hessian(res.params.values)
     assert np.linalg.eigvalsh(H).min() > 0
     assert res.hessian_pd
 
@@ -206,7 +214,7 @@ def test_exponential_convexity_on_grid():
     s = draw_sample("exponential", 40, 10)
     lams = np.geomspace(0.05, 50.0, 25)
     for lam in lams:
-        assert g_hessian("exponential", (lam,), s)[0, 0] > 0
+        assert ObjectiveContext("exponential", s).hessian((lam,))[0, 0] > 0
 
 
 def test_objective_lower_bound_quick():
@@ -235,7 +243,7 @@ def test_normal_equation_residuals_vanish_at_optimum():
     eq = normal_equation_residuals(s, mu, sig)
     n = s.n
     # both displays are n (resp. 1) times the gradient of g
-    grad = g_gradient("normal", (mu, sig), s)
+    grad = ObjectiveContext("normal", s).gradient((mu, sig))
     assert eq["eq_mu"] == pytest.approx(n * grad[0], abs=1e-4 * n)
     assert eq["eq_sigma"] == pytest.approx(n * grad[1], abs=1e-4 * n)
     assert eq["eq_sigma_ecdf"] == pytest.approx(eq["eq_sigma"] / n, rel=1e-6, abs=1e-10)

@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ckle import (DomainError, StudyConfig, bias_check_exponential,
-                  build_sample, coverage_study, get_family, make_rng, mle_fit,
+                  build_sample, coverage_study, get_family, make_rng,
                   run_study)
 
 
@@ -12,18 +12,18 @@ def test_mle_formulas():
     exp = get_family("exponential")
     s = build_sample(exp.draw((5.0,), 40, make_rng(1, 0)))
     target = 1.0 / s.mean
-    assert mle_fit("exponential", s)["lambda"] == pytest.approx(target)
+    assert exp.mle(s)[0] == pytest.approx(target)
     s2 = build_sample([0.0, 2.0])
-    mu, sig = mle_fit("normal", s2).values
+    mu, sig = get_family("normal").mle(s2)
     assert (mu, sig) == (1.0, 1.0)
     s3 = build_sample([1.0, 2.0, 4.0])
-    mu, sg = mle_fit("twoparamexp", s3).values
+    mu, sg = get_family("twoparamexp").mle(s3)
     assert mu == 1.0 and sg == pytest.approx(7 / 3 - 1)
-    a, b = mle_fit("pareto", s3).values
+    a, b = get_family("pareto").mle(s3)
     assert b == 1.0
     assert a == pytest.approx(3 / (math.log(2) + math.log(4)))
     s4 = build_sample([-2.0, 1.0, 3.0])
-    assert mle_fit("laplace", s4)["theta"] == pytest.approx(2.0)
+    assert get_family("laplace").mle(s4)[0] == pytest.approx(2.0)
 
 
 def test_study_config_validation():
@@ -36,6 +36,9 @@ def test_study_config_validation():
                     estimators=("mckle_unbiased",))
     with pytest.raises(DomainError):
         StudyConfig("exponential", (5.0,), (10,), 10, 1, estimators=("ols",))
+    for threads in (0, -1):
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            StudyConfig("exponential", (5.0,), (10,), 10, 1, threads=threads)
 
 
 def test_run_study_deterministic_bytes_and_thread_independent():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ckle import (DataError, DomainError, FitOptions, build_sample,
+from ckle import (DataError, DomainError, ObjectiveContext, build_sample,
                   bisect_root, ckl_divergence, fit, get_family, make_rng,
                   minimize_nelder_mead, psi_matrix, solve_pareto_profile)
 from ckle.models import Laplace
@@ -94,11 +94,9 @@ def test_fit_laplace_closed():
 def test_fit_method_validation():
     s = build_sample([1.0, 2.0, 4.0])
     with pytest.raises(ValueError):
-        fit("pareto", s, FitOptions(method="closed"))
-    with pytest.raises(DomainError):
-        FitOptions(max_iter=0)
+        fit("pareto", s, method="closed")
     with pytest.raises(ValueError):
-        FitOptions(method="magic")
+        fit("pareto", s, method="magic")
 
 
 def test_fit_exponential_negative_data_errors():
@@ -115,9 +113,9 @@ def test_fit_exponential_negative_data_errors():
 def test_dispatch_consistency_closed_vs_numeric(name, theta, stream):
     s = build_sample(get_family(name).draw(np.asarray(theta), 300,
                                            make_rng(42, stream)))
-    closed = fit(name, s, FitOptions(method="closed"))
+    closed = fit(name, s, method="closed")
     assert not closed.support_warning
-    numeric = fit(name, s, FitOptions(method="numeric"))
+    numeric = fit(name, s, method="numeric")
     assert numeric.converged
     assert abs(numeric.g_at_opt - closed.g_at_opt) < 1e-8
     rel = np.abs(np.array(numeric.params.values)
@@ -128,13 +126,13 @@ def test_dispatch_consistency_closed_vs_numeric(name, theta, stream):
 def test_normal_fit_against_grid_scan():
     # 200 x 200 scan of the objective surface around the moment seed; the
     # surface has a single interior minimum and the simplex fit lands on it
-    from ckle import g_objective, gee_sum, make_g
+    from ckle import gee_sum
     s = build_sample(get_family("normal").draw(np.array([2.0, 3.0]), 100,
                                                make_rng(321, 0)))
     res = fit("normal", s)
     assert res.converged and res.hessian_pd
     assert np.abs(gee_sum("normal", res.params.values, s)).max() < 1e-5 * s.n
-    g = make_g("normal", s)
+    g = ObjectiveContext("normal", s).g
     mus = np.linspace(s.mean - 1.5, s.mean + 1.5, 200)
     sds = np.linspace(res.params["sigma"] / 1.6, res.params["sigma"] * 1.6, 200)
     vals = np.array([[g(np.array([m, sd])) for sd in sds] for m in mus])
@@ -146,14 +144,13 @@ def test_normal_fit_against_grid_scan():
 
 
 def test_numeric_convergence_implies_small_gradient():
-    from ckle import g_gradient
     for stream in range(3):
         s = build_sample(get_family("normal").draw(np.array([2.0, 3.0]), 60,
                                                    make_rng(55, stream)))
         res = fit("normal", s)
         assert res.method == "simplex"
         assert res.converged
-        grad = g_gradient("normal", res.params.values, s)
+        grad = ObjectiveContext("normal", s).gradient(res.params.values)
         assert np.linalg.norm(grad) < 1e-6 * (1.0 + abs(res.g_at_opt))
 
 
@@ -179,7 +176,7 @@ def test_numeric_iterates_stay_inside_domain():
 
     fam = Recorder()
     s = build_sample(fam.draw((1.5,), 40, make_rng(13, 0)))
-    fit(fam, s, FitOptions(method="numeric"))
+    fit(fam, s, method="numeric")
     assert seen and all(v > 0 for v in seen)
 
 
@@ -207,8 +204,6 @@ def test_normal_degenerate_data_raises():
         s = build_sample(xs)
         with pytest.raises(DataError, match="degenerate data"):
             fit("normal", s)
-        with pytest.raises(DataError, match="degenerate data"):
-            fit("normal", s, FitOptions(start=(2.0, 1.0)))
 
 
 NORMAL_WIDE_SPAN = {
