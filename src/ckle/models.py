@@ -16,6 +16,9 @@ quantile ``isf`` (accurate for tiny survival probabilities), ``mle``,
 ``closed_c``, ``closed_divergence_interval`` and ``closed_test_region``
 default to the generic numerical path, so callers ask the family (through
 ``has_hook`` where the choice of path depends on it) instead of its name.
+``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
+and of g from the methods above; the Normal supplies its own, on fixed
+panel nodes and Python floats.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -198,6 +201,20 @@ class Family:
             return float(self.s_values(theta, xs).sum())
 
         return fn
+
+    def g_fn(self, sample: Sample):
+        """Callable theta -> g(theta) = E|X| - mean_i s(x_i), built once per
+        sample; it validates theta and is +inf on SupportViolation."""
+        s_sum, n = self.s_sum_fn(sample), sample.n
+
+        def g(theta):
+            theta = self.validate(theta)
+            try:
+                return self.mean_abs(theta) - s_sum(theta) / n
+            except SupportViolation:
+                return math.inf
+
+        return g
 
     def ds_dtheta_matrix(self, theta, xs: np.ndarray) -> np.ndarray:
         """Per-observation gradient of s in theta, shape (n, dim)."""
@@ -760,6 +777,12 @@ class Pareto(Family):
         return A, B, V
 
 
+def _normal_mean_abs(mu: float, sig: float) -> float:
+    # E|X| of the Normal on python floats: the values of numpy scalar math, faster
+    m = mu / sig
+    return mu * (2.0 * ndtr(m) - 1.0) + 2.0 * sig * math.exp(-0.5 * m * m) / _SQRT2PI
+
+
 class Normal(_LocationScale):
     """Gaussian on the real line.
 
@@ -802,9 +825,7 @@ class Normal(_LocationScale):
         return np.stack([-phi / sig, -z * phi / sig])
 
     def mean_abs(self, theta):
-        mu, sig = _as_theta(theta).tolist()    # python floats: same values, faster scalar math
-        m = mu / sig
-        return mu * (2.0 * ndtr(m) - 1.0) + 2.0 * sig * math.exp(-0.5 * m * m) / _SQRT2PI
+        return _normal_mean_abs(*_as_theta(theta).tolist())
 
     def mean_abs_grad(self, theta):
         mu, sig = _as_theta(theta)
@@ -920,6 +941,20 @@ class Normal(_LocationScale):
             return float(log_ndtr((signed - all_sign * mu) / sig) @ all_w)
 
         return fn
+
+    def g_fn(self, sample):
+        # Family.g_fn on Python floats, with validate's checks inline: the
+        # same values, without the numpy scalars and calls between them
+        s_sum, n = self.s_sum_fn(sample), sample.n
+
+        def g(theta):
+            th = _as_theta(theta)
+            mu, sig = th.tolist() if th.size == 2 else (math.nan, math.nan)
+            if not (math.isfinite(mu) and 0.0 < sig < math.inf):
+                self.validate(th)       # raises the DomainError naming the parameter
+            return _normal_mean_abs(mu, sig) - s_sum((mu, sig)) / n
+
+        return g
 
     def quantile(self, theta, p):
         mu, sig = _as_theta(theta)

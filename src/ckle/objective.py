@@ -12,7 +12,8 @@ C_n + g(theta) - mean|x| with both extra terms parameter-free.
 Support violations (an observation where the model CDF vanishes on the
 negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
 
-``ObjectiveContext`` is the one evaluator of g and its derivatives; psi
+``ObjectiveContext`` is the one evaluator of g (through the evaluator that
+the family's ``g_fn`` builds for the sample) and of its derivatives; psi
 takes d s/d theta from the family's ``ds_dtheta_matrix``.  Derivatives of g
 are central differences with per-coordinate steps relative to |theta| (1e-5
 for the gradient, 1e-4 for the Hessian), halved until both probes lie inside
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
-from .errors import DomainError, SupportViolation
+from .errors import DomainError
 from .models import _GRAD_STEP, Family, _central_diff, _steps, get_family, quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -43,32 +44,30 @@ class ObjectiveContext:
 
     family: Family
     sample: Sample
-    _s_sum: object = field(default=None, repr=False)
+    _g: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.family = get_family(self.family)
-        self._s_sum = self.family.s_sum_fn(self.sample)
+        self._g = self.family.g_fn(self.sample)
 
     def g(self, theta) -> float:
-        theta = self.family.validate(theta)
-        try:
-            return self.family.mean_abs(theta) - self._s_sum(theta) / self.sample.n
-        except SupportViolation:
-            return math.inf
+        return self._g(theta)
 
     def gradient(self, theta) -> np.ndarray:
         """Central-difference gradient with per-coordinate relative steps."""
         theta = self.family.validate(theta)
         return _central_diff(self.g, theta, _steps(self.family, theta, _GRAD_STEP))
 
-    def hessian(self, theta) -> np.ndarray:
-        """Central-difference Hessian, symmetrized as (H + H^T)/2."""
+    def hessian(self, theta, g0: float | None = None) -> np.ndarray:
+        """Central-difference Hessian, symmetrized as (H + H^T)/2; ``g0`` is
+        g(theta) when the caller already has it."""
         g = self.g
         theta = self.family.validate(theta)
         steps = _steps(self.family, theta, _HESS_STEP)
         k = theta.size
         H = np.empty((k, k))
-        g0 = g(theta)
+        if g0 is None:
+            g0 = g(theta)
         for j in range(k):
             tp = theta.copy(); tp[j] += steps[j]
             tm = theta.copy(); tm[j] -= steps[j]

@@ -7,6 +7,9 @@ with deterministic restarts from perturbed optima.  The only choice a caller
 makes is the method; the start point (``Family.start_point``), the iteration
 cap, the simplex tolerance, the restart count and the profile bracket are
 fixed.
+The simplex works on Python floats and ranks a NaN value worst of all; a
+numeric fit reads g through a memo keyed on the exact internal point, which
+lives as long as that fit, so no point is evaluated twice.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -46,66 +51,73 @@ class NMResult:
     converged: bool
 
 
+_by_rank = itemgetter(0, 1)
+
+
 def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
                          init_scale: float = 0.05) -> NMResult:
     """Nelder-Mead with reflection/expansion/contraction/shrink coefficients
     (1, 2, 0.5, 0.5); stops when the simplex objective spread falls below
     ``tol`` or the iteration cap is reached.  The objective must be total
-    (+inf marks infeasible points).
+    (+inf marks infeasible points; NaN ranks worst of all).
 
     A simplex straddling a minimum symmetrically has near-zero spread, so the
     stopping test probes the simplex centroid once; the probe replaces the
-    worst vertex when it improves on the best, otherwise the run stops."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    m = x0.size
-    sim = [x0.copy()]
+    worst vertex when it improves on the best, otherwise the run stops.
+
+    Vertices and values are Python floats, sorted stably before every step,
+    and centroids sum the sorted vertices row by row; ``fn`` gets each point
+    as a fresh 1-D float64 array."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+    m = len(x0)
+
+    def vertex(p):
+        # (NaN flag, value, point): the rank order is ascending value with
+        # NaN last, the order of argsort(kind="stable")
+        f = float(fn(np.array(p)))
+        return (f != f, f, p)
+
+    points = [x0]
     for i in range(m):
-        p = x0.copy()
+        p = list(x0)
         p[i] += init_scale * max(abs(p[i]), 1.0)
-        sim.append(p)
-    sim = np.array(sim)
-    fv = np.array([fn(p) for p in sim])
-    nev = sim.shape[0]
+        points.append(p)
+    sim = [vertex(p) for p in points]
+    nev = m + 1
     for it in range(max_iter):
-        order = fv.argsort(kind="stable")
-        sim, fv = sim[order], fv[order]
-        spread = fv[-1] - fv[0]
-        if not math.isfinite(spread):
+        sim.sort(key=_by_rank)
+        _, fb, best = sim[0]
+        _, fw, worst = sim[-1]
+        spread = fw - fb
+        if spread != spread:           # inf - inf: an infinite spread
             spread = math.inf
+        pts = [p for _, _, p in sim]
         if spread <= tol:
-            # sum / count is the arithmetic of ndarray.mean, without its overhead
-            probe = sim.sum(axis=0) / (m + 1)
-            fp = fn(probe); nev += 1
-            if fp < fv[0]:
-                sim[-1], fv[-1] = probe, fp
+            probe = vertex([reduce(add, col) / (m + 1) for col in zip(*pts)]); nev += 1
+            if probe[1] < fb:
+                sim[-1] = probe
                 continue
-            return NMResult(sim[0], float(fv[0]), it, nev, True)
-        centroid = sim[:-1].sum(axis=0) / m
-        xr = centroid + (centroid - sim[-1])
-        fr = fn(xr); nev += 1
-        if fr < fv[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = fn(xe); nev += 1
-            if fe < fr:
-                sim[-1], fv[-1] = xe, fe
-            else:
-                sim[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            sim[-1], fv[-1] = xr, fr
+            return NMResult(np.array(best), fb, it, nev, True)
+        centroid = [reduce(add, col) / m for col in zip(*pts[:-1])]
+        xr = vertex([c + (c - w) for c, w in zip(centroid, worst)]); nev += 1
+        fr = xr[1]
+        if fr < fb:
+            xe = vertex([c + 2.0 * (c - w) for c, w in zip(centroid, worst)]); nev += 1
+            sim[-1] = xe if xe[1] < fr else xr
+        elif fr < sim[-2][1]:
+            sim[-1] = xr
         else:
-            if fr < fv[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
+            toward = xr[2] if fr < fw else worst
+            xc = vertex([c + 0.5 * (q - c) for c, q in zip(centroid, toward)]); nev += 1
+            if xc[1] < min(fr, fw):
+                sim[-1] = xc
             else:
-                xc = centroid + 0.5 * (sim[-1] - centroid)
-            fc = fn(xc); nev += 1
-            if fc < min(fr, fv[-1]):
-                sim[-1], fv[-1] = xc, fc
-            else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fv[1:] = [fn(p) for p in sim[1:]]
+                sim[1:] = [vertex([b + 0.5 * (q - b) for b, q in zip(best, p)])
+                           for p in pts[1:]]
                 nev += m
-    order = fv.argsort(kind="stable")
-    return NMResult(sim[order][0], float(fv[order][0]), max_iter, nev, False)
+    sim.sort(key=_by_rank)
+    _, fb, best = sim[0]
+    return NMResult(np.array(best), fb, max_iter, nev, False)
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -193,15 +205,25 @@ _RESTART_SIMPLEX = 1e-4
 
 
 def _numeric_fit(family, ctx: ObjectiveContext):
+    """Restarted Nelder-Mead in internal coordinates; returns (theta,
+    iterations, converged, g(theta)).  The objective is memoized for this
+    fit on the bytes of the internal point, so no point is evaluated twice
+    and g at the optimum is the simplex's own value."""
     sample = ctx.sample
     g = ctx.g
+    memo = {}
 
     def obj(t):
-        # g validates theta; a point outside the domain is infeasible
-        try:
-            return g(family.from_internal(t))
-        except (DomainError, OverflowError):
-            return math.inf
+        key = t.tobytes()
+        value = memo.get(key)
+        if value is None:
+            # g validates theta; a point outside the domain is infeasible
+            try:
+                value = g(family.from_internal(t))
+            except (DomainError, OverflowError):
+                value = math.inf
+            memo[key] = value
+        return value
 
     t0 = family.to_internal(np.asarray(family.start_point(sample), dtype=float))
     res = minimize_nelder_mead(obj, t0, tol=_SIMPLEX_TOL)
@@ -226,7 +248,7 @@ def _numeric_fit(family, ctx: ObjectiveContext):
         best = NMResult(res_p.point, res_p.value, res_p.iterations,
                         res_p.evaluations, best.converged or res_p.converged)
     theta = family.from_internal(best.point)
-    return theta, iters, best.converged
+    return theta, iters, best.converged, best.value
 
 
 def fit(family, sample: Sample, method: str = "auto") -> FitResult:
@@ -253,20 +275,18 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
     if method == "closed":
         theta = np.asarray(family.closed_form(sample), dtype=float)
         method_used, iterations = "closed", 0
+        g_at = ctx.g(theta)
+        # a closed form stationary on the support can land where g is +inf
+        converged = math.isfinite(g_at)
     elif (profiled := family.profile_fit(sample)) is not None:
         theta, converged = profiled
         method_used, iterations = "profile", 0
+        g_at = ctx.g(theta)
     else:
-        theta, iterations, nm_ok = _numeric_fit(family, ctx)
+        theta, iterations, converged, g_at = _numeric_fit(family, ctx)
         method_used = "simplex"
-        converged = nm_ok
-
-    g_at = ctx.g(theta)
-    if math.isinf(g_at) and method_used == "simplex":
-        raise DataError("empty feasible region: objective is infinite at the optimum")
-    if method_used == "closed":
-        # a closed form stationary on the support can land where g is +inf
-        converged = math.isfinite(g_at)
+        if math.isinf(g_at):
+            raise DataError("empty feasible region: objective is infinite at the optimum")
 
     if method_used == "simplex" and converged:
         try:
@@ -277,7 +297,7 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
 
     hessian_pd = False
     try:
-        H = ctx.hessian(theta)
+        H = ctx.hessian(theta, g0=g_at)
         if np.all(np.isfinite(H)):
             evals = np.linalg.eigvalsh(H)
             hessian_pd = bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))

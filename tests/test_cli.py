@@ -93,6 +93,19 @@ def test_twoparamexp_negative_data_not_converged_exit3(tmp_path, capsys):
     assert err == ""
 
 
+def test_numeric_fit_on_empty_feasible_region_prints_only_the_error(tmp_path):
+    # a child process, so that any warning reaches stderr as a user sees it
+    data = tmp_path / "neg.csv"
+    data.write_text("-1\n0.5\n2\n3\n")
+    proc = subprocess.run([sys.executable, "-m", "ckle.cli", "fit", "--model",
+                           "twoparamexp", "--method", "numeric", "--data", str(data)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("ckle: error: empty feasible region: objective is "
+                           "infinite at the optimum\n")
+
+
 def test_unexpected_exception_exit70_without_traceback(tmp_path, capsys, monkeypatch):
     import ckle.cli
 

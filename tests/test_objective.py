@@ -64,6 +64,28 @@ def test_g_rejects_a_theta_of_the_wrong_length(name):
             g_objective(name, theta, s)
 
 
+def test_normal_g_on_floats_matches_the_generic_evaluator():
+    # the Normal's own g_fn is the generic composition on Python floats:
+    # bitwise the same values, and the same DomainError outside the domain
+    from ckle.models import Family
+    fam = get_family("normal")
+    rng = make_rng(17, 0)
+    for n in (1, 10, 55):
+        s = build_sample(fam.draw(np.array([2.0, 3.0]), n, rng))
+        lean, generic = fam.g_fn(s), Family.g_fn(fam, s)
+        for mu, sig in zip(rng.normal(2.0, 5.0, 40), np.exp(rng.normal(1.0, 1.5, 40))):
+            theta = np.array([mu, sig])
+            assert np.float64(lean(theta)).tobytes() == np.float64(generic(theta)).tobytes()
+        assert lean((2.0, 3.0)) == generic([2.0, 3.0])
+        for bad in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
+                    (0.0, math.inf), (0.0, math.nan), (1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(DomainError) as a:
+                lean(bad)
+            with pytest.raises(DomainError) as b:
+                generic(bad)
+            assert str(a.value) == str(b.value)
+
+
 def test_ckl_divergence_identity_and_minimum():
     s = draw_sample("laplace", 60, 3)
     th = 1.2

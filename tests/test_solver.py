@@ -38,6 +38,185 @@ def test_nm_handles_inf_sentinel():
     assert abs(res.point[0] - 1.0) < 1e-5
 
 
+def reference_nelder_mead(fn, x0, max_iter=2000, tol=1e-10, init_scale=0.05):
+    """The ndarray simplex that the float one replaced, kept as an oracle."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    m = x0.size
+    sim = [x0.copy()]
+    for i in range(m):
+        p = x0.copy()
+        p[i] += init_scale * max(abs(p[i]), 1.0)
+        sim.append(p)
+    sim = np.array(sim)
+    fv = np.array([fn(p) for p in sim])
+    nev = sim.shape[0]
+    for it in range(max_iter):
+        order = fv.argsort(kind="stable")
+        sim, fv = sim[order], fv[order]
+        with np.errstate(invalid="ignore"):     # inf - inf warned here
+            spread = fv[-1] - fv[0]
+        if not math.isfinite(spread):
+            spread = math.inf
+        if spread <= tol:
+            probe = sim.sum(axis=0) / (m + 1)
+            fp = fn(probe); nev += 1
+            if fp < fv[0]:
+                sim[-1], fv[-1] = probe, fp
+                continue
+            return sim[0], float(fv[0]), it, nev, True
+        centroid = sim[:-1].sum(axis=0) / m
+        xr = centroid + (centroid - sim[-1])
+        fr = fn(xr); nev += 1
+        if fr < fv[0]:
+            xe = centroid + 2.0 * (centroid - sim[-1])
+            fe = fn(xe); nev += 1
+            if fe < fr:
+                sim[-1], fv[-1] = xe, fe
+            else:
+                sim[-1], fv[-1] = xr, fr
+        elif fr < fv[-2]:
+            sim[-1], fv[-1] = xr, fr
+        else:
+            if fr < fv[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (sim[-1] - centroid)
+            fc = fn(xc); nev += 1
+            if fc < min(fr, fv[-1]):
+                sim[-1], fv[-1] = xc, fc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fv[1:] = [fn(p) for p in sim[1:]]
+                nev += m
+    order = fv.argsort(kind="stable")
+    return sim[order][0], float(fv[order][0]), max_iter, nev, False
+
+
+def assert_same_run(fn, x0, **kwargs):
+    """The simplex and the reference oracle agree bit for bit."""
+    res = minimize_nelder_mead(fn, x0, **kwargs)
+    point, value, iterations, evaluations, converged = reference_nelder_mead(
+        fn, x0, **kwargs)
+    assert res.point.dtype == np.float64 and res.point.ndim == 1
+    assert res.point.tobytes() == point.tobytes()
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert (res.iterations, res.evaluations, res.converged) == (
+        iterations, evaluations, converged)
+    return res
+
+
+def _nan_above_line(x):
+    # NaN on the half-plane x0 + x1 > 2, which holds the bowl's centre
+    if x[0] + x[1] > 2.0:
+        return math.nan
+    return (x[0] - 1.5) ** 2 + (x[1] - 1.0) ** 2
+
+
+def _nan_below_line_inf_right(x):
+    # NaN where x0 + x1 < 0.1 (the start), +inf where x0 > 2.5
+    if x[0] + x[1] < 0.1:
+        return math.nan
+    if x[0] > 2.5:
+        return math.inf
+    return (x[0] - 2.0) ** 2 + (x[1] - 2.0) ** 2
+
+
+@pytest.mark.parametrize("fn,x0,kwargs", [
+    (lambda x: (x[0] - 3.0) ** 2, [0.0], {}),
+    (lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, [-1.2, 1.0],
+     {"tol": 1e-12}),
+    (lambda x: 5.0, [1.0, 2.0], {}),
+    (lambda x: math.inf if x[0] < 0 else (x[0] - 1.0) ** 2, [2.0], {}),
+    (_nan_above_line, [0.0, 0.0], {}),
+    (_nan_below_line_inf_right, [0.0, 0.0], {"init_scale": 1.0}),
+    (lambda x: (x[0] - 1) ** 2 + 2 * (x[1] + 2) ** 2 + 3 * (x[2] - 0.5) ** 2
+     + x[0] * x[2], [0.3, -1.0, 2.0], {}),
+], ids=["quadratic", "rosenbrock", "constant", "inf-sentinel", "nan-half-plane",
+        "nan-start-and-inf", "bowl-3d"])
+def test_nm_matches_reference_simplex(fn, x0, kwargs):
+    assert_same_run(fn, x0, **kwargs)
+
+
+def test_nm_nan_ranks_worst():
+    seen = []
+
+    def f(x):
+        seen.append(_nan_above_line(x))
+        return seen[-1]
+
+    res = assert_same_run(f, [0.0, 0.0])
+    assert any(math.isnan(v) for v in seen)
+    assert math.isfinite(res.value) and res.point.sum() <= 2.0
+
+
+@pytest.mark.parametrize("n", range(10, 60, 5))
+def test_nm_matches_reference_on_normal_objective(n):
+    # the criterion-8 Normal grid, with every (tol, init_scale) pair of a fit
+    from ckle.solver import _RESTART_SIMPLEX, _SIMPLEX_TOL
+    fam = get_family("normal")
+    s = build_sample(fam.draw(np.array([2.0, 3.0]), n, make_rng(8, n)))
+    ctx = ObjectiveContext(fam, s)
+
+    def obj(t):
+        try:
+            return ctx.g(fam.from_internal(t))
+        except (DomainError, OverflowError):
+            return math.inf
+
+    t0 = fam.to_internal(fam.start_point(s))
+    first = assert_same_run(obj, t0, tol=_SIMPLEX_TOL)
+    assert_same_run(obj, first.point + 1e-3, tol=_SIMPLEX_TOL,
+                    init_scale=_RESTART_SIMPLEX)
+    assert_same_run(obj, first.point, tol=_SIMPLEX_TOL * 1e-3, init_scale=1e-6)
+
+
+def test_nm_passes_a_fresh_float_vector():
+    def rosen(x):
+        return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+    def clobber(x):
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+        assert x.flags.owndata
+        value = rosen(x)
+        x[:] = np.nan
+        return value
+
+    a = minimize_nelder_mead(rosen, [-1.2, 1.0], tol=1e-12)
+    b = minimize_nelder_mead(clobber, [-1.2, 1.0], tol=1e-12)
+    assert a.point.tobytes() == b.point.tobytes()
+    assert (a.value, a.iterations, a.evaluations, a.converged) == (
+        b.value, b.iterations, b.evaluations, b.converged)
+
+
+def test_normal_fit_evaluates_each_point_once(monkeypatch):
+    # the per-fit memo: no internal point reaches the sample sum twice, and
+    # g at the optimum and the Hessian centre reuse the simplex's value
+    from ckle.models import Normal
+    points = []
+    original = Normal.s_sum_fn
+
+    def counting_s_sum_fn(self, sample):
+        fn = original(self, sample)
+
+        def counted(theta):
+            points.append(np.asarray(theta, dtype=float).tobytes())
+            return fn(theta)
+
+        return counted
+
+    monkeypatch.setattr(Normal, "s_sum_fn", counting_s_sum_fn)
+    for stream in range(3):
+        points.clear()
+        s = build_sample(get_family("normal").draw(np.array([2.0, 3.0]), 30,
+                                                   make_rng(801, stream)))
+        res = fit("normal", s)
+        assert res.method == "simplex" and res.converged
+        assert len(points) > 100
+        assert len(points) == len(set(points))
+        g = ObjectiveContext("normal", s).g(np.array(res.params.values))
+        assert np.float64(res.g_at_opt).tobytes() == np.float64(g).tobytes()
+
+
 def test_bisect_examples():
     assert bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12) == pytest.approx(
         math.sqrt(2), abs=1e-10)
