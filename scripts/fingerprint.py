@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Output fingerprint: one line per output, floats written with float.hex.
 
-Runs the five families at n in {30, 300} and seeds 1-3 through fit, the
-sandwich, psi, the asymptotic variances (quadrature and closed forms), c,
-the Wald and divergence intervals and the divergence-difference test, and
-every CLI subcommand in process (exit code, stderr and the sha256 of
-stdout).  Two trees give bitwise-equal outputs exactly when
+Runs the five families at n in {30, 300} and seeds 1-3 through the sample
+moments, fit, the sandwich, psi, the asymptotic variances (quadrature and
+closed forms), c, the Wald and divergence intervals and the
+divergence-difference test, and every CLI subcommand in process (exit code,
+stderr and the sha256 of stdout); it also prints the moments of a few
+samples far from unit scale.  Two trees give bitwise-equal outputs exactly
+when
 
     PYTHONPATH=src python3 scripts/fingerprint.py > a.txt
     # ... same command on the other tree ...
@@ -39,6 +41,11 @@ TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
          "pareto": (4.0, 2.0), "normal": (2.0, 3.0)}
 SIZES = (30, 300)
 SEEDS = (1, 2, 3)
+# samples far from unit scale, of mixed sign, and one whose squares overflow
+EDGE_SAMPLES = {"huge": 1e150 * np.linspace(0.5, 1.5, 31),
+                "tiny": 1e-300 * np.linspace(0.5, 1.5, 31),
+                "mixed": np.linspace(-1e100, 3e100, 30) + np.linspace(-1e-3, 1e-3, 30),
+                "overflow": [-1e155, 2e155, 1e155]}
 
 
 def fmt(value) -> str:
@@ -65,10 +72,15 @@ def emit(name: str, compute):
     print(f"{name} {line}")
 
 
+def moments(sample):
+    return [sample.mean, sample.mean_abs, sample.mean_sq, sample.mean_xlogx]
+
+
 def analysis(name: str, theta_true, n: int, seed: int):
     family = get_family(name)
     sample = build_sample(family.draw(theta_true, n, make_rng(seed, 0)))
     tag = f"{name}/n{n}/s{seed}"
+    emit(f"{tag}/sample", lambda: moments(sample))
     for method in ("auto", "numeric"):
         res = fit(family, sample, method=method)
         emit(f"{tag}/fit.{method}", lambda: [*res.params.values, res.g_at_opt, res.iterations])
@@ -149,9 +161,13 @@ def main():
         emit(f"normal/avar_matrix{theta}", lambda: avar_matrix("normal", theta, 1).V_n)
     xs = 1e4 + np.linspace(-1.0, 1.0, 30)
     emit("normal/psi.location1e4", lambda: psi_matrix("normal", (1e4, 0.6), xs))
+    negative = build_sample([-1.0, 0.5, 2.0, 3.0])
+    emit("twoparamexp/sample.negative", lambda: moments(negative))
     emit("twoparamexp/fit.negative", lambda: [
-        *(res := fit("twoparamexp", build_sample([-1.0, 0.5, 2.0, 3.0]))).params.values,
+        *(res := fit("twoparamexp", negative)).params.values,
         res.g_at_opt, res.converged, res.support_warning])
+    for label, raw in EDGE_SAMPLES.items():
+        emit(f"sample/{label}", lambda: moments(build_sample(raw)))
     with tempfile.TemporaryDirectory() as tmp:
         cli_runs(Path(tmp))
 

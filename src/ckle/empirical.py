@@ -4,12 +4,16 @@ The empirical CDF is the right-continuous step function F_n(x) = #{x_i <= x}/n,
 extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
+``build_sample`` computes the mean, mean |x| and mean x^2 of every sample;
+``Sample.mean_xlogx``, which only the Pareto profile fit reads, is computed
+on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +26,8 @@ class Sample:
 
     ``k`` counts strictly negative observations, so ``obs[k]`` (when it exists)
     is the first nonnegative value.  ``mean_xlogx`` is the average of x*log(x),
-    defined only when every observation is positive.
+    defined only when every observation is positive; it is computed on first
+    read and cached.
     """
 
     obs: np.ndarray
@@ -31,10 +36,14 @@ class Sample:
     mean: float
     mean_abs: float
     mean_sq: float
-    mean_xlogx: float | None
 
     def __post_init__(self):
         self.obs.setflags(write=False)
+
+    @cached_property
+    def mean_xlogx(self) -> float | None:
+        obs = self.obs
+        return float((obs * np.log(obs)).sum()) / self.n if obs[0] > 0 else None
 
 
 def build_sample(raw) -> Sample:
@@ -56,15 +65,15 @@ def build_sample(raw) -> Sample:
     obs = np.sort(arr)
     n = obs.size
     k = int(np.searchsorted(obs, 0.0, side="left"))
+    # a.sum() / n is bitwise ndarray.mean(): the same pairwise sum, one division
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(obs.mean())
-        mean_abs = float(np.abs(obs).mean())
-        mean_sq = float((obs * obs).mean())
-        mean_xlogx = float((obs * np.log(obs)).mean()) if obs[0] > 0 else None
-    if not all(math.isfinite(m) for m in (mean, mean_abs, mean_sq, mean_xlogx or 0.0)):
+        mean = float(obs.sum()) / n
+        mean_abs = float(np.abs(obs).sum()) / n
+        mean_sq = float((obs * obs).sum()) / n
+    # -1/e <= x log x <= x^2, so a finite mean_sq keeps mean_xlogx finite
+    if not all(math.isfinite(m) for m in (mean, mean_abs, mean_sq)):
         raise DataError("moments overflow: data too large in magnitude")
-    return Sample(obs=obs, n=n, k=k, mean=mean, mean_abs=mean_abs,
-                  mean_sq=mean_sq, mean_xlogx=mean_xlogx)
+    return Sample(obs=obs, n=n, k=k, mean=mean, mean_abs=mean_abs, mean_sq=mean_sq)
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:

@@ -9,7 +9,11 @@ cap, the simplex tolerance, the restart count and the profile bracket are
 fixed.
 The simplex works on Python floats and ranks a NaN value worst of all; a
 numeric fit reads g through a memo keyed on the exact internal point, which
-lives as long as that fit, so no point is evaluated twice.
+lives as long as that fit, so no point is evaluated twice.  A first simplex
+run that finds no finite point ends the fit without restarts.
+``FitResult.hessian_pd``, the post-fit check of the central-difference
+Hessian, is computed on first read and cached, so the result keeps a
+reference to its sample.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -17,8 +21,8 @@ identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from operator import add, itemgetter
 
 import numpy as np
@@ -37,9 +41,25 @@ class FitResult:
     method: str                     # closed | profile | simplex
     iterations: int
     converged: bool
-    hessian_pd: bool
     support_warning: bool
     n: int
+    # (family, sample, theta, g at theta): what hessian_pd needs; the
+    # context is rebuilt on the read because its g closure does not pickle
+    _hessian_inputs: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def hessian_pd(self) -> bool:
+        """Whether the central-difference Hessian of g at the estimate is
+        positive definite; computed on first read and cached."""
+        family, sample, theta, g_at = self._hessian_inputs
+        try:
+            H = ObjectiveContext(family, sample).hessian(theta, g0=g_at)
+            if np.all(np.isfinite(H)):
+                evals = np.linalg.eigvalsh(H)
+                return bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))
+        except (DomainError, np.linalg.LinAlgError):
+            pass
+        return False
 
 
 @dataclass(frozen=True)
@@ -227,6 +247,9 @@ def _numeric_fit(family, ctx: ObjectiveContext):
 
     t0 = family.to_internal(np.asarray(family.start_point(sample), dtype=float))
     res = minimize_nelder_mead(obj, t0, tol=_SIMPLEX_TOL)
+    if res.value == math.inf:
+        # no feasible point reached: restarts near it would find none either
+        return family.from_internal(res.point), res.iterations, False, res.value
     best = res
     iters = res.iterations
 
@@ -295,20 +318,11 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
         except (DomainError, FloatingPointError):
             converged = False
 
-    hessian_pd = False
-    try:
-        H = ctx.hessian(theta, g0=g_at)
-        if np.all(np.isfinite(H)):
-            evals = np.linalg.eigvalsh(H)
-            hessian_pd = bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))
-    except (DomainError, np.linalg.LinAlgError):
-        hessian_pd = False
-
     warn = family.support_lower(theta) > float(sample.obs[0])
     if method_used == "closed":
         warn = warn or family.closed_fit_warning(theta, sample)
 
     return FitResult(family=family.name, params=family.param_vector(theta),
                      g_at_opt=g_at, method=method_used, iterations=iterations,
-                     converged=converged, hessian_pd=hessian_pd,
-                     support_warning=bool(warn), n=sample.n)
+                     converged=converged, support_warning=bool(warn), n=sample.n,
+                     _hessian_inputs=(family, sample, theta, g_at))

@@ -58,6 +58,33 @@ def test_overflowing_moments_are_data_errors():
         assert not isinstance(exc.value, ParseError)
 
 
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+# any finite magnitude and sign, or positive values spread over every decade
+# in which the squares stay finite (the only samples with a mean_xlogx)
+unscaled = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=60)
+positive = st.lists(st.floats(min_value=5e-324, max_value=1e154),
+                    min_size=1, max_size=60)
+
+
+@given(st.one_of(samples, unscaled, positive))
+def test_moments_are_bitwise_the_ndarray_means(values):
+    obs = np.sort(np.asarray(values, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = (float(obs.mean()), float(np.abs(obs).mean()), float((obs * obs).mean()),
+               float((obs * np.log(obs)).mean()) if obs[0] > 0 else None)
+    if not all(math.isfinite(m) for m in (*old[:3], old[3] or 0.0)):
+        with pytest.raises(DataError, match="moments overflow"):
+            build_sample(values)
+        return
+    s = build_sample(values)
+    assert [_hex(m) for m in (s.mean, s.mean_abs, s.mean_sq, s.mean_xlogx)] == [
+        _hex(m) for m in old]
+
+
 def test_sample_immutable():
     s = build_sample([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import math
+import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from ckle import (DataError, DomainError, ObjectiveContext, build_sample,
                   bisect_root, ckl_divergence, fit, get_family, make_rng,
                   minimize_nelder_mead, psi_matrix, solve_pareto_profile)
+from ckle import solver
 from ckle.models import Laplace
 
 
@@ -428,3 +431,79 @@ def test_closed_fit_at_infinite_objective_is_not_converged():
 def test_fit_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         fit("weibull", build_sample([1.0, 2.0]))
+
+
+def test_empty_feasible_region_stops_after_one_simplex_run(monkeypatch):
+    # every point of the first simplex run is +inf, so the restarts and the
+    # polish are skipped and fit raises at once
+    calls = []
+    original = solver.minimize_nelder_mead
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize_nelder_mead", counted)
+    with pytest.raises(DataError) as exc:
+        fit("twoparamexp", build_sample([-1.0, 0.5, 2.0, 3.0]), method="numeric")
+    assert str(exc.value) == "empty feasible region: objective is infinite at the optimum"
+    assert len(calls) == 1
+
+
+def eager_hessian_pd(family, sample, theta, g_at):
+    """The post-fit check as fit ran it before it became lazy, kept as an oracle."""
+    ctx = ObjectiveContext(family, sample)
+    hessian_pd = False
+    try:
+        H = ctx.hessian(theta, g0=g_at)
+        if np.all(np.isfinite(H)):
+            evals = np.linalg.eigvalsh(H)
+            hessian_pd = bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))
+    except (DomainError, np.linalg.LinAlgError):
+        hessian_pd = False
+    return hessian_pd
+
+
+def _lazy_cases():
+    draw = lambda name, theta, n: build_sample(
+        get_family(name).draw(np.asarray(theta), n, make_rng(17, 0)))
+    return [("exponential", draw("exponential", (5.0,), 30), "closed"),
+            ("pareto", draw("pareto", (4.0, 2.0), 40), "profile"),
+            ("normal", draw("normal", (2.0, 3.0), 30), "simplex"),
+            ("twoparamexp", build_sample([-1.0, 0.5, 2.0, 3.0]), "closed")]
+
+
+@pytest.mark.parametrize("name,sample,method", _lazy_cases(),
+                         ids=["closed", "profile", "simplex", "closed-g-inf"])
+def test_hessian_pd_is_computed_once_on_first_read(monkeypatch, name, sample, method):
+    calls = []
+    original = ObjectiveContext.hessian
+
+    def counted(self, theta, g0=None):
+        calls.append(1)
+        return original(self, theta, g0=g0)
+
+    monkeypatch.setattr(ObjectiveContext, "hessian", counted)
+    res = fit(name, sample)
+    assert res.method == method
+    assert calls == []
+    value = res.hessian_pd
+    assert res.hessian_pd is value
+    assert len(calls) == 1
+    theta = np.array(res.params.values)
+    assert value is eager_hessian_pd(name, sample, theta, res.g_at_opt)
+    assert value is (name != "twoparamexp")
+
+
+def test_fit_result_pickles_and_compares_on_public_fields():
+    s = build_sample(get_family("normal").draw(np.array([2.0, 3.0]), 30, make_rng(17, 1)))
+    res = fit("normal", s)
+    before = pickle.loads(pickle.dumps(res))
+    assert before == res
+    assert "hessian_pd" not in vars(before)
+    assert before.hessian_pd is res.hessian_pd is True
+    after = pickle.loads(pickle.dumps(res))
+    assert vars(after)["hessian_pd"] is True
+    assert after == res
+    assert "_hessian_inputs" not in repr(res) and "array" not in repr(res)
+    assert replace(res, _hessian_inputs=None) == res
