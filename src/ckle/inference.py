@@ -16,6 +16,12 @@ side whose mass is exactly 0.0 has no nodes.  Every entry of A and B then
 comes from one matrix product over the same nodes, and the rule is scale-
 and location-invariant by construction.
 
+The normal quantile behind the Wald half-width and the chi-square(1)
+quantile, and the chi-square(1) tail, are scalars from the standard library
+(``statistics.NormalDist``, ``math.erfc``), so intervals and tests of the
+closed-form families never load scipy.special; the tanh-sinh table, which
+needs its ``expit``, is built on the first quadrature variance.
+
 Note on the sign of I: at a minimum the average derivative of psi equals the
 empirical Hessian of g and is positive definite, so I is taken with the plus
 sign here; the sign squares away inside the sandwich either way.
@@ -23,16 +29,17 @@ sign here; the sign squares away inside the sandwich either way.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, expit, ndtri
 
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
-from .models import _GRAD_STEP, Family, _central_diff, _steps, get_family
+from .models import _GRAD_STEP, Family, _central_diff, _special, _steps, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, psi_matrix
 from .rng import make_rng
@@ -41,19 +48,33 @@ from .solver import FitResult, bisect_root, fit
 
 # ---------------------------------------------------------------- chi-square
 
-def chi2_quantile_df1(q: float) -> float:
+def _two_sided_z(q: float, name: str, given: float) -> float:
+    """Phi^-1((1+q)/2), the z with P(|Z| <= z) = q, from the standard
+    library's normal quantile (Wichura's AS 241).  ``name`` and ``given``
+    are the probability the caller was given (q itself, a level, alpha or
+    beta); the DomainError names it when (1+q)/2 rounds to 1, where the
+    quantile is infinite."""
+    p = (1.0 + q) / 2.0
+    if p >= 1.0:
+        raise DomainError(f"{name} = {given!r} is too extreme: "
+                          "its normal quantile is infinite in double precision")
+    return NormalDist().inv_cdf(p)
+
+
+def chi2_quantile_df1(q: float, name: str = "q", given: float | None = None) -> float:
     """q-quantile of chi-square with 1 df, via the normal quantile:
-    (Phi^-1((1+q)/2))^2."""
-    if not 0.0 < q < 1.0:
+    (Phi^-1((1+q)/2))^2.  ``name`` and ``given`` (default: q) name the
+    probability the caller was given in the error for an infinite quantile."""
+    if not 0.0 < q <= 1.0:      # q = 1.0 (1 - alpha for a tiny alpha) is named below
         raise DomainError("quantile requires 0 < q < 1")
-    return float(ndtri((1.0 + q) / 2.0)) ** 2
+    return _two_sided_z(q, name, q if given is None else given) ** 2
 
 
 def chi2_sf_df1(t: float) -> float:
     """P(chi-square_1 > t)."""
     if t <= 0.0:
         return 1.0
-    return float(erfc(math.sqrt(t / 2.0)))
+    return math.erfc(math.sqrt(t / 2.0))
 
 
 # ---------------------------------------------------------- variance limits
@@ -74,22 +95,24 @@ class SandwichEstimate:
     V_hat: np.ndarray
 
 
+@functools.cache
 def _tanh_sinh_unit():
     """Tanh-sinh nodes and weights on (0, 1) with step 1/16: u_k =
     expit(pi sinh t_k) for t_k = k / 16, |k| <= 120, and w_k = u_k'(t_k) / 16
     (Takahasi & Mori, Publ. RIMS 9, 1974).  u is built from its own formula,
     never as 1 - (1 - u), so it keeps full relative accuracy near 0.  Nodes
     whose u underflows to 0 or rounds to 1 are dropped; those rounding to 1
-    carry under 1e-16 of the weight, where every integrand here is bounded."""
+    carry under 1e-16 of the weight, where every integrand here is bounded.
+    Built on first use and cached read-only."""
+    expit = _special().expit
     h = 1.0 / 16.0
     t = h * np.arange(-120, 121)
     u = expit(np.pi * np.sinh(t))
     w = h * np.pi * np.cosh(t) * u * expit(-np.pi * np.sinh(t))
     keep = (u > 0.0) & (u < 1.0)
-    return u[keep], w[keep]
-
-
-_TS_U, _TS_W = _tanh_sinh_unit()
+    u, w = u[keep], w[keep]
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +142,14 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
     family.check_avar(theta)
     neg_mass = float(family.cdf(theta, 0.0)) if lower < 0 else 0.0
     pos_mass = float(family.sf(theta, max(lower, 0.0)))
+    ts_u, ts_w = _tanh_sinh_unit()
     xs, ps, ws = [], [], []
     for inverse, mass in ((family.quantile, neg_mass), (family.isf, pos_mass)):
-        p = mass * _TS_U
+        p = mass * ts_u
         keep = p > 0.0
         xs.append(inverse(theta, p[keep]))
         ps.append(p[keep])
-        ws.append(mass * _TS_W[keep])
+        ws.append(mass * ts_w[keep])
     x, p, w = (np.concatenate(a) for a in (xs, ps, ws))
 
     dF = family.dcdf_dtheta(theta, x)
@@ -224,7 +248,7 @@ def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
     if len(fit_result.params.values) != 1:
         raise DomainError("wald_ci expects a scalar parameter")
     theta = fit_result.params.values[0]
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = _two_sided_z(level, "level", level)
     half = z * math.sqrt(variance) / math.sqrt(fit_result.n)
     return IntervalResult(theta - half, theta + half, level, "wald")
 
@@ -259,7 +283,7 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     theta_hat = fit_result.params.values[0]
     n = sample.n
     c_hat = c_value(family, sample, (theta_hat,))
-    chi2 = chi2_quantile_df1(level)
+    chi2 = chi2_quantile_df1(level, "level")
     log_k = -c_hat * chi2 / (2.0 * n)
     k_cut = math.exp(log_k)
 
@@ -344,7 +368,7 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     theta0_hat = float(nulls[i0])
     stat = 2.0 * n * (g0_vals[i0] - fit_result.g_at_opt)
     c0 = c_value(family, sample, (theta0_hat,))
-    chi2 = chi2_quantile_df1(1.0 - alpha)
+    chi2 = chi2_quantile_df1(1.0 - alpha, "alpha", alpha)
     critical = c0 * chi2
     p = chi2_sf_df1(max(stat, 0.0) / c0)
     region = family.closed_test_region(theta0_hat, n, chi2)
@@ -367,7 +391,7 @@ def power_approx(family, sample: Sample, theta0, theta1, alpha: float,
     g1 = g_objective(family, (float(theta1),), sample)
     c0 = c_value(family, sample, (float(theta0),))
     c1 = c_value(family, sample, (float(theta1),))
-    threshold = (2.0 * n * (g1 - g0) + c0 * chi2_quantile_df1(1.0 - alpha)) / c1
+    threshold = (2.0 * n * (g1 - g0) + c0 * chi2_quantile_df1(1.0 - alpha, "alpha", alpha)) / c1
     return chi2_sf_df1(threshold)
 
 
@@ -396,8 +420,8 @@ def required_sample_size(family, sample: Sample, theta0, theta1,
         raise InferenceError("indistinguishable alternative")
     c0 = c_value(family, sample, (float(theta0),))
     c1 = c_value(family, sample, (float(theta1),))
-    chi_a = chi2_quantile_df1(1.0 - alpha)
-    chi_b = chi2_quantile_df1(1.0 - beta)
+    chi_a = chi2_quantile_df1(1.0 - alpha, "alpha", alpha)
+    chi_b = chi2_quantile_df1(1.0 - beta, "beta", beta)
     n0 = (c1 * chi_b - c0 * chi_a) / (2.0 * (g1 - g0))
     if n0 <= 0:
         warnings.warn("requested power is reached at any sample size; returning 1")

@@ -24,15 +24,21 @@ Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
 makes s integrate log 0 over positive measure, which is raised as
 ``SupportViolation`` (the objective is +inf there).
+
+``scipy.special`` is imported on first use, through the cached accessor
+``_special``: ``log_ndtr``, ``ndtr``, ``ndtri`` and ``spence`` are
+module-level functions that forward to its ufuncs (same values, bit for
+bit), so ``import ckle`` does not load it, and the Normal code looks
+``log_ndtr`` up here at call time, where a wrapper can be bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, spence
 
 from .empirical import Sample
 from .errors import DataError, DomainError, InferenceError, SupportViolation
@@ -53,6 +59,34 @@ def quad(*args, **kwargs):
     use it."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: with the array-API shim
+    behind it, it is about half of a bare ``import ckle``, and only the
+    Normal, the two-parameter exponential's dilogarithm and the quadrature
+    variance use it.  The four functions below forward to it through this
+    cached lookup (about 0.2 us a call) and never rebind themselves, so a
+    wrapper put on ``ckle.models.log_ndtr`` stays in place."""
+    import scipy.special
+    return scipy.special
+
+
+def log_ndtr(x):
+    return _special().log_ndtr(x)
+
+
+def ndtr(x):
+    return _special().ndtr(x)
+
+
+def ndtri(p):
+    return _special().ndtri(p)
+
+
+def spence(z):
+    return _special().spence(z)
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
 from .errors import DomainError
-from .models import _GRAD_STEP, Family, _central_diff, _steps, get_family, quad
+from .models import (_GRAD_STEP, Family, _central_diff, _steps, get_family, log_ndtr, ndtr,
+                     quad)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _HESS_STEP = 1e-4       # relative step of the Hessian's second differences

@@ -168,6 +168,28 @@ def test_interval_level_validation(tmp_path, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("args,named", [
+    (["interval", "--kind", "wald", "--level", "0.9999999999999999"],
+     "level = 0.9999999999999999"),
+    (["interval", "--kind", "divergence", "--level", "0.9999999999999999"],
+     "level = 0.9999999999999999"),
+    (["test", "--null", "5.0", "--alpha", "1e-16"], "alpha = 1e-16"),
+    (["power", "--null", "6.0", "--alt", "5.0", "--n", "200", "--alpha", "1e-16"],
+     "alpha = 1e-16"),
+    (["samplesize", "--null", "6.0", "--alt", "5.0", "--beta", "1e-16"], "beta = 1e-16"),
+])
+def test_infinite_normal_quantile_exit2(tmp_path, capsys, args, named):
+    # (1 + q) / 2 rounds to 1 here, where the normal quantile is infinite
+    data = tmp_path / "exp30.csv"
+    write_worked_sample(data)
+    command, *rest = args
+    code, out, err = run_cli([command, "--model", "exponential", "--data", str(data),
+                              *rest], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ckle: error: {named} is too extreme")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_interval_wald_vs_divergence_large_n(tmp_path, capsys):
     xs = get_family("exponential").draw((3.0,), 10_000, make_rng(61, 0))
     data = tmp_path / "big.csv"

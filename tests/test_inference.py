@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erf
 
 from ckle import (DomainError, InferenceError, avar_matrix, avar_scalar,
@@ -55,6 +56,67 @@ def test_chi2_domain():
         chi2_quantile_df1(1.0)
     assert chi2_sf_df1(-1.0) == 1.0
     assert chi2_sf_df1(CHI2_95) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_chi2_quantile_agrees_with_scipy_ndtri():
+    qs = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.01, 0.99, 99),
+                         1.0 - np.logspace(-1, -15, 150)])
+    for q in qs.tolist():
+        expected = float(scipy.special.ndtri((1.0 + q) / 2.0)) ** 2
+        assert chi2_quantile_df1(q) == pytest.approx(expected, rel=1e-14, abs=0.0), q
+
+
+def test_chi2_sf_agrees_with_scipy_erfc():
+    ts = np.concatenate([np.logspace(-300, 0, 300), np.linspace(1.0, 1410.0, 2000)])
+    for t in ts.tolist():
+        expected = float(scipy.special.erfc(math.sqrt(t / 2.0)))
+        if expected > 1e-300:
+            assert chi2_sf_df1(t) == pytest.approx(expected, rel=1e-13, abs=0.0), t
+
+
+def test_chi2_quantities_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    # both sides evaluate at the same rounded double, (1+q)/2 or sqrt(t/2),
+    # so this measures the normal quantile and erfc themselves
+    for q in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-15):
+        exact = 2 * mp.erfinv(2 * mp.mpf((1.0 + q) / 2.0) - 1) ** 2
+        assert abs(chi2_quantile_df1(q) - exact) <= 1e-15 * exact, q
+    for t in (1e-10, 0.5, CHI2_95, 50.0, 1100.0):
+        exact = mp.erfc(mp.mpf(math.sqrt(t / 2.0)))
+        assert abs(chi2_sf_df1(t) - exact) <= 1e-15 * exact, t
+
+
+def test_tanh_sinh_table_is_built_once_and_unchanged():
+    from ckle.inference import _tanh_sinh_unit
+    u, w = _tanh_sinh_unit()
+    assert _tanh_sinh_unit()[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+    t = np.arange(-120, 121) / 16.0
+    u_old = scipy.special.expit(np.pi * np.sinh(t))
+    w_old = np.pi * np.cosh(t) * u_old * scipy.special.expit(-np.pi * np.sinh(t)) / 16.0
+    keep = (u_old > 0.0) & (u_old < 1.0)
+    assert u.tobytes() == u_old[keep].tobytes()
+    assert w.tobytes() == w_old[keep].tobytes()
+
+
+def test_infinite_normal_quantile_names_the_probability():
+    s = draw("exponential", (5.0,), 30, 12)
+    fres = fit("exponential", s)
+    with pytest.raises(DomainError, match=r"^level = 0\.9999999999999999 is too extreme"):
+        wald_ci(fres, 0.5, 1.0 - 2.0**-53)
+    with pytest.raises(DomainError, match=r"^level = 0\.9999999999999999 "):
+        divergence_interval("exponential", s, fres, 1.0 - 2.0**-53)
+    with pytest.raises(DomainError, match=r"^alpha = 1e-16 "):
+        gddt_test("exponential", s, 5.0, 1e-16)
+    with pytest.raises(DomainError, match=r"^alpha = 1e-17 "):
+        power_approx("exponential", s, 6.0, 5.0, 1e-17, n=200)
+    with pytest.raises(DomainError, match=r"^beta = 1e-16 "):
+        required_sample_size("exponential", s, 6.0, 5.0, 0.05, 1e-16)
+    with pytest.raises(DomainError, match=r"^q = 0\.9999999999999999 "):
+        chi2_quantile_df1(1.0 - 2.0**-53)
+    # the largest level below 1 whose quantile is finite
+    assert math.isfinite(wald_ci(fres, 0.5, 1.0 - 2.0**-52).upper)
 
 
 # ------------------------------------------------------------------ variances
