@@ -22,9 +22,10 @@ quantile, and the chi-square(1) tail, are scalars from the standard library
 closed-form families never load scipy.special; the tanh-sinh table, which
 needs its ``expit``, is built on the first quadrature variance.
 
-Note on the sign of I: at a minimum the average derivative of psi equals the
-empirical Hessian of g and is positive definite, so I is taken with the plus
-sign here; the sign squares away inside the sandwich either way.
+Note on the sign of I: the average derivative of psi is the Hessian of g
+(``ObjectiveContext.hessian``, since mean psi = grad g), positive definite at
+a minimum, so I is taken with the plus sign here; the sign squares away
+inside the sandwich either way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
-from .models import _GRAD_STEP, Family, _central_diff, _special, _steps, get_family
+from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, psi_matrix
 from .rng import make_rng
@@ -212,10 +213,7 @@ def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     n = sample.n
     Psi = psi_matrix(family, theta, sample)
     J = Psi.T @ Psi / n
-    # difference psi per observation, then average: I[l, j] = mean_i d psi_il / d theta_j
-    I = _central_diff(lambda t: psi_matrix(family, t, sample), theta,
-                      _steps(family, theta, _GRAD_STEP)).mean(axis=0)
-    I = (I + I.T) / 2.0
+    I = ObjectiveContext(family, sample).hessian(theta)
     if not np.all(np.isfinite(I)) or np.linalg.cond(I) > 1e12:
         raise InferenceError("objective locally flat")
     Iinv = np.linalg.inv(I)

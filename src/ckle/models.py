@@ -49,7 +49,6 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 # panels one Normal panel build may add beyond one per interval; each costs
 # about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
 _MAX_EXTRA_PANELS = 200_000
-_GRAD_STEP = 1e-5       # relative step of first differences
 
 
 def quad(*args, **kwargs):
@@ -129,9 +128,13 @@ def _dilog(w):
     return spence(1.0 - w)
 
 
-def _steps(family: "Family", theta: np.ndarray, rel: float) -> np.ndarray:
-    """Per-coordinate central-difference steps, shrunk to stay in the domain."""
-    steps = rel * np.maximum(np.abs(theta), 1.0)
+def _central_diff(family: "Family", fn, theta: np.ndarray) -> np.ndarray:
+    """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
+    coordinate j, stacked along a new last axis; fn may return a scalar or
+    an array.  Each step starts at 1e-5 max(|theta_j|, 1) and is halved
+    until both probes lie in the family's domain; every step is settled
+    before fn is first called."""
+    steps = 1e-5 * np.maximum(np.abs(theta), 1.0)
     for j in range(theta.size):
         while True:
             try:
@@ -144,13 +147,6 @@ def _steps(family: "Family", theta: np.ndarray, rel: float) -> np.ndarray:
                 steps[j] /= 2.0
                 if steps[j] < 1e-12:
                     raise DomainError("boundary point: differentiation step underflow") from None
-    return steps
-
-
-def _central_diff(fn, theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
-    coordinate j, stacked along a new last axis; fn may return a scalar or
-    an array."""
     cols = []
     for j in range(theta.size):
         tp = theta.copy(); tp[j] += steps[j]
@@ -941,8 +937,7 @@ class Normal(_LocationScale):
     def ds_dtheta_matrix(self, theta, xs):
         # s has no closed form here, so its gradient is differenced too
         theta = self.validate(theta)
-        return _central_diff(lambda t: self.s_values(t, xs), theta,
-                             _steps(self, theta, _GRAD_STEP))
+        return _central_diff(self, lambda t: self.s_values(t, xs), theta)
 
     def s_sum_fn(self, sample: Sample):
         # Precompute panel nodes once; each objective evaluation is then a

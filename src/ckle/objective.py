@@ -14,12 +14,11 @@ negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
 
 ``ObjectiveContext`` is the one evaluator of g (through the evaluator that
 the family's ``g_fn`` builds for the sample) and of its derivatives; psi
-takes d s/d theta from the family's ``ds_dtheta_matrix``.  Derivatives of g
-are central differences with per-coordinate steps relative to |theta| (1e-5
-for the gradient, 1e-4 for the Hessian), halved until both probes lie inside
-the domain.  The first-order loop ``models._central_diff`` serves the
-gradient, the Normal's d s/d theta and the sandwich's derivative of psi; the
-Hessian keeps its own second differences.
+takes d s/d theta from the family's ``ds_dtheta_matrix``.  The derivatives
+of g are central differences from ``models._central_diff``, the one owner of
+the step rule: the gradient differences g, and the Hessian differences psi
+and averages over the observations, since mean psi = grad g.  That Hessian
+is the sandwich's I.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ import numpy as np
 
 from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
 from .errors import DomainError
-from .models import (_GRAD_STEP, Family, _central_diff, _steps, get_family, log_ndtr, ndtr,
-                     quad)
+from .models import Family, _central_diff, get_family, log_ndtr, ndtr, quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_HESS_STEP = 1e-4       # relative step of the Hessian's second differences
 
 
 @dataclass
@@ -54,31 +51,15 @@ class ObjectiveContext:
         return self._g(theta)
 
     def gradient(self, theta) -> np.ndarray:
-        """Central-difference gradient with per-coordinate relative steps."""
-        theta = self.family.validate(theta)
-        return _central_diff(self.g, theta, _steps(self.family, theta, _GRAD_STEP))
+        """Central-difference gradient of g."""
+        return _central_diff(self.family, self.g, self.family.validate(theta))
 
-    def hessian(self, theta, g0: float | None = None) -> np.ndarray:
-        """Central-difference Hessian, symmetrized as (H + H^T)/2; ``g0`` is
-        g(theta) when the caller already has it."""
-        g = self.g
-        theta = self.family.validate(theta)
-        steps = _steps(self.family, theta, _HESS_STEP)
-        k = theta.size
-        H = np.empty((k, k))
-        if g0 is None:
-            g0 = g(theta)
-        for j in range(k):
-            tp = theta.copy(); tp[j] += steps[j]
-            tm = theta.copy(); tm[j] -= steps[j]
-            H[j, j] = (g(tp) - 2 * g0 + g(tm)) / steps[j] ** 2
-            for l in range(j + 1, k):
-                tpp = tp.copy(); tpp[l] += steps[l]
-                tpm = tp.copy(); tpm[l] -= steps[l]
-                tmp = tm.copy(); tmp[l] += steps[l]
-                tmm = tm.copy(); tmm[l] -= steps[l]
-                H[j, l] = H[l, j] = (g(tpp) - g(tpm) - g(tmp) + g(tmm)) / (4 * steps[j] * steps[l])
-        return (H + H.T) / 2.0
+    def hessian(self, theta) -> np.ndarray:
+        """I = mean_i d psi_i / d theta, the Hessian of g: psi differenced per
+        observation, averaged, and symmetrized as (I + I^T)/2."""
+        I = _central_diff(self.family, lambda t: psi_matrix(self.family, t, self.sample),
+                          self.family.validate(theta)).mean(axis=0)
+        return (I + I.T) / 2.0
 
 
 def g_objective(family, theta, sample: Sample) -> float:

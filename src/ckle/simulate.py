@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -129,6 +128,8 @@ def run_study(config: StudyConfig) -> SimulationReport:
         _, estimates = _replicate_chunk(
             (family.name, tuple(theta), sizes, estimators, config.seed, 0, R))
     else:
+        from multiprocessing import Pool  # only a threaded study pays its import
+
         bounds = np.linspace(0, R, threads * 4 + 1, dtype=int)
         chunks = [(family.name, tuple(theta), sizes, estimators, config.seed,
                    int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -173,6 +174,8 @@ def bias_check_exponential(lambda_true: float, n: int, reps: int,
     15 lambda / (8n), and the effect of the family's bias correction."""
     if n < 10:
         raise DomainError("n must be >= 10")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
     family = get_family("exponential")
     total = 0.0
     for r in range(reps):
@@ -208,6 +211,10 @@ def coverage_study(family, params, n: int, reps: int, level: float,
         raise DomainError("coverage_study expects a scalar family")
     if kind not in ("wald", "divergence"):
         raise DomainError("kind must be 'wald' or 'divergence'")
+    if n < 1 or reps < 1:
+        raise DomainError("n and reps must be >= 1")
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must be in (0, 1)")
     true_val = float(theta[0])
     hits = 0
     failures = 0

@@ -11,9 +11,10 @@ The simplex works on Python floats and ranks a NaN value worst of all; a
 numeric fit reads g through a memo keyed on the exact internal point, which
 lives as long as that fit, so no point is evaluated twice.  A first simplex
 run that finds no finite point ends the fit without restarts.
-``FitResult.hessian_pd``, the post-fit check of the central-difference
-Hessian, is computed on first read and cached, so the result keeps a
-reference to its sample.
+``FitResult.hessian_pd``, the post-fit check that the Hessian of g (the
+averaged derivative of psi) is positive definite, is computed on first read
+and cached, so the result keeps a reference to its sample; it is False
+without a Hessian where g is +inf.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -49,11 +50,14 @@ class FitResult:
 
     @cached_property
     def hessian_pd(self) -> bool:
-        """Whether the central-difference Hessian of g at the estimate is
-        positive definite; computed on first read and cached."""
+        """Whether the Hessian of g at the estimate is positive definite;
+        False where g is +inf, since psi stays finite there.  Computed on
+        first read and cached."""
         family, sample, theta, g_at = self._hessian_inputs
+        if math.isinf(g_at):
+            return False
         try:
-            H = ObjectiveContext(family, sample).hessian(theta, g0=g_at)
+            H = ObjectiveContext(family, sample).hessian(theta)
             if np.all(np.isfinite(H)):
                 evals = np.linalg.eigvalsh(H)
                 return bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))

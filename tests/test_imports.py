@@ -9,6 +9,8 @@ scipy.special is loaded on the first call of ``ckle.models.log_ndtr``,
 ``ndtr``, ``ndtri`` or ``spence`` (the Normal, the two-parameter exponential's
 dilogarithm) or of the quadrature variance's tanh-sinh table; of the eight
 commands of ``CLI_SESSION`` only ``fit --model normal`` loads it.
+multiprocessing (with socket behind it) is loaded only by a study that runs
+on more than one worker.
 """
 
 import json
@@ -58,6 +60,17 @@ def test_import_does_not_load_scipy_integrate():
     assert out["before"] == []
     assert out["after"] == list(LAZY)
     assert out["value"] == pytest.approx(-0.6281515025132546, rel=1e-14, abs=0.0)
+
+
+IMPORT_CLI = """
+import json, sys
+import ckle, ckle.cli
+print(json.dumps([m for m in ("multiprocessing", "socket") if m in sys.modules]))
+"""
+
+
+def test_import_does_not_load_multiprocessing():
+    assert run_python(IMPORT_CLI) == []
 
 
 IMPORT_THEN_SPECIAL = """

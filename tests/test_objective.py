@@ -5,7 +5,7 @@ import pytest
 
 from ckle import (DomainError, ObjectiveContext, build_sample, ckl_divergence,
                   empirical_entropy_constant, fit, g_objective, gee_sum,
-                  get_family, make_rng, normal_equation_residuals, psi_matrix)
+                  get_family, make_rng, normal_equation_residuals, psi_matrix, sandwich)
 
 ALL = ["exponential", "laplace", "twoparamexp", "pareto", "normal"]
 THETAS = {
@@ -220,6 +220,38 @@ def test_g_second_derivative_exponential():
     for lam in (0.7, 2.0, 9.0):
         H = ObjectiveContext("exponential", s).hessian((lam,))
         assert H[0, 0] == pytest.approx(2 / lam**3, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sandwich_information_is_the_hessian(name):
+    # one numerical path: the sandwich's I is the Hessian of g, bit for bit
+    s = draw_sample(name, 40, 12)
+    res = fit(name, s)
+    H = ObjectiveContext(name, s).hessian(res.params.values)
+    assert sandwich(name, res, s).I.tobytes() == H.tobytes()
+
+
+def test_laplace_hessian_closed_form():
+    # E|X| = theta and d2 s/d theta2 = -x^2/theta^3, so g'' = mean(x^2)/theta^3
+    s = draw_sample("laplace", 60, 13)
+    for theta in (0.7, 1.5, 7.0):
+        H = ObjectiveContext("laplace", s).hessian((theta,))
+        expect = s.mean_sq / theta**3
+        assert abs(H[0, 0] - expect) <= 1e-9 * expect
+
+
+def test_pareto_hessian_closed_form():
+    # for beta below the sample minimum,
+    # g = beta + beta/(alpha-1) - alpha (xbar log beta - mean(x log x) + xbar - beta)
+    s = draw_sample("pareto", 50, 14)
+    xbar = s.mean
+    for alpha, frac in ((3.0, 0.5), (4.0, 0.9), (6.0, 0.99)):
+        beta = frac * float(s.obs[0])
+        H = ObjectiveContext("pareto", s).hessian((alpha, beta))
+        off = -1.0 / (alpha - 1.0) ** 2 - (xbar / beta - 1.0)
+        expect = np.array([[2.0 * beta / (alpha - 1.0) ** 3, off],
+                           [off, alpha * xbar / beta**2]])
+        assert np.all(np.abs(H - expect) <= 1e-9 * np.abs(expect))
 
 
 def test_gradient_zero_and_hessian_pd_at_optimum():

@@ -138,3 +138,15 @@ def test_coverage_validation():
         coverage_study("twoparamexp", (3.0, 2.0), 50, 100, 0.95, "wald", 1)
     with pytest.raises(DomainError):
         coverage_study("exponential", (3.0,), 50, 100, 0.95, "bootstrap", 1)
+    # rejected at entry, not run with every replicate counted as a failure
+    for n, reps, level in ((50, 0, 0.95), (50, -3, 0.95), (0, 100, 0.95), (50, 100, 0.0),
+                           (50, 100, 1.0), (50, 100, 1.5), (50, 100, math.nan)):
+        for kind in ("wald", "divergence"):
+            with pytest.raises(DomainError):
+                coverage_study("exponential", (3.0,), n, reps, level, kind, 1)
+
+
+def test_bias_check_rejects_no_replicates():
+    # rejected at entry, before the mean divides by reps
+    with pytest.raises(DomainError, match="reps"):
+        bias_check_exponential(2.0, 20, 0, 1)
