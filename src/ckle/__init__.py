@@ -20,7 +20,7 @@ from .inference import (AsymptoticVariance, IntervalResult, RegionCutoffs,
 from .models import (EXPONENTIAL, FAMILIES, LAPLACE, NORMAL, PARETO,
                      TWOPARAMEXP, ParamVector, get_family)
 from .objective import (ObjectiveContext, ckl_divergence, g_objective, gee_sum,
-                        normal_equation_residuals, psi_matrix)
+                        psi_matrix)
 from .rng import make_rng, uniform_open
 from .simulate import (BiasReport, CoverageReport, SimulationReport,
                        StudyConfig, bias_check_exponential, coverage_study,
@@ -42,7 +42,7 @@ __all__ = [
     "EXPONENTIAL", "FAMILIES", "LAPLACE", "NORMAL", "PARETO", "TWOPARAMEXP",
     "ParamVector", "get_family",
     "ObjectiveContext", "ckl_divergence", "g_objective", "gee_sum",
-    "normal_equation_residuals", "psi_matrix", "make_rng", "uniform_open",
+    "psi_matrix", "make_rng", "uniform_open",
     "BiasReport", "CoverageReport", "SimulationReport", "StudyConfig",
     "bias_check_exponential", "coverage_study", "run_study",
     "FitResult", "NMResult", "bisect_root", "fit",

@@ -8,17 +8,19 @@ E|X| with ``mean_abs_grad``, the integrated log-tail ``s_values`` per
 observation (s(x) = int_0^x log sf(y) dy for x >= 0, int_x^0 log cdf(y) dy
 for x < 0) with its gradient ``ds_dtheta_matrix`` (central differences of s
 for the Normal, whose s has no closed form), ``quantile``, the upper-tail
-quantile ``isf`` (accurate for tiny survival probabilities), ``mle``,
-``start_point`` and, unless every parameter is a location,
-``to_internal``/``from_internal``.  The optional hooks ``closed_form``,
-``profile_fit``, ``closed_fit_warning``, ``check_sample``,
-``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar``,
-``closed_c``, ``closed_divergence_interval`` and ``closed_test_region``
-default to the generic numerical path, so callers ask the family (through
-``has_hook`` where the choice of path depends on it) instead of its name.
+quantile ``isf`` (accurate for tiny survival probabilities) and ``mle``; a
+family without ``profile_fit`` adds the simplex's ``start_point`` and, unless
+every parameter is a location, ``to_internal``/``from_internal``.  The
+optional hooks ``closed_form``, ``profile_fit``, ``closed_fit_warning``,
+``check_sample``, ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``,
+``closed_avar``, ``closed_c``, ``closed_divergence_interval`` and
+``closed_test_region`` default to the generic numerical path, so callers
+ask the family (through ``has_hook`` where the choice of path depends on it)
+instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
-panel nodes and Python floats.
+panel nodes and Python floats, from the one panel builder ``_sides`` that
+its ``s_values`` shares.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -54,8 +56,8 @@ _MAX_EXTRA_PANELS = 200_000
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on first call: scipy.integrate
     (with scipy.optimize and scipy.linalg behind it) would add about 300
-    modules to ``import ckle``, and only the two adaptive reference paths
-    use it."""
+    modules to ``import ckle``, and only the adaptive reference path
+    ``Normal.s_value`` uses it."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 
@@ -603,11 +605,16 @@ class TwoParamExponential(_LocationScale):
         e = math.exp(mu / sig)
         return np.array([-1.0 + 2.0 * e, -1.0 + 2.0 * e * (1.0 - mu / sig)])
 
+    @staticmethod
+    def _check_support(mu, xs):
+        # below zero s integrates log cdf, which is -inf under the support start
+        if xs.size and xs.min() < min(0.0, mu):
+            raise SupportViolation("support violation: observation below the support start")
+
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
-        if xs.size and xs.min() < min(0.0, mu):
-            raise SupportViolation("support violation: observation below the support start")
+        self._check_support(mu, xs)
         a = np.maximum(xs - mu, 0.0)
         b = max(-mu, 0.0)
         out = -(a * a - b * b) / (2.0 * sig)
@@ -621,6 +628,7 @@ class TwoParamExponential(_LocationScale):
     def ds_dtheta_matrix(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
+        self._check_support(mu, xs)
         a = np.maximum(xs - mu, 0.0)
         b = max(-mu, 0.0)
         dmu = (a - b) / sig
@@ -772,19 +780,6 @@ class Pareto(Family):
             raise DataError("degenerate data")
         return (sample.n / float(logs.sum()), x1)
 
-    def start_point(self, sample):
-        x1 = float(sample.obs[0])
-        mlog = float(np.log(sample.obs / x1).mean())
-        return (1.0 + sample.mean / (mlog + 1e-12), x1)
-
-    def to_internal(self, theta):
-        a, b = _as_theta(theta)
-        return np.array([math.log(a - 1.0), math.log(b)])
-
-    def from_internal(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.array([1.0 + math.exp(t[0]), math.exp(t[1])])
-
     def profile_fit(self, sample):
         from .solver import solve_pareto_profile      # the solver imports this module
         alpha, beta, resid = solve_pareto_profile(sample)
@@ -876,36 +871,53 @@ class Normal(_LocationScale):
         return val
 
     @staticmethod
-    def _panels(breaks: np.ndarray, max_len: float):
-        """Subdivide consecutive intervals into panels of length <= max_len.
+    def _sides(srt: np.ndarray, k: int, max_len: float):
+        """Gauss-Legendre panels of length <= max_len between zero and the
+        sorted observations ``srt``, whose first k are negative.
 
-        Returns flat GL nodes, per-node weights (GL weight x halfwidth) and
-        the parent-interval index of each panel's nodes.  Raises DataError
-        before allocating when the breaks span more than _MAX_EXTRA_PANELS
-        panel lengths, which bounds the panels beyond one per interval.
+        Returns one (sign, nodes, weights, interval, count) per nonempty side
+        of zero, the side at and above zero first.  A side's breaks are zero
+        and its observations; interval[i] is the index of node i's interval
+        between consecutive breaks, count is the number of intervals, and a
+        weight is the GL weight times its panel's halfwidth.  s integrates
+        log_ndtr((y - mu) / (sign * sigma)) over a side: log sf above zero
+        (sign -1), log cdf below (sign +1); IEEE negation is exact, so that
+        is (mu - y) / sigma above zero, bit for bit.  Raises DataError before
+        allocating when a side spans more than _MAX_EXTRA_PANELS panel
+        lengths, which bounds the panels beyond one per interval.
         """
-        span = float(breaks[-1] - breaks[0])
-        if span > _MAX_EXTRA_PANELS * max_len:
-            raise DataError(f"normal: data span {span:.3g} from zero is too wide "
-                            f"for panels of length {max_len:.3g}")
-        a, b = breaks[:-1], breaks[1:]
-        counts = np.maximum(np.ceil((b - a) / max_len).astype(int), 1)
-        # panel k of interval j spans edges k and k + 1 of
-        # np.linspace(a[j], b[j], counts[j] + 1), computed as linspace does;
-        # its zero-step branch gives the same edges here, because the step
-        # is zero only for a zero-length interval
-        ends = np.cumsum(counts)
-        parents = np.repeat(np.arange(a.size), counts)
-        k = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(float)
-        step = ((b - a) / counts)[parents]
-        lo = a[parents]
-        left = k * step + lo
-        right = (k + 1) * step + lo
-        right[ends - 1] = b
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        return ((mid[:, None] + half[:, None] * _GLX[None, :]).ravel(),
-                (half[:, None] * _GLW[None, :]).ravel(), parents, len(a))
+        sides = []
+        if k < srt.size:
+            sides.append((-1.0, np.concatenate(([0.0], srt[k:]))))
+        if k > 0:
+            sides.append((1.0, np.concatenate((srt[:k], [0.0]))))
+        for _, breaks in sides:
+            span = float(breaks[-1] - breaks[0])
+            if span > _MAX_EXTRA_PANELS * max_len:
+                raise DataError(f"normal: data span {span:.3g} from zero is too wide "
+                                f"for panels of length {max_len:.3g}")
+        out = []
+        for sign, breaks in sides:
+            a, b = breaks[:-1], breaks[1:]
+            counts = np.maximum(np.ceil((b - a) / max_len).astype(int), 1)
+            # panel p of interval j spans edges p and p + 1 of
+            # np.linspace(a[j], b[j], counts[j] + 1), computed as linspace does;
+            # its zero-step branch gives the same edges here, because the step
+            # is zero only for a zero-length interval
+            ends = np.cumsum(counts)
+            parents = np.repeat(np.arange(a.size), counts)
+            p = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(float)
+            step = ((b - a) / counts)[parents]
+            lo = a[parents]
+            left = p * step + lo
+            right = (p + 1) * step + lo
+            right[ends - 1] = b
+            mid = 0.5 * (left + right)
+            half = 0.5 * (right - left)
+            out.append((sign, (mid[:, None] + half[:, None] * _GLX[None, :]).ravel(),
+                        (half[:, None] * _GLW[None, :]).ravel(),
+                        np.repeat(parents, _GLX.size), a.size))
+        return out
 
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
@@ -915,22 +927,15 @@ class Normal(_LocationScale):
         srt = xs[order]
         kneg = int(np.searchsorted(srt, 0.0, side="left"))
         vals = np.empty_like(srt)
-        max_len = 0.5 * sig
-        if kneg < srt.size:
-            pos = srt[kneg:]
-            nodes, w, parents, np_seg = self._panels(np.concatenate(([0.0], pos)), max_len)
-            contrib = log_ndtr((mu - nodes) / sig) * w
-            # accumulate panel integrals back onto their parent intervals
-            seg = np.bincount(np.repeat(parents, _GLX.size), weights=contrib,
-                              minlength=np_seg)
-            vals[kneg:] = np.cumsum(seg)
-        if kneg > 0:
-            neg = srt[:kneg]
-            nodes, w, parents, np_seg = self._panels(np.concatenate((neg, [0.0])), max_len)
-            contrib = log_ndtr((nodes - mu) / sig) * w
-            seg = np.bincount(np.repeat(parents, _GLX.size), weights=contrib,
-                              minlength=np_seg)
-            vals[:kneg] = np.cumsum(seg[::-1])[::-1]
+        for sign, nodes, w, interval, count in self._sides(srt, kneg, 0.5 * sig):
+            # accumulate panel integrals back onto their intervals, then the
+            # intervals outward from zero
+            seg = np.bincount(interval, weights=log_ndtr((nodes - mu) / (sign * sig)) * w,
+                              minlength=count)
+            if sign < 0:
+                vals[kneg:] = np.cumsum(seg)
+            else:
+                vals[:kneg] = np.cumsum(seg[::-1])[::-1]
         out[order] = vals
         return out
 
@@ -946,24 +951,16 @@ class Normal(_LocationScale):
         # a factor of a few of it (tested against the adaptive path).
         obs = sample.obs
         sig_ref = float(obs.std()) or max(abs(float(obs[0])), 1.0)
-        max_len = 0.4 * sig_ref
-        parts = []
-        if sample.k < sample.n:
-            pos = obs[sample.k:]
-            nodes, w, parents, np_seg = self._panels(np.concatenate(([0.0], pos)), max_len)
-            # interval j (ending at pos[j]) enters h(x_i) for every i >= j
-            mult = (pos.size - np.arange(np_seg)).astype(float)
-            parts.append((nodes, w * np.repeat(mult[parents], _GLX.size), -1.0))
-        if sample.k > 0:
-            neg = obs[:sample.k]
-            nodes, w, parents, np_seg = self._panels(np.concatenate((neg, [0.0])), max_len)
-            # interval j (starting at neg[j]) enters u(x_i) for every i <= j
-            mult = np.arange(1, np_seg + 1).astype(float)
-            parts.append((nodes, w * np.repeat(mult[parents], _GLX.size), 1.0))
-        all_nodes = np.concatenate([p[0] for p in parts])
-        all_w = np.concatenate([p[1] for p in parts])
-        all_sign = np.concatenate([np.full(p[0].size, p[2]) for p in parts])
-        signed = all_sign * all_nodes
+        signs, nodes, weights = [], [], []
+        for sign, x, w, interval, count in self._sides(obs, sample.k, 0.4 * sig_ref):
+            # interval j enters s(x_i) of every x_i at or beyond it from zero
+            mult = count - np.arange(count) if sign < 0 else np.arange(1, count + 1)
+            signs.append(np.full(x.size, sign))
+            nodes.append(x)
+            weights.append(w * mult[interval])
+        all_sign = np.concatenate(signs)
+        all_w = np.concatenate(weights)
+        signed = all_sign * np.concatenate(nodes)
 
         def fn(theta):
             mu, sig = theta[0], theta[1]

@@ -14,11 +14,12 @@ negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
 
 ``ObjectiveContext`` is the one evaluator of g (through the evaluator that
 the family's ``g_fn`` builds for the sample) and of its derivatives; psi
-takes d s/d theta from the family's ``ds_dtheta_matrix``.  The derivatives
-of g are central differences from ``models._central_diff``, the one owner of
-the step rule: the gradient differences g, and the Hessian differences psi
-and averages over the observations, since mean psi = grad g.  That Hessian
-is the sandwich's I.
+takes d s/d theta from the family's ``ds_dtheta_matrix``, and ``gee_sum``,
+its sum over the sample, is the estimating equations, n grad g.  The
+derivatives of g are central differences from ``models._central_diff``, the
+one owner of the step rule: the gradient differences g, and the Hessian
+differences psi and averages over the observations, since mean psi = grad g.
+That Hessian is the sandwich's I.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import Sample, ecdf_eval, empirical_entropy_constant, esf_eval
-from .errors import DomainError
-from .models import Family, _central_diff, get_family, log_ndtr, ndtr, quad
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+from .empirical import Sample, empirical_entropy_constant
+from .models import Family, _central_diff, get_family
+from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 
 
 @dataclass
@@ -90,59 +89,3 @@ def psi_matrix(family, theta, sample_or_xs) -> np.ndarray:
 def gee_sum(family, theta, sample: Sample) -> np.ndarray:
     """Sum of psi over the sample; equals n times the gradient of g."""
     return psi_matrix(family, theta, sample).sum(axis=0)
-
-
-def _phi_over_cdf(z: np.ndarray) -> np.ndarray:
-    # phi(z)/Phi(z), stable for z far in the left tail
-    return np.exp(-0.5 * z * z - math.log(_SQRT2PI) - log_ndtr(z))
-
-
-def normal_equation_residuals(sample: Sample, mu: float, sigma: float) -> dict[str, float]:
-    """Residual diagnostics for the Gaussian estimating equations.
-
-    ``eq_mu`` and ``eq_sigma`` are n times the partial derivatives of g in mu
-    and sigma, written with the integrals of z*phi/Phi resolved per
-    observation; ``eq_sigma_ecdf`` is the equivalent form that weights a
-    single integral by the empirical CDF/SF, and equals eq_sigma/n.  All
-    three vanish at the minimizer.
-    """
-    if sigma <= 0:
-        raise DomainError("normal: parameter sigma must be positive")
-    obs, n, k = sample.obs, sample.n, sample.k
-    m = mu / sigma
-    neg = obs[:k]
-    pos = obs[k:]
-
-    eq_mu = 2 * n * ndtr(m) - n + k * log_ndtr(-m) - (n - k) * log_ndtr(m)
-    if k:
-        eq_mu -= log_ndtr((neg - mu) / sigma).sum()
-    if k < n:
-        eq_mu += log_ndtr((mu - pos) / sigma).sum()
-
-    def w_low(z):
-        return z * _phi_over_cdf(np.asarray(z, float))
-
-    def w_high(z):
-        return z * _phi_over_cdf(-np.asarray(z, float))
-
-    eq_sigma = 2 * n * math.exp(-0.5 * m * m) / _SQRT2PI
-    for x in neg:
-        eq_sigma += quad(w_low, (x - mu) / sigma, -m, epsabs=1e-12, epsrel=1e-10)[0]
-    for x in pos:
-        eq_sigma -= quad(w_high, -m, (x - mu) / sigma, epsabs=1e-12, epsrel=1e-10)[0]
-
-    # single-integral form weighted by the empirical step functions, resolved
-    # panel by panel between the knots where the step value is constant
-    eq_ecdf = 2 * math.exp(-0.5 * m * m) / _SQRT2PI
-    if k:
-        knots = np.unique(np.concatenate(((neg - mu) / sigma, [-m])))
-        for a, b in zip(knots[:-1], knots[1:]):
-            fn_val = ecdf_eval(sample, mu + sigma * 0.5 * (a + b))
-            eq_ecdf += fn_val * quad(w_low, a, b, epsabs=1e-12, epsrel=1e-10)[0]
-    if k < n:
-        knots = np.unique(np.concatenate(([-m], (pos - mu) / sigma)))
-        for a, b in zip(knots[:-1], knots[1:]):
-            sf_val = esf_eval(sample, mu + sigma * 0.5 * (a + b))
-            eq_ecdf -= sf_val * quad(w_high, a, b, epsabs=1e-12, epsrel=1e-10)[0]
-    return {"eq_mu": float(eq_mu), "eq_sigma": float(eq_sigma),
-            "eq_sigma_ecdf": float(eq_ecdf)}

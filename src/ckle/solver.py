@@ -2,11 +2,10 @@
 
 Dispatch order: the family's closed form, else its profile root-solve (the
 Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
-parameters, identity for locations, alpha = 1 + exp(t) for the Pareto shape)
-with deterministic restarts from perturbed optima.  The only choice a caller
-makes is the method; the start point (``Family.start_point``), the iteration
-cap, the simplex tolerance, the restart count and the profile bracket are
-fixed.
+parameters, identity for locations) with deterministic restarts from
+perturbed optima.  The only choice a caller makes is the method; the start
+point (``Family.start_point``), the iteration cap, the simplex tolerance, the
+restart count and the profile bracket are fixed.
 The simplex works on Python floats and ranks a NaN value worst of all; a
 numeric fit reads g through a memo keyed on the exact internal point, which
 lives as long as that fit, so no point is evaluated twice.  A first simplex
@@ -29,7 +28,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from .empirical import Sample
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, SupportViolation
 from .models import ParamVector, get_family
 from .objective import ObjectiveContext
 
@@ -61,7 +60,8 @@ class FitResult:
             if np.all(np.isfinite(H)):
                 evals = np.linalg.eigvalsh(H)
                 return bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))
-        except (DomainError, np.linalg.LinAlgError):
+        except (DomainError, SupportViolation, np.linalg.LinAlgError):
+            # a difference probe can cross an observation where g is finite
             pass
         return False
 
@@ -181,15 +181,17 @@ def solve_pareto_profile(sample: Sample):
     point, which reduces the problem to the scalar root of
     log(a/(a-1)) - 1/(a-1) + mean_xlogx/mean - log(mean) = 0 in alpha.
     Returns (alpha, beta, residual); the root is bisected on log(alpha - 1)
-    with bracket expansion, then polished by Newton steps so the residual is
-    far below 1e-10 for any non-degenerate sample.
+    with the top of the bracket expanded as needed, then polished by Newton
+    steps so the residual is far below 1e-10 for any non-degenerate sample.
     """
     if sample.obs[0] <= 0 or sample.mean_xlogx is None:
         raise DataError("pareto profile requires strictly positive data")
     d = sample.mean_xlogx / sample.mean - math.log(sample.mean)
     if d <= 0:
         raise DataError("degenerate data")
-    # the bracket starts at alpha = 1 + 1e-8; (1 + 1e-8) - 1 is not 1e-8 exactly
+    # the bracket starts at alpha = 1 + 1e-8; (1 + 1e-8) - 1 is not 1e-8 exactly.
+    # The equation is negative there for every sample: about 18.4 - 1e8 + d,
+    # and d <= log n, since mean(x) >= max(x) / n.  Only the top can need to grow.
     lo_t = math.log((1.0 + 1e-8) - 1.0)
     hi_t = math.log(1e6 - 1.0)
     r_of_t = lambda t: _profile_equation(1.0 + math.exp(t), d)
@@ -201,11 +203,6 @@ def solve_pareto_profile(sample: Sample):
             raise DataError(
                 f"no bracket for the profile equation: d={d:.3e}, "
                 f"alpha searched up to {1 + math.exp(hi_t):.3e}")
-    while r_of_t(lo_t) > 0:
-        lo_t -= math.log(10.0)
-        expansions += 1
-        if expansions > 24:
-            raise DataError(f"no bracket for the profile equation: d={d:.3e}")
     t = bisect_root(r_of_t, lo_t, hi_t, tol=1e-13)
     alpha = 1.0 + math.exp(t)
     # Newton polish: r'(a) = 1/(a (a-1)^2)
@@ -283,7 +280,8 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
 
     ``method`` is ``auto``, ``closed`` or ``numeric``.  ``auto`` uses the
     closed-form estimate when the family has one, its profile solve when it
-    has one, and transformed Nelder-Mead otherwise.
+    has one, and transformed Nelder-Mead otherwise; ``numeric`` skips only
+    the closed form, so a family with a profile solve still takes it.
     Non-convergence is reported through ``converged``, never raised; an
     infeasible family/sample combination (negative data for nonnegative
     support, or data the family calls degenerate) raises DataError.

@@ -3,8 +3,8 @@ is loaded only by the CLI commands that use it.
 
 Each ``ckle`` command is a new process, so whatever ``import ckle`` loads is
 paid on every call.  scipy.integrate (with scipy.optimize behind it) is loaded
-only by the two adaptive-quadrature reference paths, ``Normal.s_value`` and
-``normal_equation_residuals``, through the lazy ``ckle.models.quad``.
+only by the adaptive-quadrature reference path ``Normal.s_value``, through
+the lazy ``ckle.models.quad``.
 scipy.special is loaded on the first call of ``ckle.models.log_ndtr``,
 ``ndtr``, ``ndtri`` or ``spence`` (the Normal, the two-parameter exponential's
 dilogarithm) or of the quadrature variance's tanh-sinh table; of the eight

@@ -427,6 +427,16 @@ def test_c_value_closed_forms():
     assert c_value("exponential", s, (2.0,)) == pytest.approx(5.0 / 4.0)
     assert c_value("laplace", s, (2.0,)) == pytest.approx(
         5 * s.mean_sq / 8.0, rel=1e-12)
+    # the generic path, sigma^2 g'' from the quadrature variance and the
+    # Hessian, agrees with each closed form
+    for name in ("exponential", "laplace"):
+        class Generic(type(get_family(name))):
+            def closed_c(self, theta, sample):
+                return None
+
+        for theta in ((2.0,), (5.0,)):
+            assert c_value(Generic(), s, theta) == pytest.approx(
+                c_value(name, s, theta), rel=1e-8)
 
 
 def test_power_limit_is_alpha():

@@ -118,9 +118,10 @@ def test_mean_abs_equals_tail_quadrature(name, theta):
 
 
 def test_mean_abs_gradient_matches_numeric():
-    for name in ALL:
+    # the two-parameter exponential has a second branch for mu < 0
+    for name, theta in [*THETAS.items(), ("twoparamexp", (-1.0, 2.0))]:
         fam = get_family(name)
-        theta = np.asarray(THETAS[name], dtype=float)
+        theta = np.asarray(theta, dtype=float)
         grad = fam.mean_abs_grad(theta)
         for j in range(theta.size):
             h = 1e-6 * max(abs(theta[j]), 1.0)

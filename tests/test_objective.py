@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ckle import (DomainError, ObjectiveContext, build_sample, ckl_divergence,
-                  empirical_entropy_constant, fit, g_objective, gee_sum,
-                  get_family, make_rng, normal_equation_residuals, psi_matrix, sandwich)
+from ckle import (DomainError, ObjectiveContext, SupportViolation, build_sample,
+                  ckl_divergence, empirical_entropy_constant, fit, g_objective,
+                  gee_sum, get_family, make_rng, psi_matrix, sandwich)
 
 ALL = ["exponential", "laplace", "twoparamexp", "pareto", "normal"]
 THETAS = {
@@ -53,6 +54,23 @@ def test_g_support_violation_is_inf():
     assert g_objective("twoparamexp", (-2.0, 1.0), s) < math.inf
     assert g_objective("twoparamexp", (-0.5, 1.0), s) == math.inf
     assert ckl_divergence("pareto", (2.0, 5.0), s) == math.inf
+
+
+def test_psi_raises_below_the_support_start():
+    # psi needs d log cdf / d theta at every negative observation, which has
+    # none where the cdf is 0; g is +inf there, as s_values says
+    s = build_sample([-1.0, 0.5, 2.0, 3.0])
+    fam = get_family("twoparamexp")
+    with pytest.raises(SupportViolation):
+        psi_matrix(fam, fam.closed_form(s), s)
+    # g is finite here, but the Hessian's mu probe crosses the observation -1
+    theta = np.array([-1.0 - 1e-6, 1.5])
+    g = g_objective(fam, theta, s)
+    assert g < math.inf
+    with pytest.raises(SupportViolation):
+        ObjectiveContext(fam, s).hessian(theta)
+    res = replace(fit(fam, s), _hessian_inputs=(fam, s, theta, g))
+    assert res.hessian_pd is False
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -141,7 +159,9 @@ def test_psi_normal_two_paths_agree():
     # integral forms of the estimating equations
     from scipy.integrate import quad
     from scipy.special import log_ndtr
-    from ckle.objective import _phi_over_cdf
+
+    def phi_over_cdf(z):
+        return np.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_ndtr(z))
 
     mu, sig = 1.3, 2.1
     fam = get_family("normal")
@@ -150,11 +170,11 @@ def test_psi_normal_two_paths_agree():
     for x in (-3.0, -0.5, 0.7, 4.0):
         if x >= 0:
             ds_mu = log_ndtr(m) - log_ndtr((mu - x) / sig)
-            ds_sig = quad(lambda w: w * _phi_over_cdf(-np.asarray(w)), -m,
+            ds_sig = quad(lambda w: w * phi_over_cdf(-w), -m,
                           (x - mu) / sig, epsabs=1e-13, epsrel=1e-11)[0]
         else:
             ds_mu = log_ndtr((x - mu) / sig) - log_ndtr(-m)
-            ds_sig = -quad(lambda w: w * _phi_over_cdf(np.asarray(w)),
+            ds_sig = -quad(lambda w: w * phi_over_cdf(w),
                            (x - mu) / sig, -m, epsabs=1e-13, epsrel=1e-11)[0]
         expect = dE - np.array([ds_mu, ds_sig])
         got = psi_matrix("normal", (mu, sig), [x])[0]
@@ -262,6 +282,8 @@ def test_gradient_zero_and_hessian_pd_at_optimum():
     H = ObjectiveContext("normal", s).hessian(res.params.values)
     assert np.linalg.eigvalsh(H).min() > 0
     assert res.hessian_pd
+    # the estimating equations vanish there
+    assert np.abs(gee_sum("normal", res.params.values, s)).max() < 1e-3 * s.n
 
 
 def test_exponential_convexity_on_grid():
@@ -288,18 +310,3 @@ def test_objective_lower_bound_quick():
         bound = s.mean_abs - empirical_entropy_constant(s)
         g = g_objective(name, theta, s)
         assert g >= bound - 1e-9 * max(1.0, abs(bound))
-
-
-def test_normal_equation_residuals_vanish_at_optimum():
-    s = draw_sample("normal", 60, 12)
-    res = fit("normal", s)
-    mu, sig = res.params.values
-    eq = normal_equation_residuals(s, mu, sig)
-    n = s.n
-    # both displays are n (resp. 1) times the gradient of g
-    grad = ObjectiveContext("normal", s).gradient((mu, sig))
-    assert eq["eq_mu"] == pytest.approx(n * grad[0], abs=1e-4 * n)
-    assert eq["eq_sigma"] == pytest.approx(n * grad[1], abs=1e-4 * n)
-    assert eq["eq_sigma_ecdf"] == pytest.approx(eq["eq_sigma"] / n, rel=1e-6, abs=1e-10)
-    assert abs(eq["eq_mu"]) < 1e-3 * n
-    assert abs(eq["eq_sigma"]) < 1e-3 * n

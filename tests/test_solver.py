@@ -248,6 +248,11 @@ def test_pareto_profile_residual_and_identity():
     res = fit("pareto", s)
     assert res.method == "profile"
     assert res.params.values == (alpha, beta)
+    # "numeric" skips only a closed form, so the Pareto still takes its profile
+    assert fit("pareto", s, method="numeric") == res
+    # nearly equal data put the root beyond the bracket's first top, 1e6
+    res = fit("pareto", build_sample(1.0 + 1e-7 * np.linspace(0.0, 1.0, 50)))
+    assert res.converged and res.params["alpha"] > 1e6
 
 
 def test_pareto_profile_degenerate():
