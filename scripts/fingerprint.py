@@ -3,11 +3,12 @@
 
 Runs the five families at n in {30, 300} and seeds 1-3 through the sample
 moments, fit, the sandwich, psi, the asymptotic variances (quadrature and
-closed forms), c, the Wald and divergence intervals and the
-divergence-difference test, and every CLI subcommand in process (exit code,
-stderr and the sha256 of stdout); it also prints the moments of a few
-samples far from unit scale.  Two trees give bitwise-equal outputs exactly
-when
+closed forms), c, the Wald and divergence intervals, the
+divergence-difference test, the pivotal quantity, the power approximation
+and the required sample size, and every CLI subcommand in process (exit
+code, stderr and the sha256 of stdout); it also prints the moments of a few
+samples far from unit scale and psi at an observation below the support.
+Two trees give bitwise-equal outputs exactly when
 
     PYTHONPATH=src python3 scripts/fingerprint.py > a.txt
     # ... same command on the other tree ...
@@ -34,7 +35,8 @@ import numpy as np  # noqa: E402
 
 from ckle import (CkleError, avar_matrix, avar_scalar, build_sample, c_value, cli,
                   divergence_interval, fit, gddt_test, get_family, make_rng,
-                  psi_matrix, sandwich, wald_ci)
+                  pivotal_q, power_approx, psi_matrix, required_sample_size,
+                  sandwich, wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
@@ -104,10 +106,16 @@ def analysis(name: str, theta_true, n: int, seed: int):
                                      ci.upper])
         emit(f"{tag}/divergence_interval", lambda: [
             (ci := divergence_interval(family, sample, res, 0.95)).lower, ci.upper,
-            ci.cutoff_k, ci.c_theta, str(ci.boundary)])
+            ci.cutoff_k, ci.c_theta])
         emit(f"{tag}/gddt_test", lambda: [
             (t := gddt_test(family, sample, theta_true[0], 0.05)).statistic_gddt,
             t.c_at_null, t.critical_value, t.p_value, t.reject])
+        emit(f"{tag}/pivotal_q", lambda: pivotal_q(family, sample, res, theta_true))
+        t0, t1 = 1.2 * theta_true[0], theta_true[0]
+        emit(f"{tag}/power_approx", lambda: power_approx(family, sample, t0, t1, 0.05, 200))
+        emit(f"{tag}/required_sample_size", lambda: [
+            (r := required_sample_size(family, sample, t0, t1, 0.05, 0.9)).n_star, r.n0,
+            r.g_theta0, r.g_theta1, r.c_theta0, r.c_theta1, r.chi2_alpha, r.chi2_beta])
     else:
         emit(f"{tag}/avar_matrix", lambda: avar_matrix(family, theta, n).V_n)
 
@@ -161,6 +169,9 @@ def main():
         emit(f"normal/avar_matrix{theta}", lambda: avar_matrix("normal", theta, 1).V_n)
     xs = 1e4 + np.linspace(-1.0, 1.0, 30)
     emit("normal/psi.location1e4", lambda: psi_matrix("normal", (1e4, 0.6), xs))
+    below = build_sample([-1.0, 2.0])
+    for name, theta in (("exponential", (1.0,)), ("pareto", (2.0, 5.0))):
+        emit(f"{name}/psi.below_support", lambda: psi_matrix(name, theta, below))
     negative = build_sample([-1.0, 0.5, 2.0, 3.0])
     emit("twoparamexp/sample.negative", lambda: moments(negative))
     emit("twoparamexp/fit.negative", lambda: [

@@ -7,7 +7,8 @@ error, 2 domain, support or degenerate-data error, 3 non-convergence (the
 document is still emitted), 64 usage error, 70 internal error (any other
 exception, reported on one line without a traceback), 73 the ``--out`` file
 cannot be written (64, 70 and 73 are the sysexits EX_USAGE, EX_SOFTWARE and
-EX_CANTCREAT).
+EX_CANTCREAT).  A warning raised while a command runs is printed to stderr
+as one ``ckle: warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from .empirical import build_sample
 from .errors import CkleError, ParseError
@@ -209,8 +211,6 @@ def _cmd_interval(args):
     if ci.kind == "divergence":
         doc["cutoff_k"] = ci.cutoff_k
         doc["c_theta"] = ci.c_theta
-        if ci.boundary:
-            doc["boundary"] = ci.boundary
     return (EXIT_OK if fres.converged else EXIT_NONCONV), doc
 
 
@@ -364,9 +364,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"ckle: warning: {message}", file=sys.stderr)
+
+
+def _run(args) -> int:
     try:
         code, doc = args.handler(args)
         if doc is not None:
@@ -387,6 +389,16 @@ def main(argv=None) -> int:
         print(f"ckle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        # the warning filters stay as they are; only the printing changes,
+        # to one line without the file, line number and source line
+        warnings.showwarning = _print_warning
+        return _run(args)
 
 
 if __name__ == "__main__":

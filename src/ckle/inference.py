@@ -7,6 +7,11 @@ B^-1 A B^-1 / n.  The data-driven counterpart is the sandwich
 V = I^-1 J I^-1 / n with J the average outer product of psi and I the
 average derivative of psi.
 
+For the one-parameter families g is closed in theta and the sample moments,
+so ``c_value`` and ``divergence_interval`` take c(theta) and the interval
+(two roots of a quadratic) from the family's ``closed_c`` and
+``closed_divergence_interval``.
+
 Where a family has no closed A and B, both come from one fixed tanh-sinh
 (double-exponential) rule per side of zero, in probability space: nodes
 u = F(x) on (0, F(0)) mapped back by ``quantile`` on the negative side, and
@@ -44,7 +49,7 @@ from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, psi_matrix
 from .rng import make_rng
-from .solver import FitResult, bisect_root, fit
+from .solver import FitResult, fit
 
 
 # ---------------------------------------------------------------- chi-square
@@ -232,7 +237,6 @@ class IntervalResult:
     kind: str                      # wald | divergence
     cutoff_k: float | None = None
     c_theta: float | None = None
-    boundary: str | None = None    # side that hit the domain edge, if any
 
 
 def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
@@ -253,24 +257,18 @@ def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
 
 def c_value(family, sample: Sample, theta) -> float:
     """c(theta) = sigma_F^2(theta) * g''(theta), the scale constant of the
-    chi-square limits; the family's closed form where it has one."""
+    chi-square limits, in the one-parameter family's closed form."""
     family = get_family(family)
-    theta = family.validate(theta)
-    closed = family.closed_c(theta, sample)
-    if closed is not None:
-        return closed
-    sigma2 = avar_scalar(family, theta, method="quadrature").sigma2
-    hess = ObjectiveContext(family, sample).hessian(theta)[0, 0]
-    if hess <= 0:
-        raise InferenceError("objective curvature not positive")
-    return sigma2 * hess
+    if family.dim != 1:
+        raise DomainError("c_value expects a scalar parameter")
+    return family.closed_c(family.validate(theta), sample)
 
 
 def divergence_interval(family, sample: Sample, fit_result: FitResult,
                         level: float) -> IntervalResult:
     """Parameter set with normalized divergence above the cutoff
-    k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)); the family's closed interval
-    where it has one, level-crossing bisection on each side otherwise."""
+    k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)), in the one-parameter
+    family's closed form."""
     family = get_family(family)
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
@@ -279,40 +277,11 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     if not fit_result.converged:
         raise InferenceError("divergence interval requires a converged fit")
     theta_hat = fit_result.params.values[0]
-    n = sample.n
     c_hat = c_value(family, sample, (theta_hat,))
-    chi2 = chi2_quantile_df1(level, "level")
-    log_k = -c_hat * chi2 / (2.0 * n)
-    k_cut = math.exp(log_k)
-
-    closed = family.closed_divergence_interval(sample, log_k)
-    if closed is not None:
-        return IntervalResult(*closed, level, "divergence", cutoff_k=k_cut, c_theta=c_hat)
-
-    g = ObjectiveContext(family, sample).g
-    target = g(np.array([theta_hat])) - log_k
-    t_hat = float(family.to_internal((theta_hat,))[0])
-
-    def crossing(direction: int):
-        span = 0.5
-        t_out = t_hat + direction * span
-        for _ in range(100):
-            val = g(family.from_internal([t_out])) - target
-            if math.isfinite(val) and val > 0:
-                root_t = bisect_root(
-                    lambda t: g(family.from_internal([t])) - target,
-                    *sorted((t_hat, t_out)), tol=1e-12)
-                return float(family.from_internal([root_t])[0]), False
-            span *= 2.0
-            t_out = t_hat + direction * span
-        edge = float(family.from_internal([t_out])[0])
-        return edge, True
-
-    lower, lo_edge = crossing(-1)
-    upper, hi_edge = crossing(+1)
-    boundary = ("lower" if lo_edge else None) or ("upper" if hi_edge else None)
+    log_k = -c_hat * chi2_quantile_df1(level, "level") / (2.0 * sample.n)
+    lower, upper = family.closed_divergence_interval(sample, log_k)
     return IntervalResult(lower, upper, level, "divergence",
-                          cutoff_k=k_cut, c_theta=c_hat, boundary=boundary)
+                          cutoff_k=math.exp(log_k), c_theta=c_hat)
 
 
 def pivotal_q(family, sample: Sample, fit_result: FitResult, theta) -> float:

@@ -10,13 +10,14 @@ for x < 0) with its gradient ``ds_dtheta_matrix`` (central differences of s
 for the Normal, whose s has no closed form), ``quantile``, the upper-tail
 quantile ``isf`` (accurate for tiny survival probabilities) and ``mle``; a
 family without ``profile_fit`` adds the simplex's ``start_point`` and, unless
-every parameter is a location, ``to_internal``/``from_internal``.  The
+every parameter is a location, ``to_internal``/``from_internal``.  A
+one-parameter family, whose g is closed in theta and the sample moments,
+also implements ``closed_c`` and ``closed_divergence_interval``.  The
 optional hooks ``closed_form``, ``profile_fit``, ``closed_fit_warning``,
 ``check_sample``, ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``,
-``closed_avar``, ``closed_c``, ``closed_divergence_interval`` and
-``closed_test_region`` default to the generic numerical path, so callers
-ask the family (through ``has_hook`` where the choice of path depends on it)
-instead of its name.
+``closed_avar`` and ``closed_test_region`` default to the generic
+numerical path, so callers ask the family (through ``has_hook`` where the
+choice of path depends on it) instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
 panel nodes and Python floats, from the one panel builder ``_sides`` that
@@ -24,8 +25,9 @@ its ``s_values`` shares.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
-makes s integrate log 0 over positive measure, which is raised as
-``SupportViolation`` (the objective is +inf there).
+makes s integrate log 0 over positive measure, which ``_check_support``
+raises as ``SupportViolation`` from both ``s_values`` and
+``ds_dtheta_matrix`` (the objective is +inf there, and psi undefined).
 
 ``scipy.special`` is imported on first use, through the cached accessor
 ``_special``: ``log_ndtr``, ``ndtr``, ``ndtri`` and ``spence`` are
@@ -280,6 +282,15 @@ class Family:
     def from_internal(self, t) -> np.ndarray:
         return np.atleast_1d(np.asarray(t, dtype=float)).copy()
 
+    # --- closed scalar inference: required of every one-parameter family ---
+    def closed_c(self, theta, sample: Sample) -> float:
+        """c(theta) = sigma^2(theta) g''(theta) of the chi-square limits."""
+        raise NotImplementedError
+
+    def closed_divergence_interval(self, sample: Sample, log_k: float) -> tuple[float, float]:
+        """(lower, upper) of the set where g - g(theta_hat) <= -log_k."""
+        raise NotImplementedError
+
     # --- optional hooks: a default of None (or no check) selects the
     # generic path in the solver, inference and simulation layers ---
     def closed_form(self, sample: Sample):
@@ -307,14 +318,13 @@ class Family:
     def closed_avar(self, theta, n: int):
         """(A, B, V_n) of the asymptotic variance; V_n is None for a scalar."""
 
-    def closed_c(self, theta, sample: Sample):
-        """c(theta) = sigma^2(theta) g''(theta) of the chi-square limits."""
-
-    def closed_divergence_interval(self, sample: Sample, log_k: float):
-        """(lower, upper) of the set where g - g(theta_hat) <= -log_k."""
-
     def closed_test_region(self, theta0: float, n: int, chi2: float):
         """Interval of the mean of squares where the test at theta0 accepts."""
+
+    def _check_support(self, theta, xs: np.ndarray) -> None:
+        # below zero s integrates log cdf, which is -inf under the support start
+        if xs.size and xs.min() < min(0.0, self.support_lower(theta)):
+            raise SupportViolation("support violation: observation below the support start")
 
     def _check_pos(self, value: float, pname: str) -> None:
         if not (value > 0) or not math.isfinite(value):
@@ -382,12 +392,12 @@ class Exponential(_PositiveScalar):
     def s_values(self, theta, xs):
         lam = _as_theta(theta)[0]
         xs = np.asarray(xs, dtype=float)
-        if xs.size and xs.min() < 0:
-            raise SupportViolation("support violation: negative observation for nonnegative support")
+        self._check_support(theta, xs)
         return -lam * xs * xs / 2.0
 
     def ds_dtheta_matrix(self, theta, xs):
         xs = np.asarray(xs, dtype=float)
+        self._check_support(theta, xs)
         return (-xs * xs / 2.0)[:, None]
 
     def quantile(self, theta, p):
@@ -532,6 +542,17 @@ class Laplace(_PositiveScalar):
     def closed_c(self, theta, sample):
         return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta)[0])
 
+    def closed_divergence_interval(self, sample, log_k):
+        # g(theta) - g(t) = (theta - t)^2 / theta with t = sqrt(mean_sq / 2),
+        # so the endpoints are the roots of theta^2 - (2t + d) theta + t^2
+        # with d = -log_k; their product is t^2 = mean_sq / 2, so the lower
+        # root comes from the upper one without cancellation
+        half_m = sample.mean_sq / 2.0
+        t = math.sqrt(half_m)
+        d = -log_k
+        upper = t + d / 2.0 + math.sqrt(d * t + d * d / 4.0)
+        return half_m / upper, upper
+
 
 class _LocationScale(Family):
     """Location mu and scale sigma; the simplex works on (mu, log sigma)."""
@@ -605,16 +626,10 @@ class TwoParamExponential(_LocationScale):
         e = math.exp(mu / sig)
         return np.array([-1.0 + 2.0 * e, -1.0 + 2.0 * e * (1.0 - mu / sig)])
 
-    @staticmethod
-    def _check_support(mu, xs):
-        # below zero s integrates log cdf, which is -inf under the support start
-        if xs.size and xs.min() < min(0.0, mu):
-            raise SupportViolation("support violation: observation below the support start")
-
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
-        self._check_support(mu, xs)
+        self._check_support(theta, xs)
         a = np.maximum(xs - mu, 0.0)
         b = max(-mu, 0.0)
         out = -(a * a - b * b) / (2.0 * sig)
@@ -628,7 +643,7 @@ class TwoParamExponential(_LocationScale):
     def ds_dtheta_matrix(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
-        self._check_support(mu, xs)
+        self._check_support(theta, xs)
         a = np.maximum(xs - mu, 0.0)
         b = max(-mu, 0.0)
         dmu = (a - b) / sig
@@ -749,14 +764,14 @@ class Pareto(Family):
     def s_values(self, theta, xs):
         a, b = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
-        if xs.size and xs.min() < 0:
-            raise SupportViolation("support violation: negative observation for nonnegative support")
+        self._check_support(theta, xs)
         z = np.maximum(xs, b)
         return -a * (z * (np.log(z) - math.log(b) - 1.0) + b)
 
     def ds_dtheta_matrix(self, theta, xs):
         a, b = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
+        self._check_support(theta, xs)
         z = np.maximum(xs, b)
         da = -(z * (np.log(z) - math.log(b) - 1.0) + b)
         db = a * (z - b) / b

@@ -251,6 +251,21 @@ def test_power_and_samplesize_contract(tmp_path, capsys):
     assert doc["n0"] == pytest.approx(n0, rel=1e-6)
 
 
+def test_samplesize_warning_is_one_stderr_line(tmp_path):
+    # a child process, so that the warning reaches stderr as a user sees it
+    data = tmp_path / "exp.csv"
+    xs = get_family("exponential").draw((5.0,), 30, make_rng(1, 7))
+    data.write_text("\n".join(repr(float(v)) for v in xs))
+    proc = subprocess.run([sys.executable, "-m", "ckle.cli", "samplesize", "--model",
+                           "exponential", "--data", str(data), "--null", "6.0",
+                           "--alt", "5.0", "--beta", "0.9"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["n_star"] == 1
+    assert proc.stderr == ("ckle: warning: requested power is reached at any "
+                           "sample size; returning 1\n")
+
+
 @pytest.mark.parametrize("model,extra", [
     ("normal", ["power", "--alt", "2"]),
     ("normal", ["samplesize", "--alt", "2", "--beta", "0.9"]),

@@ -6,8 +6,8 @@ import pytest
 import scipy.special
 from scipy.special import erf
 
-from ckle import (DomainError, InferenceError, avar_matrix, avar_scalar,
-                  build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
+from ckle import (DomainError, InferenceError, ObjectiveContext, avar_matrix,
+                  avar_scalar, build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
                   divergence_interval, divergence_region_cutoffs, fit,
                   g_objective, gddt_test, get_family, make_rng, pivotal_q,
                   power_approx, required_sample_size, sandwich, wald_ci)
@@ -346,12 +346,12 @@ def test_divergence_interval_worked_example():
     assert ci.cutoff_k == pytest.approx(0.9498908, abs=1e-5)
     assert ci.lower == pytest.approx(2.092375, abs=1e-5)
     assert ci.upper == pytest.approx(4.633022, abs=1e-5)
-    assert ci.kind == "divergence" and ci.boundary is None
+    assert ci.kind == "divergence"
 
 
 def test_divergence_interval_endpoints_sit_on_the_level_set():
-    # both the exponential closed form and the generic bisection produce
-    # points where exp[g(hat) - g(theta)] equals the cutoff
+    # both closed forms produce points where exp[g(hat) - g(theta)] equals
+    # the cutoff
     for name, theta in (("exponential", (3.0,)), ("laplace", (1.5,))):
         s = draw(name, theta, 80, 60)
         res = fit(name, s)
@@ -360,6 +360,25 @@ def test_divergence_interval_endpoints_sit_on_the_level_set():
             ratio = math.exp(res.g_at_opt - g_objective(name, (endpoint,), s))
             assert ratio == pytest.approx(ci.cutoff_k, rel=1e-7)
         assert ci.lower < res.params.values[0] < ci.upper
+
+
+@pytest.mark.parametrize("n", [30, 300, 1000])
+def test_laplace_divergence_interval_at_the_exact_crossing(n):
+    # the endpoints are the roots of g(theta) - g(theta_hat) = -log k, here
+    # solved in 40-digit arithmetic from the same moments and the same k
+    mpmath = pytest.importorskip("mpmath")
+    s = draw("laplace", (1.5,), n, 70)
+    res = fit("laplace", s)
+    for level in (0.5, 0.95, 0.999):
+        ci = divergence_interval("laplace", s, res, level)
+        log_k = -ci.c_theta * chi2_quantile_df1(level, "level") / (2.0 * n)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(s.mean_sq)
+            # g(theta) = theta + mean_sq / (2 theta) up to a theta-free constant
+            b = res.params.values[0] + m / (2 * mpmath.mpf(res.params.values[0])) - log_k
+            root = mpmath.sqrt(b * b - 2 * m)
+            for got, want in ((ci.lower, (b - root) / 2), (ci.upper, (b + root) / 2)):
+                assert abs(mpmath.mpf(got) / want - 1) < 1e-14
 
 
 def test_divergence_interval_agrees_with_wald_large_n():
@@ -427,16 +446,15 @@ def test_c_value_closed_forms():
     assert c_value("exponential", s, (2.0,)) == pytest.approx(5.0 / 4.0)
     assert c_value("laplace", s, (2.0,)) == pytest.approx(
         5 * s.mean_sq / 8.0, rel=1e-12)
-    # the generic path, sigma^2 g'' from the quadrature variance and the
-    # Hessian, agrees with each closed form
+    # sigma^2 g'', from the quadrature variance and the Hessian, agrees with
+    # each closed form
     for name in ("exponential", "laplace"):
-        class Generic(type(get_family(name))):
-            def closed_c(self, theta, sample):
-                return None
-
         for theta in ((2.0,), (5.0,)):
-            assert c_value(Generic(), s, theta) == pytest.approx(
-                c_value(name, s, theta), rel=1e-8)
+            sigma2_g2 = (avar_scalar(name, theta, method="quadrature").sigma2
+                         * ObjectiveContext(name, s).hessian(theta)[0, 0])
+            assert c_value(name, s, theta) == pytest.approx(sigma2_g2, rel=1e-8)
+    with pytest.raises(DomainError):
+        c_value("normal", s, (2.0, 3.0))
 
 
 def test_power_limit_is_alpha():

@@ -73,6 +73,17 @@ def test_psi_raises_below_the_support_start():
     assert res.hessian_pd is False
 
 
+@pytest.mark.parametrize("name,theta", [("exponential", (1.0,)), ("pareto", (2.0, 5.0))])
+def test_psi_and_hessian_raise_on_a_negative_observation(name, theta):
+    # one support rule: where s_values raises and g is +inf, so does psi
+    s = build_sample([-1.0, 2.0])
+    assert g_objective(name, theta, s) == math.inf
+    with pytest.raises(SupportViolation):
+        psi_matrix(name, theta, s)
+    with pytest.raises(SupportViolation):
+        ObjectiveContext(name, s).hessian(theta)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_g_rejects_a_theta_of_the_wrong_length(name):
     s = draw_sample(name, 10, 1)
