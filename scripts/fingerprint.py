@@ -4,10 +4,13 @@
 Runs the five families at n in {30, 300} and seeds 1-3 through the sample
 moments, fit, the sandwich, psi, the asymptotic variances (quadrature and
 closed forms), c, the Wald and divergence intervals, the
-divergence-difference test, the pivotal quantity, the power approximation
-and the required sample size, and every CLI subcommand in process (exit
-code, stderr and the sha256 of stdout); it also prints the moments of a few
-samples far from unit scale and psi at an observation below the support.
+divergence-difference test and its acceptance region, the pivotal
+quantity, the power approximation and the required sample size, and every
+CLI subcommand in process (exit code, stderr and the sha256 of stdout); it
+also prints the moments of a few samples far from unit scale and psi at an
+observation below the support,
+and the ``run_study`` rows of every family on the criterion-8 sizes at two
+seeds and small replicate counts, with every estimator the family defines.
 Two trees give bitwise-equal outputs exactly when
 
     PYTHONPATH=src python3 scripts/fingerprint.py > a.txt
@@ -33,16 +36,18 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ckle import (CkleError, avar_matrix, avar_scalar, build_sample, c_value, cli,
-                  divergence_interval, fit, gddt_test, get_family, make_rng,
-                  pivotal_q, power_approx, psi_matrix, required_sample_size,
-                  sandwich, wald_ci)
+from ckle import (CkleError, StudyConfig, avar_matrix, avar_scalar, build_sample,
+                  c_value, cli, divergence_interval, fit, gddt_test, get_family,
+                  make_rng, pivotal_q, power_approx, psi_matrix,
+                  required_sample_size, run_study, sandwich, wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
          "pareto": (4.0, 2.0), "normal": (2.0, 3.0)}
 SIZES = (30, 300)
 SEEDS = (1, 2, 3)
+STUDY_SIZES = tuple(range(10, 56, 5))
+STUDY_SEEDS = (801, 5171)
 # samples far from unit scale, of mixed sign, and one whose squares overflow
 EDGE_SAMPLES = {"huge": 1e150 * np.linspace(0.5, 1.5, 31),
                 "tiny": 1e-300 * np.linspace(0.5, 1.5, 31),
@@ -110,6 +115,8 @@ def analysis(name: str, theta_true, n: int, seed: int):
         emit(f"{tag}/gddt_test", lambda: [
             (t := gddt_test(family, sample, theta_true[0], 0.05)).statistic_gddt,
             t.c_at_null, t.critical_value, t.p_value, t.reject])
+        emit(f"{tag}/gddt_test.region",
+             lambda: gddt_test(family, sample, theta_true[0], 0.05).region_mean_sq)
         emit(f"{tag}/pivotal_q", lambda: pivotal_q(family, sample, res, theta_true))
         t0, t1 = 1.2 * theta_true[0], theta_true[0]
         emit(f"{tag}/power_approx", lambda: power_approx(family, sample, t0, t1, 0.05, 200))
@@ -118,6 +125,20 @@ def analysis(name: str, theta_true, n: int, seed: int):
             r.g_theta0, r.g_theta1, r.c_theta0, r.c_theta1, r.chi2_alpha, r.chi2_beta])
     else:
         emit(f"{tag}/avar_matrix", lambda: avar_matrix(family, theta, n).V_n)
+
+
+def studies():
+    for name, theta in TRUTH.items():
+        family = get_family(name)
+        estimators = ("mckle", "mle") + tuple(
+            est for est in ("mckle_unbiased", "mle_unbiased") if family.has_hook(est))
+        reps = 10 if name == "normal" else 40
+        for seed in STUDY_SEEDS:
+            report = run_study(StudyConfig(name, theta, STUDY_SIZES, reps, seed,
+                                           estimators=estimators))
+            for row in report.rows:
+                emit(f"study/{name}/s{seed}/n{row.size}/{row.estimator}/{row.param}",
+                     lambda: [row.mean, row.ratio, row.variance, row.failures])
 
 
 def cli_runs(directory: Path):
@@ -179,6 +200,7 @@ def main():
         res.g_at_opt, res.converged, res.support_warning])
     for label, raw in EDGE_SAMPLES.items():
         emit(f"sample/{label}", lambda: moments(build_sample(raw)))
+    studies()
     with tempfile.TemporaryDirectory() as tmp:
         cli_runs(Path(tmp))
 

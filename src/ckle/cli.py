@@ -121,9 +121,8 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 
 def _nine_digits(obj):
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(f"{obj:.9g}")
-        return None if math.isnan(obj) else obj
+        # JSON has no NaN or infinity: a non-finite value prints as null
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _nine_digits(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -159,7 +158,7 @@ def _check_out(out: str | None):
 
 
 def _emit_json(doc: dict, out: str | None):
-    _emit(json.dumps(_nine_digits(doc), indent=2) + "\n", out)
+    _emit(json.dumps(_nine_digits(doc), indent=2, allow_nan=False) + "\n", out)
 
 
 def _check_prob(value: float, name: str):

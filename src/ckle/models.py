@@ -122,7 +122,8 @@ def _as_theta(theta) -> np.ndarray:
 
 def _open_unit(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or np.any(p >= 1):
+    # one pass, and NaN fails both comparisons
+    if not ((p > 0) & (p < 1)).all():
         raise DomainError("quantile requires 0 < p < 1")
     return p
 
@@ -442,20 +443,24 @@ class Exponential(_PositiveScalar):
         return 5.0 / (2.0 * _as_theta(theta)[0])
 
     def closed_divergence_interval(self, sample, log_k):
+        # the endpoints are the roots of m theta^2 - 2 b theta + 2 with
+        # b = d + sqrt(2m) and d = -log_k; b^2 - 2m = d (d + 2 sqrt(2m))
+        # has no cancellation, and the product of the roots is 2/m
         m = sample.mean_sq
-        b = -log_k + math.sqrt(2.0 * m)
-        disc = b * b - 2.0 * m
-        root = math.sqrt(disc)
-        return (b - root) / m, (b + root) / m
+        d = -log_k
+        s = math.sqrt(2.0 * m)
+        upper = (d + s + math.sqrt(d * (d + 2.0 * s))) / m
+        return (2.0 / m) / upper, upper
 
     def closed_test_region(self, theta0, n, chi2):
+        # roots t of a t^2 - b t + c: the discriminant b^2 - 4ac is exactly
+        # 10 n theta0^2 chi2, and the product of the roots is c/a, so the
+        # lower root is taken from the upper one; it is <= 0 when c <= 0
         a = n * theta0**2
         b = 2.0 * math.sqrt(2.0) * n * theta0
         c = 2.0 * n - 2.5 * chi2
-        disc = b * b - 4.0 * a * c
-        root = math.sqrt(disc)
-        t_lo = max((b - root) / (2.0 * a), 0.0)
-        t_hi = (b + root) / (2.0 * a)
+        t_hi = (b + theta0 * math.sqrt(10.0 * n * chi2)) / (2.0 * a)
+        t_lo = (c / a) / t_hi if c > 0 else 0.0
         return (t_lo**2, t_hi**2)
 
 

@@ -4,7 +4,10 @@ curves, interval coverage, and test size.
 Replicate r of a study draws from the stream (seed, r), so runs are
 reproducible and embarrassingly parallel; estimates are collected per
 replicate and aggregated in index order afterwards, which makes the report
-bytes independent of the worker count.
+bytes independent of the worker count.  A replicate's sizes are consecutive
+slices of its stream, in the order given: consecutive sizes are drawn in
+blocks of at most max(largest size, 4096) values, and each size takes its
+slice of its block, the values a draw of that size alone would give.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .rng import make_rng
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
+# consecutive sizes of a replicate share one draw up to this many values
+_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -94,22 +99,45 @@ def _estimate(family: Family, est: str, sample: Sample) -> np.ndarray:
     raise DomainError(f"unknown estimator {est!r}")
 
 
+def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(first, stop, total) of each run of consecutive sizes drawn in one
+    call: a run grows while its total stays at or below _BLOCK_VALUES, and a
+    larger size is a block of its own, so no block exceeds
+    max(largest size, _BLOCK_VALUES) values."""
+    blocks = []
+    first, total = 0, 0
+    for si, n in enumerate(sizes):
+        if total and total + n > _BLOCK_VALUES:
+            blocks.append((first, si, total))
+            first, total = si, 0
+        total += n
+    blocks.append((first, len(sizes), total))
+    return blocks
+
+
 def _replicate_chunk(args):
     family_name, params, sizes, estimators, seed, start, stop = args
     family = get_family(family_name)
     theta = np.asarray(params, dtype=float)
     dim = family.dim
+    blocks = _size_blocks(sizes)
     out = np.full((stop - start, len(sizes), len(estimators), dim), np.nan)
     for i, r in enumerate(range(start, stop)):
         rng = make_rng(seed, r)
-        for si, n in enumerate(sizes):
-            xs = family.draw(theta, n, rng)
-            sample = build_sample(xs)
-            for ei, est in enumerate(estimators):
-                try:
-                    out[i, si, ei, :] = _estimate(family, est, sample)
-                except CkleError:
-                    pass
+        for first, last, total in blocks:
+            # the stream is read in order and every quantile is elementwise,
+            # so each slice holds the values a draw of its size alone gives
+            xs = family.draw(theta, total, rng)
+            offset = 0
+            for si in range(first, last):
+                n = sizes[si]
+                sample = build_sample(xs[offset:offset + n])
+                offset += n
+                for ei, est in enumerate(estimators):
+                    try:
+                        out[i, si, ei, :] = _estimate(family, est, sample)
+                    except CkleError:
+                        pass
     return start, out
 
 

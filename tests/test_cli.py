@@ -93,6 +93,24 @@ def test_twoparamexp_negative_data_not_converged_exit3(tmp_path, capsys):
     assert err == ""
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", ["fit", "gof"])
+def test_infinite_objective_prints_strict_json(command, tmp_path, capsys):
+    # g is +inf at the closed-form estimate on negative data; strict JSON has
+    # no Infinity, so the value prints as null
+    data = tmp_path / "neg.csv"
+    data.write_text("-1\n0.5\n2\n3\n")
+    code, out, err = run_cli([command, "--model", "twoparamexp", "--data", str(data)], capsys)
+    assert code == 3
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["g_at_opt"] is None
+    if command == "gof":
+        assert doc["divergence"] is None
+
+
 def test_numeric_fit_on_empty_feasible_region_prints_only_the_error(tmp_path):
     # a child process, so that any warning reaches stderr as a user sees it
     data = tmp_path / "neg.csv"

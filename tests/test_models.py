@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,16 @@ def test_quantile_domain():
 
 
 @pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("method", ["quantile", "isf"])
+def test_nan_probability_raises(name, method):
+    inverse = getattr(get_family(name), method)
+    with pytest.raises(DomainError):
+        inverse(THETAS[name], math.nan)
+    with pytest.raises(DomainError):
+        inverse(THETAS[name], np.array([0.25, math.nan, 0.75]))
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_quantile_inverts_cdf(name):
     fam = get_family(name)
     theta = THETAS[name]
@@ -462,3 +473,52 @@ def test_dispatch_follows_the_class_not_the_name():
     got, want = fit(renamed("twoparamexp"), s), fit("twoparamexp", s)
     assert got.params.values[0] < float(s.obs[0])
     assert got.support_warning and want.support_warning
+
+
+EXP_NS = [30, 1000, 10**5, 10**7, 10**9]
+CHI2S = (0.455, 3.84, 10.83)
+FEW_ULP = 6 * np.finfo(float).eps
+
+
+def _max_rel(got, want, mp):
+    return max(abs(mp.mpf(g) - w) / w if w else abs(g) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", EXP_NS)
+def test_exponential_test_region_within_a_few_ulp(n):
+    # the region's mean-square endpoints are the squared roots of
+    # a t^2 - b t + c, solved in 40-digit arithmetic from the same inputs
+    mp = pytest.importorskip("mpmath")
+    fam = get_family("exponential")
+    with mp.workdps(40):
+        for theta0 in (0.37, 2.0, 5.0):
+            for chi2 in CHI2S:
+                a = n * mp.mpf(theta0) ** 2
+                b = 2 * mp.sqrt(2) * n * mp.mpf(theta0)
+                c = 2 * mp.mpf(n) - mp.mpf(2.5) * mp.mpf(chi2)
+                root = mp.sqrt(b * b - 4 * a * c)
+                want = (max((b - root) / (2 * a), 0) ** 2, ((b + root) / (2 * a)) ** 2)
+                got = fam.closed_test_region(theta0, n, chi2)
+                assert _max_rel(got, want, mp) < FEW_ULP, (theta0, chi2)
+
+
+@pytest.mark.parametrize("n", EXP_NS)
+def test_exponential_divergence_interval_within_a_few_ulp(n):
+    # the endpoints are the roots of m theta^2 - 2 b theta + 2 with
+    # b = sqrt(2m) - log k, solved in 40-digit arithmetic from the same
+    # mean square and the cutoff the interval uses at this n
+    mp = pytest.importorskip("mpmath")
+    fam = get_family("exponential")
+    with mp.workdps(40):
+        for lam in (0.37, 2.0, 5.0):
+            for spread in (0.8, 1.0, 1.3):
+                m = 2.0 / lam**2 * spread
+                c_hat = fam.closed_c(fam.closed_form(SimpleNamespace(k=0, mean_sq=m)), None)
+                for chi2 in CHI2S:
+                    log_k = -c_hat * chi2 / (2.0 * n)
+                    mm = mp.mpf(m)
+                    b = mp.sqrt(2 * mm) - mp.mpf(log_k)
+                    root = mp.sqrt(b * b - 2 * mm)
+                    want = ((b - root) / mm, (b + root) / mm)
+                    got = fam.closed_divergence_interval(SimpleNamespace(mean_sq=m), log_k)
+                    assert _max_rel(got, want, mp) < FEW_ULP, (lam, spread, chi2)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ckle import (DomainError, StudyConfig, bias_check_exponential,
+from ckle import (CkleError, DomainError, StudyConfig, bias_check_exponential,
                   build_sample, coverage_study, get_family, make_rng,
-                  run_study)
+                  run_study, simulate)
 
 
 def test_mle_formulas():
@@ -49,6 +51,88 @@ def test_run_study_deterministic_bytes_and_thread_independent():
     c = run_study(StudyConfig("exponential", (5.0,), (10, 20), 50, seed=42,
                               threads=2)).to_csv()
     assert a == c
+
+
+def _per_size_chunk(args):
+    # the reference loop: one draw call per (replicate, size)
+    family_name, params, sizes, estimators, seed, start, stop = args
+    family = get_family(family_name)
+    theta = np.asarray(params, dtype=float)
+    out = np.full((stop - start, len(sizes), len(estimators), family.dim), np.nan)
+    for i, r in enumerate(range(start, stop)):
+        rng = make_rng(seed, r)
+        for si, n in enumerate(sizes):
+            sample = build_sample(family.draw(theta, n, rng))
+            for ei, est in enumerate(estimators):
+                try:
+                    out[i, si, ei, :] = simulate._estimate(family, est, sample)
+                except CkleError:
+                    pass
+    return start, out
+
+
+def _hex_rows(report):
+    return [(r.size, r.estimator, r.param, r.mean.hex(), r.ratio.hex(),
+             r.variance.hex(), r.failures) for r in report.rows]
+
+
+STUDY_TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
+               "pareto": (4.0, 2.0), "normal": (2.0, 3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_TRUTH))
+def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
+    theta = STUDY_TRUTH[name]
+    configs = [
+        # the criterion-8 grid, one block
+        dict(sizes=tuple(range(10, 56, 5)), replicates=4 if name == "normal" else 30),
+        # a block of two, a block of one, a size above the block bound, a tail
+        dict(sizes=(10, 4000, 100, 5000, 20), replicates=3, estimators=("mle",)),
+    ]
+    for kwargs in configs:
+        cfg = StudyConfig(name, theta, seed=801, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_replicate_chunk", _per_size_chunk)
+            want = _hex_rows(run_study(cfg))
+        assert _hex_rows(run_study(cfg)) == want
+        threaded = StudyConfig(name, theta, seed=801, threads=2, **kwargs)
+        assert _hex_rows(run_study(threaded)) == want
+
+
+def test_size_blocks_are_bounded():
+    assert simulate._size_blocks((10, 5000, 20)) == [(0, 1, 10), (1, 2, 5000), (2, 3, 20)]
+    assert simulate._size_blocks((4000, 96, 1)) == [(0, 2, 4096), (2, 3, 1)]
+    assert simulate._size_blocks((4097,)) == [(0, 1, 4097)]
+    assert simulate._size_blocks(tuple(range(10, 56, 5))) == [(0, 10, 325)]
+
+
+def test_one_draw_per_block_and_replicate(monkeypatch):
+    family = get_family("exponential")
+    calls = []
+    original = type(family).draw
+
+    def counting_draw(self, theta, n, rng):
+        calls.append(n)
+        return original(self, theta, n, rng)
+
+    monkeypatch.setattr(type(family), "draw", counting_draw)
+    run_study(StudyConfig("exponential", (5.0,), tuple(range(10, 56, 5)), 7, seed=1))
+    assert calls == [325] * 7
+
+
+def test_block_draw_memory_stays_at_the_largest_size():
+    # without the block bound this grid would draw 210,000 values at once
+    def peak(sizes):
+        cfg = StudyConfig("exponential", (5.0,), sizes, 2, seed=3)
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    wide = peak(tuple(range(1000, 20001, 1000)))
+    assert wide <= 2 * peak((20000,))
 
 
 def test_run_study_single_replicate_smoke():
