@@ -8,9 +8,12 @@ divergence-difference test and its acceptance region, the pivotal
 quantity, the power approximation and the required sample size, and every
 CLI subcommand in process (exit code, stderr and the sha256 of stdout); it
 also prints the moments of a few samples far from unit scale and psi at an
-observation below the support,
-and the ``run_study`` rows of every family on the criterion-8 sizes at two
-seeds and small replicate counts, with every estimator the family defines.
+observation below the support, the error (or k and the moments) that
+``build_sample`` gives for inputs whose validation the moment sums decide,
+the ``run_study`` rows of every family on the criterion-8 sizes at two
+seeds and small replicate counts, with every estimator the family defines,
+and the CSV of a study where every fit fails and of studies with a true
+value of 0.
 Two trees give bitwise-equal outputs exactly when
 
     PYTHONPATH=src python3 scripts/fingerprint.py > a.txt
@@ -24,6 +27,7 @@ outside a temporary directory that is removed at the end.
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -53,6 +57,18 @@ EDGE_SAMPLES = {"huge": 1e150 * np.linspace(0.5, 1.5, 31),
                 "tiny": 1e-300 * np.linspace(0.5, 1.5, 31),
                 "mixed": np.linspace(-1e100, 3e100, 30) + np.linspace(-1e-3, 1e-3, 30),
                 "overflow": [-1e155, 2e155, 1e155]}
+# inputs whose non-finite values or overflow the moment sums find, and signed
+# zeros, which must keep k and mean |x|
+VALIDATION_SAMPLES = {"nan_after_overflow": [1e200, math.nan],
+                      "minus_inf_first": [-math.inf, 1.0],
+                      "overflow_pair": [1e200, 2e200],
+                      "signed_zeros": [-0.0, 0.0, 1.0],
+                      "negative_zeros": [-0.0] * 3,
+                      "zero_and_two": [0.0, 2.0]}
+# a study where every fit fails, and studies whose true mu is 0
+CSV_STUDIES = {"all_failed": StudyConfig("normal", (0.0, 1.0), (1,), 3, 1),
+               "zero_truth.normal": StudyConfig("normal", (0.0, 1.0), (5,), 3, 1),
+               "zero_truth.twoparamexp": StudyConfig("twoparamexp", (0.0, 2.0), (5,), 3, 1)}
 
 
 def fmt(value) -> str:
@@ -200,7 +216,11 @@ def main():
         res.g_at_opt, res.converged, res.support_warning])
     for label, raw in EDGE_SAMPLES.items():
         emit(f"sample/{label}", lambda: moments(build_sample(raw)))
+    for label, raw in VALIDATION_SAMPLES.items():
+        emit(f"sample/{label}", lambda: [(s := build_sample(raw)).k, *moments(s)])
     studies()
+    for label, config in CSV_STUDIES.items():
+        emit(f"study_csv/{label}", lambda: run_study(config).to_csv().strip().replace("\n", " / "))
     with tempfile.TemporaryDirectory() as tmp:
         cli_runs(Path(tmp))
 

@@ -6,7 +6,10 @@ largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
 ``build_sample`` computes the mean, mean |x| and mean x^2 of every sample;
 ``Sample.mean_xlogx``, which only the Pareto profile fit reads, is computed
-on first read.
+on first read.  Validation, in order: an empty input is a ``ParseError``;
+the sorted values are then summed, and only when a sum is non-finite are
+they scanned, the first non-finite value in input order being a
+``ParseError`` and, when there is none, the overflow a ``DataError``.
 """
 
 from __future__ import annotations
@@ -51,29 +54,32 @@ def build_sample(raw) -> Sample:
 
     Raises ``ParseError`` (a ``DataError``) for an empty input or any
     non-finite value (reported at its position in the original ordering),
-    and ``DataError`` when a moment overflows.
+    and ``DataError`` when a moment overflows.  The moment sums are the
+    finiteness check, since any NaN or +-inf makes the plain sum
+    non-finite; only then is the input scanned to tell the two apart.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ParseError("empty sample")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ParseError(f"non-finite observation at index {i}")
     obs = np.sort(arr)
-    n = obs.size
-    k = int(np.searchsorted(obs, 0.0, side="left"))
-    # a.sum() / n is bitwise ndarray.mean(): the same pairwise sum, one division
+    # a.sum() / n is bitwise ndarray.mean(): the same pairwise sum, one
+    # division; |x| is x bit for bit when every x > 0, but not for -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(obs.sum()) / n
-        mean_abs = float(np.abs(obs).sum()) / n
-        mean_sq = float((obs * obs).sum()) / n
+        total = float(obs.sum())
+        abs_total = total if obs[0] > 0 else float(np.abs(obs).sum())
+        sq_total = float((obs * obs).sum())
     # -1/e <= x log x <= x^2, so a finite mean_sq keeps mean_xlogx finite
-    if not all(math.isfinite(m) for m in (mean, mean_abs, mean_sq)):
+    if not (math.isfinite(total) and math.isfinite(abs_total) and math.isfinite(sq_total)):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ParseError(f"non-finite observation at index {int(np.argmin(finite))}")
         raise DataError("moments overflow: data too large in magnitude")
-    return Sample(obs=obs, n=n, k=k, mean=mean, mean_abs=mean_abs, mean_sq=mean_sq)
+    k = 0 if obs[0] >= 0 else int(np.searchsorted(obs, 0.0, side="left"))
+    return Sample(obs=obs, n=n, k=k, mean=total / n, mean_abs=abs_total / n,
+                  mean_sq=sq_total / n)
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:

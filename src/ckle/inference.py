@@ -44,7 +44,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .empirical import Sample, build_sample
-from .errors import CkleError, DomainError, InferenceError
+from .errors import CkleError, DataError, DomainError, InferenceError
 from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, psi_matrix
@@ -257,11 +257,16 @@ def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
 
 def c_value(family, sample: Sample, theta) -> float:
     """c(theta) = sigma_F^2(theta) * g''(theta), the scale constant of the
-    chi-square limits, in the one-parameter family's closed form."""
+    chi-square limits, in the one-parameter family's closed form; DataError
+    where it is 0 (a Laplace sample whose mean of squares is 0), since the
+    limits then have no scale."""
     family = get_family(family)
     if family.dim != 1:
         raise DomainError("c_value expects a scalar parameter")
-    return family.closed_c(family.validate(theta), sample)
+    c = family.closed_c(family.validate(theta), sample)
+    if c == 0.0:
+        raise DataError("degenerate data: c(theta) = 0")
+    return c
 
 
 def divergence_interval(family, sample: Sample, fit_result: FitResult,
@@ -338,7 +343,12 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     chi2 = chi2_quantile_df1(1.0 - alpha, "alpha", alpha)
     critical = c0 * chi2
     p = chi2_sf_df1(max(stat, 0.0) / c0)
-    region = family.closed_test_region(theta0_hat, n, chi2)
+    try:
+        region = family.closed_test_region(theta0_hat, n, chi2)
+    except (OverflowError, ZeroDivisionError):
+        # a null so far from unit scale that a bound of the region is not
+        # a double (theta0**2 overflows, or underflows to 0): no region
+        region = None
     return TestResult(statistic_gddt=float(stat), c_at_null=float(c0),
                       critical_value=float(critical), p_value=float(p),
                       reject=bool(stat > critical), alpha=alpha,

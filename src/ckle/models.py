@@ -2,12 +2,12 @@
 
 A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
 ``domains`` and ``support``, and implements on its open domain ``validate``
-(which also rejects a theta of the wrong length), ``cdf``/``sf``/``pdf``
-(log variants where the tails need them), ``dcdf_dtheta``, ``mean_abs`` =
-E|X| with ``mean_abs_grad``, the integrated log-tail ``s_values`` per
-observation (s(x) = int_0^x log sf(y) dy for x >= 0, int_x^0 log cdf(y) dy
-for x < 0) with its gradient ``ds_dtheta_matrix`` (central differences of s
-for the Normal, whose s has no closed form), ``quantile``, the upper-tail
+(which also rejects a theta of the wrong length), ``cdf``/``sf``/``pdf``,
+``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
+log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
+x >= 0, int_x^0 log cdf(y) dy for x < 0) with its gradient
+``ds_dtheta_matrix`` (central differences of s for the Normal, whose s has
+no closed form), ``quantile``, the upper-tail
 quantile ``isf`` (accurate for tiny survival probabilities) and ``mle``; a
 family without ``profile_fit`` adds the simplex's ``start_point`` and, unless
 every parameter is a location, ``to_internal``/``from_internal``.  A
@@ -201,14 +201,6 @@ class Family:
     def sf(self, theta, x):
         raise NotImplementedError
 
-    def log_cdf(self, theta, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self.cdf(theta, x))
-
-    def log_sf(self, theta, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self.sf(theta, x))
-
     def pdf(self, theta, x):
         raise NotImplementedError
 
@@ -368,11 +360,6 @@ class Exponential(_PositiveScalar):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 1.0, np.exp(-lam * np.maximum(x, 0.0)))
 
-    def log_sf(self, theta, x):
-        lam = _as_theta(theta)[0]
-        x = np.asarray(x, dtype=float)
-        return -lam * np.maximum(x, 0.0)
-
     def pdf(self, theta, x):
         lam = _as_theta(theta)[0]
         x = np.asarray(x, dtype=float)
@@ -480,15 +467,6 @@ class Laplace(_PositiveScalar):
 
     def sf(self, theta, x):
         return self.cdf(theta, -np.asarray(x, dtype=float))
-
-    def log_cdf(self, theta, x):
-        th = _as_theta(theta)[0]
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, np.minimum(x, 0.0) / th - math.log(2.0),
-                        np.log1p(-0.5 * np.exp(-np.maximum(x, 0.0) / th)))
-
-    def log_sf(self, theta, x):
-        return self.log_cdf(theta, -np.asarray(x, dtype=float))
 
     def pdf(self, theta, x):
         th = _as_theta(theta)[0]
@@ -599,10 +577,6 @@ class TwoParamExponential(_LocationScale):
         mu, sig = _as_theta(theta)
         t = np.maximum((np.asarray(x, dtype=float) - mu) / sig, 0.0)
         return np.exp(-t)
-
-    def log_sf(self, theta, x):
-        mu, sig = _as_theta(theta)
-        return -np.maximum((np.asarray(x, dtype=float) - mu) / sig, 0.0)
 
     def pdf(self, theta, x):
         mu, sig = _as_theta(theta)
@@ -737,11 +711,6 @@ class Pareto(Family):
         r = np.maximum(x, b) / b
         return np.exp(-a * np.log(r))
 
-    def log_sf(self, theta, x):
-        a, b = _as_theta(theta)
-        x = np.asarray(x, dtype=float)
-        return -a * np.log(np.maximum(x, b) / b)
-
     def pdf(self, theta, x):
         a, b = _as_theta(theta)
         x = np.asarray(x, dtype=float)
@@ -849,14 +818,6 @@ class Normal(_LocationScale):
     def sf(self, theta, x):
         mu, sig = _as_theta(theta)
         return ndtr(-(np.asarray(x, dtype=float) - mu) / sig)
-
-    def log_cdf(self, theta, x):
-        mu, sig = _as_theta(theta)
-        return log_ndtr((np.asarray(x, dtype=float) - mu) / sig)
-
-    def log_sf(self, theta, x):
-        mu, sig = _as_theta(theta)
-        return log_ndtr(-(np.asarray(x, dtype=float) - mu) / sig)
 
     def pdf(self, theta, x):
         mu, sig = _as_theta(theta)

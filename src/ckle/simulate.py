@@ -3,8 +3,13 @@ curves, interval coverage, and test size.
 
 Replicate r of a study draws from the stream (seed, r), so runs are
 reproducible and embarrassingly parallel; estimates are collected per
-replicate and aggregated in index order afterwards, which makes the report
-bytes independent of the worker count.  A replicate's sizes are consecutive
+replicate, one array built per chunk of replicates with NaN where an
+estimator failed, and aggregated in index order afterwards, which makes
+the report bytes independent of the worker count.  A row of the report
+counts the failures and aggregates the finite estimates: their mean, the
+mean over the true value (NaN when the true value is 0) and their sample
+variance (0 for a single success); a row where every replicate failed has
+NaN mean, ratio and variance.  A replicate's sizes are consecutive
 slices of its stream, in the order given: consecutive sizes are drawn in
 blocks of at most max(largest size, 4096) values, and each size takes its
 slice of its block, the values a draw of that size alone would give.
@@ -84,18 +89,18 @@ class SimulationReport:
         raise KeyError((size, estimator, param))
 
 
-def _estimate(family: Family, est: str, sample: Sample) -> np.ndarray:
+def _estimate(family: Family, est: str, sample: Sample):
     if est == "mckle":
         res = fit(family, sample)
         if not res.converged:
             raise InferenceError("fit did not converge")
-        return np.asarray(res.params.values)
+        return res.params.values
     if est == "mckle_unbiased":
-        return np.asarray(family.mckle_unbiased(family.closed_form(sample), sample.n))
+        return family.mckle_unbiased(family.closed_form(sample), sample.n)
     if est == "mle":
-        return np.asarray(family.mle(sample))
+        return family.mle(sample)
     if est == "mle_unbiased":
-        return np.asarray(family.mle_unbiased(sample))
+        return family.mle_unbiased(sample)
     raise DomainError(f"unknown estimator {est!r}")
 
 
@@ -115,45 +120,49 @@ def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return blocks
 
 
-def _replicate_chunk(args):
+def _replicate_chunk(args) -> np.ndarray:
+    """Estimates of replicates start..stop-1, shape (replicates, sizes,
+    estimators, dim); a cell whose estimator raised CkleError is NaN."""
     family_name, params, sizes, estimators, seed, start, stop = args
     family = get_family(family_name)
     theta = np.asarray(params, dtype=float)
-    dim = family.dim
     blocks = _size_blocks(sizes)
-    out = np.full((stop - start, len(sizes), len(estimators), dim), np.nan)
-    for i, r in enumerate(range(start, stop)):
+    failed = (math.nan,) * family.dim
+    cells = []
+    for r in range(start, stop):
         rng = make_rng(seed, r)
         for first, last, total in blocks:
             # the stream is read in order and every quantile is elementwise,
             # so each slice holds the values a draw of its size alone gives
             xs = family.draw(theta, total, rng)
             offset = 0
-            for si in range(first, last):
-                n = sizes[si]
+            for n in sizes[first:last]:
                 sample = build_sample(xs[offset:offset + n])
                 offset += n
-                for ei, est in enumerate(estimators):
+                for est in estimators:
                     try:
-                        out[i, si, ei, :] = _estimate(family, est, sample)
+                        cells.append(_estimate(family, est, sample))
                     except CkleError:
-                        pass
-    return start, out
+                        cells.append(failed)
+    return np.array(cells, dtype=float).reshape(
+        stop - start, len(sizes), len(estimators), family.dim)
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
     """Draw, fit and aggregate; deterministic for a fixed seed regardless of
-    the worker count.  Per-replicate failures are counted, not fatal."""
+    the worker count.  Per-replicate failures are counted, not fatal.  A
+    row's mean, ratio and variance are over its finite estimates: the ratio
+    is NaN when the true value is 0, the variance is 0 for a single success,
+    and all three are NaN when every replicate failed."""
     family = get_family(config.family)
     theta = family.validate(config.params)
     R = config.replicates
     sizes = tuple(int(s) for s in config.sizes)
     estimators = tuple(config.estimators)
-    dim = family.dim
 
     threads = min(int(config.threads), R)
     if threads == 1:
-        _, estimates = _replicate_chunk(
+        estimates = _replicate_chunk(
             (family.name, tuple(theta), sizes, estimators, config.seed, 0, R))
     else:
         from multiprocessing import Pool  # only a threaded study pays its import
@@ -161,10 +170,8 @@ def run_study(config: StudyConfig) -> SimulationReport:
         bounds = np.linspace(0, R, threads * 4 + 1, dtype=int)
         chunks = [(family.name, tuple(theta), sizes, estimators, config.seed,
                    int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        estimates = np.full((R, len(sizes), len(estimators), dim), np.nan)
         with Pool(processes=threads) as pool:
-            for start, block in pool.imap(_replicate_chunk, chunks):
-                estimates[start:start + block.shape[0]] = block
+            estimates = np.concatenate(pool.map(_replicate_chunk, chunks))
 
     rows = []
     for si, n in enumerate(sizes):
@@ -175,9 +182,13 @@ def run_study(config: StudyConfig) -> SimulationReport:
             vals = block[ok]
             for pi, pname in enumerate(family.param_names):
                 col = vals[:, pi]
-                mean = float(col.mean()) if col.size else math.nan
-                var = float(col.var(ddof=1)) if col.size > 1 else 0.0
-                ratio = mean / theta[pi] if col.size else math.nan
+                if col.size:
+                    mean = float(col.mean())
+                    truth = float(theta[pi])
+                    ratio = mean / truth if truth != 0.0 else math.nan
+                    var = float(col.var(ddof=1)) if col.size > 1 else 0.0
+                else:
+                    mean = ratio = var = math.nan
                 rows.append(StudyRow(size=n, estimator=est, param=pname,
                                      mean=mean, ratio=ratio, variance=var,
                                      failures=failures))

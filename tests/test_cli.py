@@ -334,6 +334,17 @@ def test_simulate_shape_and_determinism(tmp_path, capsys):
     assert out1 == out3
 
 
+@pytest.mark.parametrize("model,params", [("normal", ["mu=0", "sigma=1"]),
+                                          ("twoparamexp", ["mu=0", "sigma=2"])])
+def test_simulate_zero_truth_prints_nan_ratio_and_no_warning(capsys, model, params):
+    code, out, err = run_cli(["simulate", "--model", model, "--params", *params,
+                              "--sizes", "5", "--reps", "3", "--threads", "1"], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[4] for r in rows if r[2] == "mu"] == ["nan", "nan"]
+    assert all(math.isfinite(float(r[4])) for r in rows if r[2] == "sigma")
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["simulate", "--model", "exponential", "--params",
                           "lambda=5", "--sizes", "10:55:5", "--reps", "0"], capsys)

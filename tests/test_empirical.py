@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ckle import (DataError, ParseError, build_sample, ecdf_eval, esf_eval,
                   empirical_entropy_constant, make_rng)
@@ -40,6 +40,12 @@ def test_build_sample_errors():
         build_sample([1.0, 2.0, math.nan])
     with pytest.raises(DataError, match="non-finite observation at index 0"):
         build_sample([math.inf, 2.0])
+    # the index in input order, also where the squares overflow first, or
+    # where the sorted order moves the bad value
+    for raw, i in (([1e200, math.nan], 1), ([-math.inf, 1.0], 0),
+                   ([3.0, -1.0, math.inf, math.nan, -math.inf], 2)):
+        with pytest.raises(ParseError, match=f"non-finite observation at index {i}$"):
+            build_sample(raw)
 
 
 def test_ingestion_errors_are_parse_errors():
@@ -52,7 +58,7 @@ def test_ingestion_errors_are_parse_errors():
 def test_overflowing_moments_are_data_errors():
     # exponential data near 1e200 and Laplace data at +-1e155 overflow the
     # mean of squares, which would otherwise reach the fit as lambda = 0
-    for raw in ([1e200, 2e200, 3e200], [-1e155, 2e155, 1e155]):
+    for raw in ([1e200, 2e200, 3e200], [-1e155, 2e155, 1e155], [1e200, 2e200]):
         with pytest.raises(DataError, match="moments overflow") as exc:
             build_sample(raw)
         assert not isinstance(exc.value, ParseError)
@@ -68,9 +74,17 @@ unscaled = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=60)
 positive = st.lists(st.floats(min_value=5e-324, max_value=1e154),
                     min_size=1, max_size=60)
+# signed zeros among subnormals and values near zero
+near_zero = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                               st.floats(min_value=-1e-300, max_value=1e-300)),
+                     min_size=1, max_size=60)
 
 
-@given(st.one_of(samples, unscaled, positive))
+@given(st.one_of(samples, unscaled, positive, near_zero))
+@example([-0.0, 0.0, 1.0])
+@example([-0.0] * 3)
+@example([0.0, 2.0])
+@example([-0.0, 5e-324])
 def test_moments_are_bitwise_the_ndarray_means(values):
     obs = np.sort(np.asarray(values, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -83,6 +97,27 @@ def test_moments_are_bitwise_the_ndarray_means(values):
     s = build_sample(values)
     assert [_hex(m) for m in (s.mean, s.mean_abs, s.mean_sq, s.mean_xlogx)] == [
         _hex(m) for m in old]
+    assert s.k == int(np.searchsorted(obs, 0.0, side="left"))
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf])),
+                min_size=1, max_size=30))
+def test_errors_follow_the_scan_first_rule(values):
+    # the rule the sums must reproduce: the first non-finite value in input
+    # order is a ParseError; otherwise an overflowing moment is a DataError
+    arr = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    obs = np.sort(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = not all(math.isfinite(float(m.sum())) for m in (obs, np.abs(obs), obs * obs))
+    if bad.size:
+        with pytest.raises(ParseError, match=f"non-finite observation at index {bad[0]}$"):
+            build_sample(values)
+    elif overflow:
+        with pytest.raises(DataError, match="moments overflow"):
+            build_sample(values)
+    else:
+        assert build_sample(values).n == len(values)
 
 
 def test_sample_immutable():

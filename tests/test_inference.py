@@ -1,12 +1,13 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 from scipy.special import erf
 
-from ckle import (DomainError, InferenceError, ObjectiveContext, avar_matrix,
+from ckle import (DataError, DomainError, InferenceError, ObjectiveContext, avar_matrix,
                   avar_scalar, build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
                   divergence_interval, divergence_region_cutoffs, fit,
                   g_objective, gddt_test, get_family, make_rng, pivotal_q,
@@ -455,6 +456,31 @@ def test_c_value_closed_forms():
             assert c_value(name, s, theta) == pytest.approx(sigma2_g2, rel=1e-8)
     with pytest.raises(DomainError):
         c_value("normal", s, (2.0, 3.0))
+
+
+@pytest.mark.parametrize("raw", [[0.0], [-0.0, 5e-324, 5e-324]])
+def test_zero_c_is_degenerate_data(raw):
+    # a Laplace sample whose mean of squares is 0: power and sample size
+    # divided by c = 0 (0/0 at theta0 = theta1) behind a numpy warning
+    s = build_sample(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: c_value("laplace", s, (2.0,)),
+                     lambda: power_approx("laplace", s, 2.0, 2.0, 0.05, 50),
+                     lambda: power_approx("laplace", s, 5.0, 2.0, 0.05, 50),
+                     lambda: required_sample_size("laplace", s, 2.0, 5.0, 0.05, 0.9)):
+            with pytest.raises(DataError, match="degenerate data"):
+                call()
+
+
+@pytest.mark.parametrize("theta0", [1e300, 1e-300])
+def test_extreme_null_has_no_region_instead_of_crashing(theta0):
+    # theta0**2 overflowed (OverflowError) or underflowed to a zero divisor;
+    # at 1e300 the statistic over c also overflows, with a numpy warning
+    with np.errstate(over="ignore"):
+        res = gddt_test("exponential", build_sample([1.0, 2.0]), theta0, 0.05)
+    assert res.region_mean_sq is None
+    assert gddt_test("exponential", build_sample([1.0, 2.0]), 2.0, 0.05).region_mean_sq
 
 
 def test_power_limit_is_alpha():

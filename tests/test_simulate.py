@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ def test_run_study_deterministic_bytes_and_thread_independent():
 
 
 def _per_size_chunk(args):
-    # the reference loop: one draw call per (replicate, size)
+    # the reference loop: one draw call per (replicate, size), and each
+    # cell's estimate written into a NaN-filled array
     family_name, params, sizes, estimators, seed, start, stop = args
     family = get_family(family_name)
     theta = np.asarray(params, dtype=float)
@@ -68,7 +70,7 @@ def _per_size_chunk(args):
                     out[i, si, ei, :] = simulate._estimate(family, est, sample)
                 except CkleError:
                     pass
-    return start, out
+    return out
 
 
 def _hex_rows(report):
@@ -88,6 +90,8 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
         dict(sizes=tuple(range(10, 56, 5)), replicates=4 if name == "normal" else 30),
         # a block of two, a block of one, a size above the block bound, a tail
         dict(sizes=(10, 4000, 100, 5000, 20), replicates=3, estimators=("mle",)),
+        # size 1 fails every fit of the Normal and the Pareto
+        dict(sizes=(1, 10, 1), replicates=5),
     ]
     for kwargs in configs:
         cfg = StudyConfig(name, theta, seed=801, **kwargs)
@@ -97,6 +101,18 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
         assert _hex_rows(run_study(cfg)) == want
         threaded = StudyConfig(name, theta, seed=801, threads=2, **kwargs)
         assert _hex_rows(run_study(threaded)) == want
+
+
+def test_zero_truth_ratio_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, theta in (("normal", (0.0, 1.0)), ("twoparamexp", (0.0, 2.0))):
+            rep = run_study(StudyConfig(name, theta, (5,), 3, seed=1))
+            for est in ("mckle", "mle"):
+                mu = rep.row(5, est, "mu")
+                assert math.isfinite(mu.mean) and math.isnan(mu.ratio)
+                assert mu.variance > 0 and mu.failures == 0
+                assert math.isfinite(rep.row(5, est, "sigma").ratio)
 
 
 def test_size_blocks_are_bounded():
@@ -139,7 +155,8 @@ def test_run_study_single_replicate_smoke():
     cfg = StudyConfig("normal", (2.0, 3.0), (15,), 1, seed=3)
     rep = run_study(cfg)
     assert len(rep.rows) == 4          # 1 size x 2 estimators x 2 params
-    assert all(r.failures == 0 for r in rep.rows)
+    # one success: a sample variance of 0
+    assert all(r.failures == 0 and r.variance == 0.0 for r in rep.rows)
     assert rep.to_csv().splitlines()[0] == \
         "size,estimator,param,mean,ratio,variance,failures"
     again = run_study(cfg)
@@ -160,12 +177,17 @@ def test_run_study_shapes_and_unbiased_rows():
 
 
 def test_run_study_counts_failures():
-    # the profile solve degenerates at n = 1, so every replicate fails
+    # the profile solve degenerates at n = 1, so every replicate fails; so
+    # does every Normal fit and MLE, and such a row is NaN throughout
     cfg = StudyConfig("pareto", (3.0, 5.0), (1,), 20, seed=9)
     rep = run_study(cfg)
     row = rep.row(1, "mckle", "alpha")
     assert row.failures == 20
     assert math.isnan(row.mean)
+    rep = run_study(StudyConfig("normal", (0.0, 1.0), sizes=(1,), replicates=3, seed=1))
+    for r in rep.rows:
+        assert r.failures == 3
+        assert math.isnan(r.mean) and math.isnan(r.ratio) and math.isnan(r.variance)
 
 
 def test_variance_tracks_one_over_n():
