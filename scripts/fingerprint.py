@@ -12,8 +12,11 @@ observation below the support, the error (or k and the moments) that
 ``build_sample`` gives for inputs whose validation the moment sums decide,
 the ``run_study`` rows of every family on the criterion-8 sizes at two
 seeds and small replicate counts, with every estimator the family defines,
-and the CSV of a study where every fit fails and of studies with a true
-value of 0.
+the CSV of a study where every fit fails and of studies with a true value
+of 0, and the other Monte Carlo entry points at small replicate counts:
+``bias_check_exponential``, ``coverage_study`` of both scalar families with
+both interval kinds, and ``divergence_region_cutoffs`` of the three vector
+families (the Normal also at sizes where one fit or every fit fails).
 Two trees give bitwise-equal outputs exactly when
 
     PYTHONPATH=src python3 scripts/fingerprint.py > a.txt
@@ -40,10 +43,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ckle import (CkleError, StudyConfig, avar_matrix, avar_scalar, build_sample,
-                  c_value, cli, divergence_interval, fit, gddt_test, get_family,
-                  make_rng, pivotal_q, power_approx, psi_matrix,
-                  required_sample_size, run_study, sandwich, wald_ci)
+from ckle import (CkleError, StudyConfig, avar_matrix, avar_scalar,
+                  bias_check_exponential, build_sample, c_value, cli,
+                  coverage_study, divergence_interval, divergence_region_cutoffs,
+                  fit, gddt_test, get_family, make_rng, pivotal_q, power_approx,
+                  psi_matrix, required_sample_size, run_study, sandwich, wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
@@ -157,6 +161,26 @@ def studies():
                      lambda: [row.mean, row.ratio, row.variance, row.failures])
 
 
+def monte_carlo():
+    for n, reps, seed in ((10, 50, 3), (20, 200, 4)):
+        emit(f"bias_check/n{n}/r{reps}/s{seed}", lambda: [
+            (b := bias_check_exponential(5.0, n, reps, seed)).mean_mckle, b.bias,
+            b.first_order_bias, b.mean_unbiased, b.unbiased_bias])
+    for name in ("exponential", "laplace"):
+        for n in (5, 40):
+            for kind in ("wald", "divergence"):
+                emit(f"coverage/{name}/n{n}/{kind}", lambda: [
+                    (c := coverage_study(name, TRUTH[name], n, 150, 0.9, kind, 61)).covered,
+                    c.standard_error, c.failures])
+    # the Normal fails one fit in 100 at n = 2 and every fit at n = 1
+    for name, n, reps in (("twoparamexp", 30, 150), ("pareto", 30, 150), ("pareto", 3, 100),
+                          ("normal", 20, 100), ("normal", 2, 100), ("normal", 1, 100)):
+        emit(f"region_cutoffs/{name}/n{n}/r{reps}", lambda: [
+            *(rc := divergence_region_cutoffs(name, TRUTH[name], n, reps,
+                                              (0.9, 0.5, 0.1), 71)).cutoffs,
+            rc.used, rc.failures])
+
+
 def cli_runs(directory: Path):
     def write(label, values):
         path = directory / f"{label}.csv"
@@ -221,6 +245,7 @@ def main():
     studies()
     for label, config in CSV_STUDIES.items():
         emit(f"study_csv/{label}", lambda: run_study(config).to_csv().strip().replace("\n", " / "))
+    monte_carlo()
     with tempfile.TemporaryDirectory() as tmp:
         cli_runs(Path(tmp))
 

@@ -27,6 +27,9 @@ quantile, and the chi-square(1) tail, are scalars from the standard library
 closed-form families never load scipy.special; the tanh-sinh table, which
 needs its ``expit``, is built on the first quadrature variance.
 
+The Monte Carlo cutoffs of vector divergence regions,
+``divergence_region_cutoffs``, live in ``simulate`` with every replicate loop.
+
 Note on the sign of I: the average derivative of psi is the Hessian of g
 (``ObjectiveContext.hessian``, since mean psi = grad g), positive definite at
 a minimum, so I is taken with the plus sign here; the sign squares away
@@ -43,12 +46,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .empirical import Sample, build_sample
-from .errors import CkleError, DataError, DomainError, InferenceError
+from .empirical import Sample
+from .errors import DataError, DomainError, InferenceError
 from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, psi_matrix
-from .rng import make_rng
 from .solver import FitResult, fit
 
 
@@ -407,51 +409,3 @@ def required_sample_size(family, sample: Sample, theta0, theta1,
         n_star = int(math.floor(n0)) + 1
     return SampleSizeResult(n_star=n_star, n0=float(n0), g_theta0=g0, g_theta1=g1,
                             c_theta0=c0, c_theta1=c1, chi2_alpha=chi_a, chi2_beta=chi_b)
-
-
-# --------------------------------------------------- resampled region cutoffs
-
-@dataclass(frozen=True)
-class RegionCutoffs:
-    levels: tuple[float, ...]
-    cutoffs: tuple[float, ...]
-    reps: int
-    used: int
-    failures: int
-
-
-def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
-                              levels, seed: int) -> RegionCutoffs:
-    """Empirical quantiles of g(theta_true) - g(theta_hat) over seeded
-    replicate fits; these calibrate divergence-based confidence regions when
-    the parameter has dimension above one."""
-    family = get_family(family)
-    theta_true = family.validate(theta_true)
-    if family.dim < 2:
-        raise DomainError("region cutoffs apply to vector parameters")
-    if reps < 100:
-        raise DomainError("reps must be >= 100")
-    levels = tuple(float(lv) for lv in levels)
-    for lv in levels:
-        if not 0.0 < lv < 1.0:
-            raise DomainError("levels must be in (0, 1)")
-    gaps = []
-    failures = 0
-    for r in range(reps):
-        rng = make_rng(seed, r)
-        xs = family.draw(theta_true, n, rng)
-        try:
-            sample = build_sample(xs)
-            fres = fit(family, sample)
-            if not fres.converged:
-                raise InferenceError("fit did not converge")
-            gaps.append(g_objective(family, theta_true, sample) - fres.g_at_opt)
-        except CkleError:
-            failures += 1
-    if failures > 0.05 * reps:
-        raise InferenceError(f"{failures} of {reps} replicate fits failed")
-    gaps.sort()
-    used = len(gaps)
-    cutoffs = tuple(gaps[min(math.ceil(lv * used), used) - 1] for lv in levels)
-    return RegionCutoffs(levels=levels, cutoffs=cutoffs, reps=reps,
-                         used=used, failures=failures)

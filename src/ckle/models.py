@@ -9,8 +9,8 @@ x >= 0, int_x^0 log cdf(y) dy for x < 0) with its gradient
 ``ds_dtheta_matrix`` (central differences of s for the Normal, whose s has
 no closed form), ``quantile``, the upper-tail
 quantile ``isf`` (accurate for tiny survival probabilities) and ``mle``; a
-family without ``profile_fit`` adds the simplex's ``start_point`` and, unless
-every parameter is a location, ``to_internal``/``from_internal``.  A
+family without ``profile_fit`` adds the simplex's ``start_point``,
+``to_internal`` and ``from_internal``.  A
 one-parameter family, whose g is closed in theta and the sample moments,
 also implements ``closed_c`` and ``closed_divergence_interval``.  The
 optional hooks ``closed_form``, ``profile_fit``, ``closed_fit_warning``,
@@ -269,12 +269,6 @@ class Family:
     def start_point(self, sample: Sample) -> tuple[float, ...]:
         raise NotImplementedError
 
-    def to_internal(self, theta) -> np.ndarray:
-        return _as_theta(theta).copy()
-
-    def from_internal(self, t) -> np.ndarray:
-        return np.atleast_1d(np.asarray(t, dtype=float)).copy()
-
     # --- closed scalar inference: required of every one-parameter family ---
     def closed_c(self, theta, sample: Sample) -> float:
         """c(theta) = sigma^2(theta) g''(theta) of the chi-square limits."""
@@ -337,6 +331,11 @@ class _PositiveScalar(Family):
 
     def from_internal(self, t):
         return np.exp(np.atleast_1d(np.asarray(t, dtype=float)))
+
+    def check_sample(self, sample):
+        # with a mean of squares of 0 no theta in the domain minimizes g
+        if sample.mean_sq <= 0:
+            raise DataError("degenerate data")
 
 
 class Exponential(_PositiveScalar):

@@ -1,22 +1,28 @@
-"""Seeded Monte Carlo studies: estimator comparisons, bias and variance
-curves, interval coverage, and test size.
+"""Seeded Monte Carlo: estimator comparisons, bias and variance curves,
+interval coverage, test size and resampled region cutoffs.
 
-Replicate r of a study draws from the stream (seed, r), so runs are
-reproducible and embarrassingly parallel; estimates are collected per
-replicate, one array built per chunk of replicates with NaN where an
-estimator failed, and aggregated in index order afterwards, which makes
-the report bytes independent of the worker count.  A row of the report
-counts the failures and aggregates the finite estimates: their mean, the
-mean over the true value (NaN when the true value is 0) and their sample
-variance (0 for a single success); a row where every replicate failed has
-NaN mean, ratio and variance.  A replicate's sizes are consecutive
-slices of its stream, in the order given: consecutive sizes are drawn in
-blocks of at most max(largest size, 4096) values, and each size takes its
-slice of its block, the values a draw of that size alone would give.
+Every entry point runs its replicates through one engine,
+``_replicate_chunk``: replicate r reads the stream (seed, r), its sizes are
+consecutive slices of that stream in the order given (drawn in blocks of
+at most max(largest size, 4096) values, each slice the values a draw of its
+size alone gives), and each of the caller's cells maps (family, sample) to
+a fixed number of floats; a cell raising ``CkleError`` is a NaN row, and an
+error of ``draw`` or ``build_sample`` propagates.  Values are aggregated in
+replicate order, so no report depends on the worker count.
+
+``run_study`` counts a row's failures and aggregates its finite estimates:
+the mean, the mean over the true value (NaN when that is 0) and the sample
+variance (0 for one success), all NaN when every replicate failed.
+``bias_check_exponential`` is the mckle row of a one-size study and raises
+``InferenceError`` if a replicate failed; ``coverage_study`` counts failed
+fits or intervals and reports coverage over the rest;
+``divergence_region_cutoffs`` raises ``InferenceError`` when more than 5%
+of its fits fail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +31,8 @@ import numpy as np
 from .empirical import Sample, build_sample
 from .errors import CkleError, DomainError, InferenceError
 from .inference import avar_scalar, divergence_interval, wald_ci
-from .models import Family, get_family
+from .models import EXPONENTIAL, Family, get_family
+from .objective import g_objective
 from .rng import make_rng
 from .solver import fit
 
@@ -89,7 +96,8 @@ class SimulationReport:
         raise KeyError((size, estimator, param))
 
 
-def _estimate(family: Family, est: str, sample: Sample):
+def _estimate(est: str, family: Family, sample: Sample):
+    """The study cell of estimator ``est`` (a name StudyConfig accepted)."""
     if est == "mckle":
         res = fit(family, sample)
         if not res.converged:
@@ -99,9 +107,7 @@ def _estimate(family: Family, est: str, sample: Sample):
         return family.mckle_unbiased(family.closed_form(sample), sample.n)
     if est == "mle":
         return family.mle(sample)
-    if est == "mle_unbiased":
-        return family.mle_unbiased(sample)
-    raise DomainError(f"unknown estimator {est!r}")
+    return family.mle_unbiased(sample)
 
 
 def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -121,14 +127,13 @@ def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 
 def _replicate_chunk(args) -> np.ndarray:
-    """Estimates of replicates start..stop-1, shape (replicates, sizes,
-    estimators, dim); a cell whose estimator raised CkleError is NaN."""
-    family_name, params, sizes, estimators, seed, start, stop = args
-    family = get_family(family_name)
-    theta = np.asarray(params, dtype=float)
+    """Cell values of replicates start..stop-1, shape (replicates, sizes,
+    cells, width): each cell is called as cell(family, sample) and returns
+    width floats, and a cell that raises CkleError gives a NaN row."""
+    family, theta, sizes, cells, width, seed, start, stop = args
     blocks = _size_blocks(sizes)
-    failed = (math.nan,) * family.dim
-    cells = []
+    failed = (math.nan,) * width
+    values = []
     for r in range(start, stop):
         rng = make_rng(seed, r)
         for first, last, total in blocks:
@@ -139,13 +144,13 @@ def _replicate_chunk(args) -> np.ndarray:
             for n in sizes[first:last]:
                 sample = build_sample(xs[offset:offset + n])
                 offset += n
-                for est in estimators:
+                for cell in cells:
                     try:
-                        cells.append(_estimate(family, est, sample))
+                        values.append(cell(family, sample))
                     except CkleError:
-                        cells.append(failed)
-    return np.array(cells, dtype=float).reshape(
-        stop - start, len(sizes), len(estimators), family.dim)
+                        values.append(failed)
+    return np.array(values, dtype=float).reshape(
+        stop - start, len(sizes), len(cells), width)
 
 
 def run_study(config: StudyConfig) -> SimulationReport:
@@ -159,17 +164,18 @@ def run_study(config: StudyConfig) -> SimulationReport:
     R = config.replicates
     sizes = tuple(int(s) for s in config.sizes)
     estimators = tuple(config.estimators)
+    cells = tuple(functools.partial(_estimate, est) for est in estimators)
+    study = (family, theta, sizes, cells, family.dim, config.seed)
 
     threads = min(int(config.threads), R)
     if threads == 1:
-        estimates = _replicate_chunk(
-            (family.name, tuple(theta), sizes, estimators, config.seed, 0, R))
+        estimates = _replicate_chunk((*study, 0, R))
     else:
         from multiprocessing import Pool  # only a threaded study pays its import
 
         bounds = np.linspace(0, R, threads * 4 + 1, dtype=int)
-        chunks = [(family.name, tuple(theta), sizes, estimators, config.seed,
-                   int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        chunks = [(*study, int(a), int(b))
+                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with Pool(processes=threads) as pool:
             estimates = np.concatenate(pool.map(_replicate_chunk, chunks))
 
@@ -210,19 +216,18 @@ class BiasReport:
 def bias_check_exponential(lambda_true: float, n: int, reps: int,
                            seed: int) -> BiasReport:
     """Mean bias of the exponential estimate against its first-order value
-    15 lambda / (8n), and the effect of the family's bias correction."""
+    15 lambda / (8n), and the effect of the family's bias correction, from
+    the mckle row of a one-size study; a failed replicate raises."""
     if n < 10:
         raise DomainError("n must be >= 10")
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    family = get_family("exponential")
-    total = 0.0
-    for r in range(reps):
-        rng = make_rng(seed, r)
-        sample = build_sample(family.draw((lambda_true,), n, rng))
-        total += family.closed_form(sample)[0]
-    mean_hat = total / reps
-    mean_u = family.mckle_unbiased((mean_hat,), n)[0]
+    row = run_study(StudyConfig("exponential", (lambda_true,), (n,), reps, seed,
+                                estimators=("mckle",))).rows[0]
+    if row.failures:
+        raise InferenceError(f"{row.failures} of {reps} replicate fits failed")
+    mean_hat = row.mean
+    mean_u = EXPONENTIAL.mckle_unbiased((mean_hat,), n)[0]
     return BiasReport(lambda_true=lambda_true, n=n, replicates=reps,
                       mean_mckle=mean_hat, bias=mean_hat - lambda_true,
                       first_order_bias=15.0 * lambda_true / (8.0 * n),
@@ -255,23 +260,63 @@ def coverage_study(family, params, n: int, reps: int, level: float,
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     true_val = float(theta[0])
-    hits = 0
-    failures = 0
-    for r in range(reps):
-        rng = make_rng(seed, r)
-        sample = build_sample(family.draw(theta, n, rng))
-        try:
-            res = fit(family, sample)
-            if kind == "wald":
-                sigma2 = avar_scalar(family, res.params.values).sigma2
-                ci = wald_ci(res, sigma2, level)
-            else:
-                ci = divergence_interval(family, sample, res, level)
-            hits += int(ci.lower <= true_val <= ci.upper)
-        except CkleError:
-            failures += 1
-    used = reps - failures
-    p = hits / used if used else math.nan
+
+    def covers(family, sample):
+        res = fit(family, sample)
+        if kind == "wald":
+            ci = wald_ci(res, avar_scalar(family, res.params.values).sigma2, level)
+        else:
+            ci = divergence_interval(family, sample, res, level)
+        return (float(ci.lower <= true_val <= ci.upper),)
+
+    hit = _replicate_chunk((family, theta, (n,), (covers,), 1, seed, 0, reps)).ravel()
+    ok = ~np.isnan(hit)
+    used = int(ok.sum())
+    failures = reps - used
+    p = int(hit[ok].sum()) / used if used else math.nan
     se = math.sqrt(p * (1.0 - p) / used) if used else math.nan
     return CoverageReport(family=family.name, n=n, replicates=reps, level=level,
                           kind=kind, covered=p, standard_error=se, failures=failures)
+
+
+@dataclass(frozen=True)
+class RegionCutoffs:
+    levels: tuple[float, ...]
+    cutoffs: tuple[float, ...]
+    reps: int
+    used: int
+    failures: int
+
+
+def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
+                              levels, seed: int) -> RegionCutoffs:
+    """Empirical quantiles of g(theta_true) - g(theta_hat) over seeded
+    replicate fits; these calibrate divergence-based confidence regions when
+    the parameter has dimension above one.  A fit that fails or does not
+    converge is left out, and more than 5% of them raise InferenceError."""
+    family = get_family(family)
+    theta_true = family.validate(theta_true)
+    if family.dim < 2:
+        raise DomainError("region cutoffs apply to vector parameters")
+    if reps < 100:
+        raise DomainError("reps must be >= 100")
+    levels = tuple(float(lv) for lv in levels)
+    for lv in levels:
+        if not 0.0 < lv < 1.0:
+            raise DomainError("levels must be in (0, 1)")
+
+    def gap(family, sample):
+        res = fit(family, sample)
+        if not res.converged:
+            raise InferenceError("fit did not converge")
+        return (g_objective(family, theta_true, sample) - res.g_at_opt,)
+
+    gaps = _replicate_chunk((family, theta_true, (n,), (gap,), 1, seed, 0, reps)).ravel()
+    gaps = sorted(gaps[~np.isnan(gaps)].tolist())
+    used = len(gaps)
+    failures = reps - used
+    if failures > 0.05 * reps:
+        raise InferenceError(f"{failures} of {reps} replicate fits failed")
+    cutoffs = tuple(gaps[min(math.ceil(lv * used), used) - 1] for lv in levels)
+    return RegionCutoffs(levels=levels, cutoffs=cutoffs, reps=reps,
+                         used=used, failures=failures)

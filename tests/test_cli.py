@@ -68,6 +68,17 @@ def test_fit_normal_constant_data_exit2(tmp_path, capsys):
     assert "degenerate data" in err
 
 
+@pytest.mark.parametrize("model", ["exponential", "laplace"])
+@pytest.mark.parametrize("command", ["fit", "gof"])
+def test_zero_mean_square_numeric_fit_exit2(tmp_path, capsys, model, command):
+    data = tmp_path / "zeros.csv"
+    data.write_text("0\n0\n")
+    code, out, err = run_cli([command, "--model", model, "--data", str(data),
+                              "--method", "numeric"], capsys)
+    assert (code, out) == (2, "")
+    assert "degenerate data" in err
+
+
 @pytest.mark.parametrize("values", [
     [2.0, 2.0, 2.0000000000000004],
     (1e8 + make_rng(5, 0).uniform(-1.0, 1.0, 30)).tolist(),

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ckle import (CkleError, DomainError, StudyConfig, bias_check_exponential,
-                  build_sample, coverage_study, get_family, make_rng,
-                  run_study, simulate)
+from ckle import (CkleError, DataError, DomainError, InferenceError, StudyConfig,
+                  avar_scalar, bias_check_exponential, build_sample, coverage_study,
+                  divergence_interval, divergence_region_cutoffs, fit, g_objective,
+                  get_family, make_rng, run_study, simulate, wald_ci)
 
 
 def test_mle_formulas():
@@ -56,18 +57,16 @@ def test_run_study_deterministic_bytes_and_thread_independent():
 
 def _per_size_chunk(args):
     # the reference loop: one draw call per (replicate, size), and each
-    # cell's estimate written into a NaN-filled array
-    family_name, params, sizes, estimators, seed, start, stop = args
-    family = get_family(family_name)
-    theta = np.asarray(params, dtype=float)
-    out = np.full((stop - start, len(sizes), len(estimators), family.dim), np.nan)
+    # cell's values written into a NaN-filled array
+    family, theta, sizes, cells, width, seed, start, stop = args
+    out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
     for i, r in enumerate(range(start, stop)):
         rng = make_rng(seed, r)
         for si, n in enumerate(sizes):
             sample = build_sample(family.draw(theta, n, rng))
-            for ei, est in enumerate(estimators):
+            for ci, cell in enumerate(cells):
                 try:
-                    out[i, si, ei, :] = simulate._estimate(family, est, sample)
+                    out[i, si, ci, :] = cell(family, sample)
                 except CkleError:
                     pass
     return out
@@ -101,6 +100,91 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
         assert _hex_rows(run_study(cfg)) == want
         threaded = StudyConfig(name, theta, seed=801, threads=2, **kwargs)
         assert _hex_rows(run_study(threaded)) == want
+
+
+def _coverage_loop(name, params, n, reps, level, kind, seed):
+    # the reference: the per-replicate loop coverage_study ran on its own
+    family = get_family(name)
+    theta = family.validate(params)
+    true_val = float(theta[0])
+    hits = failures = 0
+    for r in range(reps):
+        sample = build_sample(family.draw(theta, n, make_rng(seed, r)))
+        try:
+            res = fit(family, sample)
+            if kind == "wald":
+                ci = wald_ci(res, avar_scalar(family, res.params.values).sigma2, level)
+            else:
+                ci = divergence_interval(family, sample, res, level)
+            hits += int(ci.lower <= true_val <= ci.upper)
+        except CkleError:
+            failures += 1
+    used = reps - failures
+    p = hits / used
+    return p.hex(), math.sqrt(p * (1.0 - p) / used).hex(), failures
+
+
+@pytest.mark.parametrize("name", ["exponential", "laplace"])
+@pytest.mark.parametrize("kind", ["wald", "divergence"])
+def test_coverage_study_matches_the_per_replicate_loop_bitwise(name, kind):
+    for n in (5, 40):
+        args = (name, STUDY_TRUTH[name], n, 200, 0.9, kind, 61)
+        rep = coverage_study(*args)
+        assert (rep.covered.hex(), rep.standard_error.hex(), rep.failures) == \
+            _coverage_loop(*args)
+
+
+def _region_loop(name, theta_true, n, reps, levels, seed):
+    # the reference: the per-replicate loop divergence_region_cutoffs ran
+    # on its own, which also counted a build_sample error as a failure
+    family = get_family(name)
+    gaps, failures = [], 0
+    for r in range(reps):
+        xs = family.draw(theta_true, n, make_rng(seed, r))
+        try:
+            sample = build_sample(xs)
+            res = fit(family, sample)
+            if not res.converged:
+                raise InferenceError("fit did not converge")
+            gaps.append(g_objective(family, theta_true, sample) - res.g_at_opt)
+        except CkleError:
+            failures += 1
+    gaps.sort()
+    used = len(gaps)
+    cutoffs = [gaps[min(math.ceil(lv * used), used) - 1].hex() for lv in levels]
+    return cutoffs, used, failures
+
+
+@pytest.mark.parametrize("name,n", [("twoparamexp", 30), ("pareto", 30), ("normal", 2)])
+def test_region_cutoffs_match_the_per_replicate_loop_bitwise(name, n):
+    # the Normal fails one fit of these 100 at n = 2
+    levels = (0.9, 0.5, 0.1)
+    rc = divergence_region_cutoffs(name, STUDY_TRUTH[name], n, 100, levels, 71)
+    want = _region_loop(name, STUDY_TRUTH[name], n, 100, levels, 71)
+    assert ([c.hex() for c in rc.cutoffs], rc.used, rc.failures) == want
+    assert rc.failures == (1 if name == "normal" else 0)
+
+
+def test_bias_check_is_the_study_mckle_row():
+    rep = bias_check_exponential(5.0, 20, 300, seed=4)
+    row = run_study(StudyConfig("exponential", (5.0,), (20,), 300, 4,
+                                estimators=("mckle",))).row(20, "mckle", "lambda")
+    assert rep.mean_mckle == row.mean and rep.bias == row.mean - 5.0
+    assert rep.mean_unbiased == 160 / 175 * row.mean
+
+
+def test_bias_check_raises_on_a_failed_replicate(monkeypatch):
+    calls = []
+
+    def failing_third_fit(family, sample, method="auto"):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DataError("degenerate data")
+        return fit(family, sample, method)
+
+    monkeypatch.setattr(simulate, "fit", failing_third_fit)
+    with pytest.raises(InferenceError, match="1 of 50 replicate fits failed"):
+        bias_check_exponential(5.0, 20, 50, seed=4)
 
 
 def test_zero_truth_ratio_is_nan_without_a_warning():

@@ -393,6 +393,16 @@ def test_normal_degenerate_data_raises():
             fit("normal", s)
 
 
+@pytest.mark.parametrize("name", ["exponential", "laplace"])
+@pytest.mark.parametrize("xs", [[0.0, 0.0], [2.2e-308]])
+@pytest.mark.parametrize("method", ["auto", "numeric"])
+def test_scalar_zero_mean_square_is_degenerate_for_every_method(name, xs, method):
+    # the squares of 2.2e-308 underflow, so the mean of squares is 0 and g
+    # keeps decreasing towards the domain's edge: no estimate exists
+    with pytest.raises(DataError, match="degenerate data"):
+        fit(name, build_sample(xs), method=method)
+
+
 NORMAL_WIDE_SPAN = {
     "near-equal": [2.0, 2.0, 2.0000000000000004],
     "location 1e8": (1e8 + make_rng(5, 0).uniform(-1.0, 1.0, 30)).tolist(),
