@@ -8,7 +8,10 @@ divergence-difference test and its acceptance region, the pivotal
 quantity, the power approximation and the required sample size, and every
 CLI subcommand in process (exit code, stderr and the sha256 of stdout); it
 also prints the moments of a few samples far from unit scale and psi at an
-observation below the support, the error (or k and the moments) that
+observation below the support, g and the divergence of the Exponential and
+the Laplace where their moment g falls back to the per-element sum (data
+near 1e-200, whose squares underflow), at 1e120 and below the support, the
+error (or k and the moments) that
 ``build_sample`` gives for inputs whose validation the moment sums decide,
 the ``run_study`` rows of every family on the criterion-8 sizes at two
 seeds and small replicate counts, with every estimator the family defines,
@@ -44,10 +47,11 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from ckle import (CkleError, StudyConfig, avar_matrix, avar_scalar,
-                  bias_check_exponential, build_sample, c_value, cli,
+                  bias_check_exponential, build_sample, c_value, ckl_divergence, cli,
                   coverage_study, divergence_interval, divergence_region_cutoffs,
-                  fit, gddt_test, get_family, make_rng, pivotal_q, power_approx,
-                  psi_matrix, required_sample_size, run_study, sandwich, wald_ci)
+                  fit, g_objective, gddt_test, get_family, make_rng, pivotal_q,
+                  power_approx, psi_matrix, required_sample_size, run_study, sandwich,
+                  wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
@@ -147,6 +151,25 @@ def analysis(name: str, theta_true, n: int, seed: int):
         emit(f"{tag}/avar_matrix", lambda: avar_matrix(family, theta, n).V_n)
 
 
+def scalar_g_edges():
+    # scale 1e-200 takes the per-element fallback, 1e120 the moment formula
+    for name in ("exponential", "laplace"):
+        family = get_family(name)
+        for scale in (1e-200, 1e120):
+            sample = build_sample(family.draw((1.0,), 30, make_rng(1, 0)) * scale)
+            for c in (0.5, 1.25, 8.0):
+                theta = (c / scale if name == "exponential" else c * scale,)
+                tag = f"{name}/scale{scale:g}/c{c:g}"
+                emit(f"{tag}/g_objective", lambda: g_objective(family, theta, sample))
+                emit(f"{tag}/ckl_divergence", lambda: ckl_divergence(family, theta, sample))
+    negative = build_sample([-1.0, 0.5, 2.0])
+    for lam in (0.5, 2.0):
+        emit(f"exponential/negative/l{lam:g}/g_objective",
+             lambda: g_objective("exponential", (lam,), negative))
+        emit(f"exponential/negative/l{lam:g}/ckl_divergence",
+             lambda: ckl_divergence("exponential", (lam,), negative))
+
+
 def studies():
     for name, theta in TRUTH.items():
         family = get_family(name)
@@ -242,6 +265,7 @@ def main():
         emit(f"sample/{label}", lambda: moments(build_sample(raw)))
     for label, raw in VALIDATION_SAMPLES.items():
         emit(f"sample/{label}", lambda: [(s := build_sample(raw)).k, *moments(s)])
+    scalar_g_edges()
     studies()
     for label, config in CSV_STUDIES.items():
         emit(f"study_csv/{label}", lambda: run_study(config).to_csv().strip().replace("\n", " / "))

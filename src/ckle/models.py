@@ -21,7 +21,11 @@ choice of path depends on it) instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
 panel nodes and Python floats, from the one panel builder ``_sides`` that
-its ``s_values`` shares.
+its ``s_values`` shares.  The Exponential and the Laplace supply a g_fn
+that reads g from the sample's moments in O(1) (``_moment_g``), within a
+few ulp of the per-element sum; below a mean of squares of
+``_MOMENT_SQ_FLOOR``, where some x^2 may have underflowed, they keep the
+per-element path.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -53,6 +57,11 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(16)
 # panels one Normal panel build may add beyond one per interval; each costs
 # about 0.9 kB at peak, so the cap keeps its arrays under about 200 MB
 _MAX_EXTRA_PANELS = 200_000
+# below this mean of squares some x^2 may have underflowed (the Exponential's
+# per-element (lambda x) x keeps them), so the scalar families evaluate g per
+# element there; at or above it, rounding the squares that fall below the
+# normal range (by at most 2.5e-324 each) moves mean_sq by under 1e-33 of it
+_MOMENT_SQ_FLOOR = 1e-290
 
 
 def quad(*args, **kwargs):
@@ -337,6 +346,26 @@ class _PositiveScalar(Family):
         if sample.mean_sq <= 0:
             raise DataError("degenerate data")
 
+    def g_fn(self, sample):
+        # g is closed in theta and the sample moments (``_moment_g``), so an
+        # evaluation is O(1), with validate's checks inline as in Normal.g_fn
+        if sample.mean_sq < _MOMENT_SQ_FLOOR:
+            return Family.g_fn(self, sample)
+        g_closed = self._moment_g(sample)
+
+        def g(theta):
+            th = _as_theta(theta)
+            t = th.item() if th.size == 1 else math.nan
+            if not 0.0 < t < math.inf:
+                self.validate(th)       # raises the DomainError naming the parameter
+            return g_closed(t)
+
+        return g
+
+    def _moment_g(self, sample: Sample):
+        """Callable t -> g(t) on Python floats, from the sample's moments."""
+        raise NotImplementedError
+
 
 class Exponential(_PositiveScalar):
     """Exp(rate lambda) on [0, inf): sf(x) = exp(-lambda x)."""
@@ -386,6 +415,13 @@ class Exponential(_PositiveScalar):
         xs = np.asarray(xs, dtype=float)
         self._check_support(theta, xs)
         return (-xs * xs / 2.0)[:, None]
+
+    def _moment_g(self, sample):
+        # g = 1/lambda + lambda mean_sq / 2, +inf below the support start
+        if sample.k > 0:
+            return lambda lam: math.inf
+        half_m = sample.mean_sq / 2.0
+        return lambda lam: 1.0 / lam + lam * half_m
 
     def quantile(self, theta, p):
         lam = _as_theta(theta)[0]
@@ -492,6 +528,11 @@ class Laplace(_PositiveScalar):
         th = _as_theta(theta)[0]
         xs = np.asarray(xs, dtype=float)
         return (xs * xs / (2.0 * th**2))[:, None]
+
+    def _moment_g(self, sample):
+        # g = theta + log 2 mean_abs + mean_sq / (2 theta)
+        c, half_m = math.log(2.0) * sample.mean_abs, sample.mean_sq / 2.0
+        return lambda th: th + c + half_m / th
 
     def quantile(self, theta, p):
         th = _as_theta(theta)[0]

@@ -298,6 +298,8 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
     theta_true = family.validate(theta_true)
     if family.dim < 2:
         raise DomainError("region cutoffs apply to vector parameters")
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if reps < 100:
         raise DomainError("reps must be >= 100")
     levels = tuple(float(lv) for lv in levels)

@@ -589,6 +589,10 @@ def test_region_cutoffs_validation():
         divergence_region_cutoffs("exponential", (2.0,), 50, 200, (0.9,), 1)
     with pytest.raises(DomainError):
         divergence_region_cutoffs("twoparamexp", (3.0, 2.0), 50, 50, (0.9,), 1)
+    for n in (0, -1):
+        # at entry, before any replicate draws
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            divergence_region_cutoffs("twoparamexp", (1.0, 2.0), n, 100, (0.9,), 1)
 
 
 @pytest.mark.parametrize("name,theta", [("normal", (2.0,)), ("normal", (2.0, 3.0, 1.0)),

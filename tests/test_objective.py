@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ckle import (DomainError, ObjectiveContext, SupportViolation, build_sample,
                   ckl_divergence, empirical_entropy_constant, fit, g_objective,
@@ -108,6 +109,66 @@ def test_normal_g_on_floats_matches_the_generic_evaluator():
         assert lean((2.0, 3.0)) == generic([2.0, 3.0])
         for bad in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
                     (0.0, math.inf), (0.0, math.nan), (1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(DomainError) as a:
+                lean(bad)
+            with pytest.raises(DomainError) as b:
+                generic(bad)
+            assert str(a.value) == str(b.value)
+
+
+def _within_ulps(a, b, ulps):
+    return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
+
+
+@given(name=st.sampled_from(["exponential", "laplace"]),
+       log_scale=st.floats(-120.0, 120.0), log_n=st.floats(0.0, 5.0),
+       seed=st.integers(0, 2**32 - 1), log_factor=st.floats(-2.0, 2.0))
+# at scale 1e-144 mean_sq is near the floor (1e-290) of the moment path
+@example(name="exponential", log_scale=-144.0, log_n=2.0, seed=1, log_factor=0.0)
+@example(name="laplace", log_scale=-144.0, log_n=5.0, seed=1, log_factor=1.0)
+def test_scalar_moment_g_matches_the_generic_evaluator(name, log_scale, log_n, seed,
+                                                       log_factor):
+    # the Exponential and the Laplace evaluate g from mean_abs and mean_sq:
+    # within 4 ulp of the per-element sum, at the estimate and away from it
+    from ckle.models import Family
+    fam = get_family(name)
+    n = int(round(10.0**log_n))
+    s = build_sample(fam.draw((1.0,), n, make_rng(seed, 0)) * 10.0**log_scale)
+    theta = (fam.closed_form(s)[0] * 10.0**log_factor,)
+    lean, generic = fam.g_fn(s)(theta), Family.g_fn(fam, s)(theta)
+    assert math.isfinite(lean) and _within_ulps(lean, generic, 4)
+
+
+@pytest.mark.parametrize("name", ["exponential", "laplace"])
+def test_scalar_moment_g_keeps_the_generic_contract(name):
+    from fractions import Fraction
+
+    from ckle.models import Family
+    fam = get_family(name)
+    # squares of data near 1e-200 underflow, so mean_sq is 0 and g falls back
+    # to the per-element path: bitwise the generic value
+    tiny = build_sample(fam.draw((1.0,), 30, make_rng(3, 0)) * 1e-200)
+    assert tiny.mean_sq == 0.0
+    for theta in ((7e200,), (0.8e-200,), (1.0,)):
+        assert np.float64(fam.g_fn(tiny)(theta)).tobytes() == \
+            np.float64(Family.g_fn(fam, tiny)(theta)).tobytes()
+    if name == "exponential":
+        # (lambda x) x keeps the terms x^2 drops: g is exact to rounding there,
+        # where the moment formula would give 1/lambda alone
+        lam = 7e200
+        exact = 1 / Fraction(lam) + Fraction(lam) * sum(
+            Fraction(x) ** 2 for x in tiny.obs.tolist()) / (2 * tiny.n)
+        assert fam.g_fn(tiny)((lam,)) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert 1.0 / lam < 0.5 * float(exact)
+        # below the support start both paths give +inf
+        neg = build_sample([-1.0, 0.5, 2.0])
+        for lam in (0.5, 2.0):
+            assert fam.g_fn(neg)((lam,)) == Family.g_fn(fam, neg)((lam,)) == math.inf
+    s = draw_sample(name, 20, 4)
+    for sample in (s, tiny):
+        lean, generic = fam.g_fn(sample), Family.g_fn(fam, sample)
+        for bad in ((0.0,), (-1.0,), (math.nan,), (math.inf,), (1.0, 2.0),
+                    np.array([0.0]), [-math.inf]):
             with pytest.raises(DomainError) as a:
                 lean(bad)
             with pytest.raises(DomainError) as b:

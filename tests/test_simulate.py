@@ -165,6 +165,19 @@ def test_region_cutoffs_match_the_per_replicate_loop_bitwise(name, n):
     assert rc.failures == (1 if name == "normal" else 0)
 
 
+@pytest.mark.parametrize("name,theta,estimators", [
+    ("exponential", (5.0,), ("mckle", "mckle_unbiased", "mle")),
+    ("laplace", (2.0,), ("mckle", "mle"))])
+def test_study_rows_do_not_depend_on_the_moment_g(name, theta, estimators, monkeypatch):
+    # study estimates do not read g, so the rows are bitwise those of the
+    # per-element evaluator
+    from ckle.models import Family
+    cfg = StudyConfig(name, theta, (1, 10, 55), 40, 801, estimators=estimators)
+    lean = run_study(cfg).to_csv()
+    monkeypatch.setattr(type(get_family(name)), "g_fn", Family.g_fn)
+    assert run_study(cfg).to_csv() == lean
+
+
 def test_bias_check_is_the_study_mckle_row():
     rep = bias_check_exponential(5.0, 20, 300, seed=4)
     row = run_study(StudyConfig("exponential", (5.0,), (20,), 300, 4,
