@@ -11,6 +11,7 @@ also prints the moments of a few samples far from unit scale and psi at an
 observation below the support, g and the divergence of the Exponential and
 the Laplace where their moment g falls back to the per-element sum (data
 near 1e-200, whose squares underflow), at 1e120 and below the support, the
+Pareto profile solve on nearly equal data (alpha far above 1e3), the
 error (or k and the moments) that
 ``build_sample`` gives for inputs whose validation the moment sums decide,
 the ``run_study`` rows of every family on the criterion-8 sizes at two
@@ -51,7 +52,7 @@ from ckle import (CkleError, StudyConfig, avar_matrix, avar_scalar,
                   coverage_study, divergence_interval, divergence_region_cutoffs,
                   fit, g_objective, gddt_test, get_family, make_rng, pivotal_q,
                   power_approx, psi_matrix, required_sample_size, run_study, sandwich,
-                  wald_ci)
+                  solve_pareto_profile, wald_ci)
 from ckle.inference import _avar_quadrature
 
 TRUTH = {"exponential": (5.0,), "laplace": (2.0,), "twoparamexp": (1.0, 2.0),
@@ -170,6 +171,13 @@ def scalar_g_edges():
              lambda: ckl_divergence("exponential", (lam,), negative))
 
 
+def pareto_profile_edges():
+    # 1 + eps [0, 1]: the profile root grows like 1/eps
+    for eps in (1e-3, 1e-5, 1e-7):
+        sample = build_sample(1.0 + eps * np.linspace(0.0, 1.0, 50))
+        emit(f"pareto/profile.near_equal{eps:g}", lambda: solve_pareto_profile(sample))
+
+
 def studies():
     for name, theta in TRUTH.items():
         family = get_family(name)
@@ -266,6 +274,7 @@ def main():
     for label, raw in VALIDATION_SAMPLES.items():
         emit(f"sample/{label}", lambda: [(s := build_sample(raw)).k, *moments(s)])
     scalar_g_edges()
+    pareto_profile_edges()
     studies()
     for label, config in CSV_STUDIES.items():
         emit(f"study_csv/{label}", lambda: run_study(config).to_csv().strip().replace("\n", " / "))

@@ -24,7 +24,7 @@ from .rng import make_rng, uniform_open
 from .simulate import (BiasReport, CoverageReport, RegionCutoffs,
                        SimulationReport, StudyConfig, bias_check_exponential,
                        coverage_study, divergence_region_cutoffs, run_study)
-from .solver import (FitResult, NMResult, bisect_root, fit, minimize_nelder_mead,
+from .solver import (FitResult, NMResult, fit, minimize_nelder_mead,
                      solve_pareto_profile)
 
 __version__ = "0.1.0"
@@ -44,6 +44,6 @@ __all__ = [
     "psi_matrix", "make_rng", "uniform_open",
     "BiasReport", "CoverageReport", "SimulationReport", "StudyConfig",
     "bias_check_exponential", "coverage_study", "run_study",
-    "FitResult", "NMResult", "bisect_root", "fit",
+    "FitResult", "NMResult", "fit",
     "minimize_nelder_mead", "solve_pareto_profile",
 ]

@@ -462,7 +462,7 @@ class Exponential(_PositiveScalar):
         return np.array([[5.0 / lam**4]]), np.array([[2.0 / lam**3]]), None
 
     def closed_c(self, theta, sample):
-        return 5.0 / (2.0 * _as_theta(theta)[0])
+        return 5.0 / (2.0 * _as_theta(theta).item())
 
     def closed_divergence_interval(self, sample, log_k):
         # the endpoints are the roots of m theta^2 - 2 b theta + 2 with
@@ -522,7 +522,8 @@ class Laplace(_PositiveScalar):
     def s_values(self, theta, xs):
         th = _as_theta(theta)[0]
         xs = np.asarray(xs, dtype=float)
-        return -np.abs(xs) * math.log(2.0) - xs * xs / (2.0 * th)
+        # x/theta first: x * x underflows on data near 1e-200
+        return -np.abs(xs) * math.log(2.0) - (xs / th) * xs / 2.0
 
     def ds_dtheta_matrix(self, theta, xs):
         th = _as_theta(theta)[0]
@@ -563,7 +564,7 @@ class Laplace(_PositiveScalar):
         return np.array([[5.0]]), np.array([[2.0 / th]]), None
 
     def closed_c(self, theta, sample):
-        return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta)[0])
+        return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta).item())
 
     def closed_divergence_interval(self, sample, log_k):
         # g(theta) - g(t) = (theta - t)^2 / theta with t = sqrt(mean_sq / 2),

@@ -4,8 +4,10 @@ Dispatch order: the family's closed form, else its profile root-solve (the
 Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
 parameters, identity for locations) with deterministic restarts from
 perturbed optima.  The only choice a caller makes is the method; the start
-point (``Family.start_point``), the iteration cap, the simplex tolerance, the
-restart count and the profile bracket are fixed.
+point (``Family.start_point``), the iteration cap, the simplex tolerance and
+the restart count are fixed.  The Pareto profile is a Newton iteration with
+no tuning constant: it starts above its root and stops when it stops
+descending.
 The simplex works on Python floats and ranks a NaN value worst of all; a
 numeric fit reads g through a memo keyed on the exact internal point, which
 lives as long as that fit, so no point is evaluated twice.  A first simplex
@@ -144,79 +146,29 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
     return NMResult(np.array(best), fb, max_iter, nev, False)
 
 
-def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection until the bracket is narrower than ``tol``; returns the
-    midpoint.  Requires a sign change over [lo, hi]."""
-    if not (hi > lo):
-        raise DomainError("bisect_root needs lo < hi")
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise DomainError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:      # bracket at floating-point resolution
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _profile_equation(alpha: float, d: float) -> float:
-    return math.log(alpha / (alpha - 1.0)) - 1.0 / (alpha - 1.0) + d
-
-
 def solve_pareto_profile(sample: Sample):
     """Solve the Pareto pair by profiling the scale out of the objective.
 
     The scale satisfies beta = mean * (alpha - 1) / alpha at any stationary
-    point, which reduces the problem to the scalar root of
-    log(a/(a-1)) - 1/(a-1) + mean_xlogx/mean - log(mean) = 0 in alpha.
-    Returns (alpha, beta, residual); the root is bisected on log(alpha - 1)
-    with the top of the bracket expanded as needed, then polished by Newton
-    steps so the residual is far below 1e-10 for any non-degenerate sample.
+    point, which reduces the problem to one equation in alpha.  With
+    u = 1/(alpha - 1) it reads h(u) = u - log1p(u) = d, where
+    d = mean_xlogx/mean - log(mean) > 0.  h is convex and increasing on
+    u > 0 and h(u) >= u^2/(2(1 + u)), so Newton's method started where that
+    bound equals d decreases monotonically onto the root; it stops at the
+    first step that does not lower u.  Returns (alpha, beta, |h(u) - d|).
+    The rounding of log1p(u) against h(u) ~ u^2/2 bounds the relative error
+    of alpha near 1e-16 alpha.
     """
     if sample.obs[0] <= 0 or sample.mean_xlogx is None:
         raise DataError("pareto profile requires strictly positive data")
     d = sample.mean_xlogx / sample.mean - math.log(sample.mean)
-    if d <= 0:
+    if not d > 0:
         raise DataError("degenerate data")
-    # the bracket starts at alpha = 1 + 1e-8; (1 + 1e-8) - 1 is not 1e-8 exactly.
-    # The equation is negative there for every sample: about 18.4 - 1e8 + d,
-    # and d <= log n, since mean(x) >= max(x) / n.  Only the top can need to grow.
-    lo_t = math.log((1.0 + 1e-8) - 1.0)
-    hi_t = math.log(1e6 - 1.0)
-    r_of_t = lambda t: _profile_equation(1.0 + math.exp(t), d)
-    expansions = 0
-    while r_of_t(hi_t) < 0:
-        hi_t += math.log(10.0)
-        expansions += 1
-        if expansions > 12:
-            raise DataError(
-                f"no bracket for the profile equation: d={d:.3e}, "
-                f"alpha searched up to {1 + math.exp(hi_t):.3e}")
-    t = bisect_root(r_of_t, lo_t, hi_t, tol=1e-13)
-    alpha = 1.0 + math.exp(t)
-    # Newton polish: r'(a) = 1/(a (a-1)^2)
-    for _ in range(6):
-        r = _profile_equation(alpha, d)
-        step = r * alpha * (alpha - 1.0) ** 2
-        new = alpha - step
-        if not (new > 1.0) or not math.isfinite(new):
-            break
-        if abs(_profile_equation(new, d)) >= abs(r):
-            break
-        alpha = new
-    beta = sample.mean * (alpha - 1.0) / alpha
-    return alpha, beta, abs(_profile_equation(alpha, d))
+    u = d + math.sqrt(d * (d + 2.0))
+    # h'(u) = u / (1 + u)
+    while (new := u - (u - math.log1p(u) - d) * (1.0 + u) / u) < u:
+        u = new
+    return 1.0 + 1.0 / u, sample.mean / (1.0 + u), abs(u - math.log1p(u) - d)
 
 
 _SIMPLEX_TOL = 1e-10       # Nelder-Mead stop on the simplex objective spread
@@ -280,8 +232,9 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
 
     ``method`` is ``auto``, ``closed`` or ``numeric``.  ``auto`` uses the
     closed-form estimate when the family has one, its profile solve when it
-    has one, and transformed Nelder-Mead otherwise; ``numeric`` skips only
-    the closed form, so a family with a profile solve still takes it.
+    has one (the Pareto's Newton iteration in ``solve_pareto_profile``), and
+    transformed Nelder-Mead otherwise; ``numeric`` skips only the closed
+    form, so a family with a profile solve still takes it.
     Non-convergence is reported through ``converged``, never raised; an
     infeasible family/sample combination (negative data for nonnegative
     support, or data the family calls degenerate) raises DataError.

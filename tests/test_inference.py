@@ -475,12 +475,26 @@ def test_zero_c_is_degenerate_data(raw):
 
 @pytest.mark.parametrize("theta0", [1e300, 1e-300])
 def test_extreme_null_has_no_region_instead_of_crashing(theta0):
-    # theta0**2 overflowed (OverflowError) or underflowed to a zero divisor;
-    # at 1e300 the statistic over c also overflows, with a numpy warning
-    with np.errstate(over="ignore"):
-        res = gddt_test("exponential", build_sample([1.0, 2.0]), theta0, 0.05)
+    # theta0**2 overflowed (OverflowError) or underflowed to a zero divisor
+    res = gddt_test("exponential", build_sample([1.0, 2.0]), theta0, 0.05)
     assert res.region_mean_sq is None
     assert gddt_test("exponential", build_sample([1.0, 2.0]), 2.0, 0.05).region_mean_sq
+
+
+@pytest.mark.parametrize("name", ["exponential", "laplace"])
+@pytest.mark.parametrize("theta0", [1e300, 1e-300])
+def test_extreme_null_p_value_without_a_warning(name, theta0):
+    # c is a Python float, so a statistic over c that overflows is inf
+    # without a numpy overflow warning, and p is 0
+    s = build_sample([0.5, 1.2, 2.0, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gddt_test(name, s, theta0, 0.05)
+        assert type(c_value(name, s, (theta0,))) is float
+    assert 0.0 <= res.p_value <= 1.0
+    if theta0 == 1e300:
+        assert res.statistic_gddt / res.c_at_null == math.inf
+        assert res.p_value == 0.0 and res.reject
 
 
 def test_power_limit_is_alpha():

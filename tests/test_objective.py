@@ -176,6 +176,21 @@ def test_scalar_moment_g_keeps_the_generic_contract(name):
             assert str(a.value) == str(b.value)
 
 
+def test_laplace_s_and_divergence_are_scale_equivariant_near_1e_200():
+    # the squares of the data underflow, so g takes the per-element s
+    fam = get_family("laplace")
+    base = fam.draw((0.5,), 30, make_rng(1, 0))
+    c = 1e-200
+    tiny = build_sample(base * c)
+    assert tiny.mean_sq == 0.0
+    np.testing.assert_allclose(fam.s_values((0.5 * c,), base * c),
+                               c * fam.s_values((0.5,), base), rtol=1e-15, atol=0.0)
+    div = ckl_divergence(fam, (0.5 * c,), tiny)
+    assert div >= 0.0
+    assert div == pytest.approx(c * ckl_divergence(fam, (0.5,), build_sample(base)),
+                                rel=1e-13, abs=0.0)
+
+
 def test_ckl_divergence_identity_and_minimum():
     s = draw_sample("laplace", 60, 3)
     th = 1.2

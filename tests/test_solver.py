@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ckle import (DataError, DomainError, ObjectiveContext, build_sample,
-                  bisect_root, ckl_divergence, fit, get_family, make_rng,
+                  ckl_divergence, fit, get_family, make_rng,
                   minimize_nelder_mead, psi_matrix, solve_pareto_profile)
 from ckle import solver
 from ckle.models import Laplace
@@ -220,23 +220,52 @@ def test_normal_fit_evaluates_each_point_once(monkeypatch):
         assert np.float64(res.g_at_opt).tobytes() == np.float64(g).tobytes()
 
 
-def test_bisect_examples():
-    assert bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12) == pytest.approx(
-        math.sqrt(2), abs=1e-10)
-    assert abs(bisect_root(lambda x: x, -1.0, 2.0, tol=1e-12)) < 1e-10
-    with pytest.raises(DomainError, match="no sign change"):
-        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_bisect_matches_grid_scan_on_profile_equation():
+def test_profile_matches_grid_scan_on_profile_equation():
     s = build_sample(get_family("pareto").draw((3.0, 5.0), 500, make_rng(21, 0)))
     d = s.mean_xlogx / s.mean - math.log(s.mean)
-    f = lambda a: math.log(a / (a - 1)) - 1 / (a - 1) + d
-    root = bisect_root(f, 1.0 + 1e-8, 1e6, tol=1e-10)
+    root, _, _ = solve_pareto_profile(s)
     grid = np.linspace(1.001, 20.0, 2_000_001)
     vals = np.log(grid / (grid - 1)) - 1 / (grid - 1) + d
     best = grid[np.argmin(np.abs(vals))]
     assert root == pytest.approx(best, abs=2e-5)
+
+
+def _profile_samples():
+    """(alpha range, samples): Pareto draws and nearly equal data whose
+    profile roots fall below 1e3, in [1e3, 1e6) and at or above 1e6."""
+    pareto = get_family("pareto")
+
+    def draws(alphas):
+        return [pareto.draw((a, 2.0), n, make_rng(seed, 0))
+                for a in alphas for n in (5, 30, 300) for seed in range(4)]
+
+    def near_equal(eps):
+        return [c * (1.0 + eps * np.linspace(0.0, 1.0, 50)) for c in (0.7, 1.0, 3.0, 1e5)]
+
+    return [((1.0, 1e3), 1e-13, draws((1.2, 2.0, 4.0, 30.0))),
+            ((1e3, 1e6), 1e-10, draws((1e4, 1e5)) + near_equal(1e-3) + near_equal(1e-5)),
+            ((1e6, math.inf), 1e-8, draws((1e7,)) + near_equal(1e-7))]
+
+
+@pytest.mark.parametrize("lo, hi, bound, samples", [
+    pytest.param(lo, hi, bound, samples, id=f"alpha_{lo:.0e}_to_{hi:.0e}")
+    for (lo, hi), bound, samples in _profile_samples()])
+def test_pareto_profile_root_matches_mpmath(lo, hi, bound, samples):
+    # the reference is the 40-digit root of the same d, so only the solve is
+    # measured, not the cancellation in d itself
+    mp = pytest.importorskip("mpmath")
+    for xs in samples:
+        s = build_sample(xs)
+        d = s.mean_xlogx / s.mean - math.log(s.mean)
+        alpha, beta, resid = solve_pareto_profile(s)
+        with mp.workdps(40):
+            md = mp.mpf(d)
+            u = mp.findroot(lambda u: u - mp.log1p(u) - md, md + mp.sqrt(md * (md + 2)))
+            ref = 1 + 1 / u
+            assert lo <= ref < hi
+            assert abs(alpha - ref) / ref < bound
+        assert beta == pytest.approx(s.mean * (alpha - 1) / alpha, rel=1e-14)
+        assert resid <= 1e-10
 
 
 def test_pareto_profile_residual_and_identity():
@@ -250,7 +279,7 @@ def test_pareto_profile_residual_and_identity():
     assert res.params.values == (alpha, beta)
     # "numeric" skips only a closed form, so the Pareto still takes its profile
     assert fit("pareto", s, method="numeric") == res
-    # nearly equal data put the root beyond the bracket's first top, 1e6
+    # nearly equal data put the root far above 1e6
     res = fit("pareto", build_sample(1.0 + 1e-7 * np.linspace(0.0, 1.0, 50)))
     assert res.converged and res.params["alpha"] > 1e6
 
