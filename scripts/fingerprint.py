@@ -7,8 +7,10 @@ closed forms), c, the Wald and divergence intervals, the
 divergence-difference test and its acceptance region, the pivotal
 quantity, the power approximation and the required sample size, and every
 CLI subcommand in process (exit code, stderr and the sha256 of stdout); it
-also prints the moments of a few samples far from unit scale and psi at an
-observation below the support, g and the divergence of the Exponential and
+also prints the sandwich and ``hessian_pd`` of every family's n = 30,
+seed-1 sample scaled by 1e-6 and 1e6, the moments of a few samples far
+from unit scale and psi at an observation below the support, g and the
+divergence of the Exponential and
 the Laplace where their moment g falls back to the per-element sum (data
 near 1e-200, whose squares underflow), at 1e120 and below the support, the
 Pareto profile solve on nearly equal data (alpha far above 1e3), the
@@ -152,6 +154,18 @@ def analysis(name: str, theta_true, n: int, seed: int):
         emit(f"{tag}/avar_matrix", lambda: avar_matrix(family, theta, n).V_n)
 
 
+def sandwich_scales():
+    # the n = 30, seed-1 sample of every family far from unit scale
+    for name, theta in TRUTH.items():
+        family = get_family(name)
+        raw = family.draw(theta, 30, make_rng(1, 0))
+        for scale in (1e-6, 1e6):
+            sample = build_sample(raw * scale)
+            tag = f"{name}/n30/s1/scale{scale:g}"
+            emit(f"{tag}/sandwich", lambda: sandwich(family, fit(family, sample), sample).V_hat)
+            emit(f"{tag}/hessian_pd", lambda: fit(family, sample).hessian_pd)
+
+
 def scalar_g_edges():
     # scale 1e-200 takes the per-element fallback, 1e120 the moment formula
     for name in ("exponential", "laplace"):
@@ -259,6 +273,7 @@ def main():
     # quadrature variance at other locations and scales, and psi far from zero
     for theta in ((0.0, 1.0), (-3.0, 0.2), (0.0, 1e-3), (50.0, 1.0), (100.0, 1.0)):
         emit(f"normal/avar_matrix{theta}", lambda: avar_matrix("normal", theta, 1).V_n)
+    sandwich_scales()
     xs = 1e4 + np.linspace(-1.0, 1.0, 30)
     emit("normal/psi.location1e4", lambda: psi_matrix("normal", (1e4, 0.6), xs))
     below = build_sample([-1.0, 2.0])

@@ -50,7 +50,7 @@ from .empirical import Sample
 from .errors import DataError, DomainError, InferenceError
 from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
-from .objective import ObjectiveContext, g_objective, psi_matrix
+from .objective import ObjectiveContext, g_objective, psi_matrix, unit_diagonal
 from .solver import FitResult, fit
 
 
@@ -212,7 +212,9 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
 
 
 def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
-    """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point."""
+    """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
+    InferenceError where the ``unit_diagonal`` scaling of I is not finite
+    or has a condition number above 1e12."""
     family = get_family(family)
     if not fit_result.converged:
         raise InferenceError("sandwich requires a converged fit")
@@ -221,7 +223,8 @@ def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     Psi = psi_matrix(family, theta, sample)
     J = Psi.T @ Psi / n
     I = ObjectiveContext(family, sample).hessian(theta)
-    if not np.all(np.isfinite(I)) or np.linalg.cond(I) > 1e12:
+    R = unit_diagonal(I)
+    if R is None or np.linalg.cond(R) > 1e12:
         raise InferenceError("objective locally flat")
     Iinv = np.linalg.inv(I)
     V = Iinv @ J @ Iinv / n

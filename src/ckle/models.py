@@ -1,8 +1,10 @@
 """Parametric families and every model-side quantity the objective needs.
 
 A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
-``domains`` and ``support``, and implements on its open domain ``validate``
-(which also rejects a theta of the wrong length), ``cdf``/``sf``/``pdf``,
+``lower`` (each parameter's open lower bound, or None where it has none)
+and ``support``; ``Family.validate`` and the difference steps of
+``_central_diff`` read their bounds from ``lower`` alone.  It implements on
+its open domain ``cdf``/``sf``/``pdf``,
 ``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
 log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
 x >= 0, int_x^0 log cdf(y) dy for x < 0) with its gradient
@@ -145,27 +147,20 @@ def _dilog(w):
 def _central_diff(family: "Family", fn, theta: np.ndarray) -> np.ndarray:
     """(fn(theta + h_j e_j) - fn(theta - h_j e_j)) / (2 h_j) for each
     coordinate j, stacked along a new last axis; fn may return a scalar or
-    an array.  Each step starts at 1e-5 max(|theta_j|, 1) and is halved
-    until both probes lie in the family's domain; every step is settled
-    before fn is first called."""
-    steps = 1e-5 * np.maximum(np.abs(theta), 1.0)
-    for j in range(theta.size):
-        while True:
-            try:
-                for sgn in (1.0, -1.0):
-                    t = theta.copy()
-                    t[j] += sgn * steps[j]
-                    family.validate(t)
-                break
-            except DomainError:
-                steps[j] /= 2.0
-                if steps[j] < 1e-12:
-                    raise DomainError("boundary point: differentiation step underflow") from None
+    an array.  A coordinate with an open lower bound lo_j (``Family.lower``)
+    steps by h_j = 1e-5 (theta_j - lo_j), so both probes stay in the domain
+    and the step scales with the parameter; an unbounded one steps by
+    1e-5 max(|theta_j|, 1).  A probe that rounds back onto theta_j raises
+    DomainError."""
     cols = []
-    for j in range(theta.size):
-        tp = theta.copy(); tp[j] += steps[j]
-        tm = theta.copy(); tm[j] -= steps[j]
-        cols.append((fn(tp) - fn(tm)) / (2 * steps[j]))
+    for j, lo in enumerate(family.lower):
+        t = theta[j]
+        h = 1e-5 * (t - lo) if lo is not None else 1e-5 * max(abs(t), 1.0)
+        tp = theta.copy(); tp[j] += h
+        tm = theta.copy(); tm[j] -= h
+        if not tm[j] < t < tp[j]:
+            raise DomainError("boundary point: differentiation step underflow")
+        cols.append((fn(tp) - fn(tm)) / (2 * h))
     return np.stack(cols, axis=-1)
 
 
@@ -174,7 +169,8 @@ class Family:
 
     name: str = ""
     param_names: tuple[str, ...] = ()
-    domains: tuple[str, ...] = ()
+    # per parameter, its open lower bound, or None where it is unbounded
+    lower: tuple[float | None, ...] = ()
     support: str = "real"             # "nonnegative" | "real" | "left-bounded"
 
     @property
@@ -197,8 +193,16 @@ class Family:
         return ParamVector(self.param_names, tuple(self._theta(values).tolist()))
 
     def validate(self, theta) -> np.ndarray:
-        """Return theta as an array, raising DomainError naming the bad parameter."""
-        raise NotImplementedError
+        """Return theta as an array, raising DomainError naming the bad
+        parameter: each must be finite, and above its bound in ``lower``."""
+        th = self._theta(theta)
+        for pname, value, lo in zip(self.param_names, th.tolist(), self.lower):
+            if not math.isfinite(value):
+                raise DomainError(f"{self.name}: parameter {pname} must be finite, got {value}")
+            if lo is not None and not value > lo:
+                bound = "be positive" if lo == 0 else f"exceed {lo:g}"
+                raise DomainError(f"{self.name}: parameter {pname} must {bound}, got {value}")
+        return th
 
     def support_lower(self, theta) -> float:
         return -np.inf
@@ -322,18 +326,11 @@ class Family:
         if xs.size and xs.min() < min(0.0, self.support_lower(theta)):
             raise SupportViolation("support violation: observation below the support start")
 
-    def _check_pos(self, value: float, pname: str) -> None:
-        if not (value > 0) or not math.isfinite(value):
-            raise DomainError(f"{self.name}: parameter {pname} must be positive, got {value}")
-
 
 class _PositiveScalar(Family):
     """One positive parameter; the simplex works on its logarithm."""
 
-    def validate(self, theta):
-        th = self._theta(theta)
-        self._check_pos(th[0], self.param_names[0])
-        return th
+    lower = (0.0,)
 
     def to_internal(self, theta):
         return np.log(_as_theta(theta))
@@ -351,12 +348,12 @@ class _PositiveScalar(Family):
         # evaluation is O(1), with validate's checks inline as in Normal.g_fn
         if sample.mean_sq < _MOMENT_SQ_FLOOR:
             return Family.g_fn(self, sample)
-        g_closed = self._moment_g(sample)
+        g_closed, lo = self._moment_g(sample), self.lower[0]
 
         def g(theta):
             th = _as_theta(theta)
             t = th.item() if th.size == 1 else math.nan
-            if not 0.0 < t < math.inf:
+            if not lo < t < math.inf:
                 self.validate(th)       # raises the DomainError naming the parameter
             return g_closed(t)
 
@@ -372,7 +369,6 @@ class Exponential(_PositiveScalar):
 
     name = "exponential"
     param_names = ("lambda",)
-    domains = ("lambda > 0",)
     support = "nonnegative"
 
     def support_lower(self, theta):
@@ -492,7 +488,6 @@ class Laplace(_PositiveScalar):
 
     name = "laplace"
     param_names = ("theta",)
-    domains = ("theta > 0",)
 
     def cdf(self, theta, x):
         th = _as_theta(theta)[0]
@@ -528,7 +523,8 @@ class Laplace(_PositiveScalar):
     def ds_dtheta_matrix(self, theta, xs):
         th = _as_theta(theta)[0]
         xs = np.asarray(xs, dtype=float)
-        return (xs * xs / (2.0 * th**2))[:, None]
+        # x/theta first: x * x underflows on data near 1e-200
+        return ((xs / th) ** 2 / 2.0)[:, None]
 
     def _moment_g(self, sample):
         # g = theta + log 2 mean_abs + mean_sq / (2 theta)
@@ -582,14 +578,7 @@ class _LocationScale(Family):
     """Location mu and scale sigma; the simplex works on (mu, log sigma)."""
 
     param_names = ("mu", "sigma")
-    domains = ("mu real", "sigma > 0")
-
-    def validate(self, theta):
-        th = self._theta(theta)
-        if not math.isfinite(th[0]):
-            raise DomainError(f"{self.name}: parameter mu must be finite, got {th[0]}")
-        self._check_pos(th[1], "sigma")
-        return th
+    lower = (None, 0.0)
 
     def to_internal(self, theta):
         mu, sig = _as_theta(theta)
@@ -726,16 +715,8 @@ class Pareto(Family):
 
     name = "pareto"
     param_names = ("alpha", "beta")
-    domains = ("alpha > 1", "beta > 0")
+    lower = (1.0, 0.0)
     support = "left-bounded"
-
-    def validate(self, theta):
-        th = self._theta(theta)
-        if not (th[0] > 1) or not math.isfinite(th[0]):
-            raise DomainError(
-                f"{self.name}: parameter alpha must exceed 1 (infinite mean), got {th[0]}")
-        self._check_pos(th[1], "beta")
-        return th
 
     def support_lower(self, theta):
         return _as_theta(theta)[1]
@@ -993,12 +974,12 @@ class Normal(_LocationScale):
     def g_fn(self, sample):
         # Family.g_fn on Python floats, with validate's checks inline: the
         # same values, without the numpy scalars and calls between them
-        s_sum, n = self.s_sum_fn(sample), sample.n
+        s_sum, n, lo = self.s_sum_fn(sample), sample.n, self.lower[1]
 
         def g(theta):
             th = _as_theta(theta)
             mu, sig = th.tolist() if th.size == 2 else (math.nan, math.nan)
-            if not (math.isfinite(mu) and 0.0 < sig < math.inf):
+            if not (math.isfinite(mu) and lo < sig < math.inf):
                 self.validate(th)       # raises the DomainError naming the parameter
             return _normal_mean_abs(mu, sig) - s_sum((mu, sig)) / n
 

@@ -19,7 +19,9 @@ its sum over the sample, is the estimating equations, n grad g.  The
 derivatives of g are central differences from ``models._central_diff``, the
 one owner of the step rule: the gradient differences g, and the Hessian
 differences psi and averages over the observations, since mean psi = grad g.
-That Hessian is the sandwich's I.
+That Hessian is the sandwich's I.  The sandwich's flatness test and
+``FitResult.hessian_pd`` judge it through ``unit_diagonal``, so neither
+depends on the parameters' units.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ class ObjectiveContext:
         I = _central_diff(self.family, lambda t: psi_matrix(self.family, t, self.sample),
                           self.family.validate(theta)).mean(axis=0)
         return (I + I.T) / 2.0
+
+
+def unit_diagonal(H: np.ndarray):
+    """D^-1 H D^-1 with D = sqrt(diag H): H with the parameters' units
+    divided out, positive definite exactly when H is.  None where H has a
+    non-finite entry or a diagonal entry that is not positive (so it is
+    not positive definite)."""
+    d = np.diag(H)
+    if not (np.all(np.isfinite(H)) and np.all(d > 0)):
+        return None
+    r = 1.0 / np.sqrt(d)
+    return H * np.outer(r, r)
 
 
 def g_objective(family, theta, sample: Sample) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from .empirical import Sample
 from .errors import DataError, DomainError, SupportViolation
 from .models import ParamVector, get_family
-from .objective import ObjectiveContext
+from .objective import ObjectiveContext, unit_diagonal
 
 
 @dataclass
@@ -51,17 +51,17 @@ class FitResult:
 
     @cached_property
     def hessian_pd(self) -> bool:
-        """Whether the Hessian of g at the estimate is positive definite;
-        False where g is +inf, since psi stays finite there.  Computed on
-        first read and cached."""
+        """Whether the Hessian of g at the estimate is positive definite,
+        judged on its ``unit_diagonal`` scaling so that the answer does not
+        depend on units; False where g is +inf, since psi stays finite
+        there.  Computed on first read and cached."""
         family, sample, theta, g_at = self._hessian_inputs
         if math.isinf(g_at):
             return False
         try:
-            H = ObjectiveContext(family, sample).hessian(theta)
-            if np.all(np.isfinite(H)):
-                evals = np.linalg.eigvalsh(H)
-                return bool(evals.min() > 1e-10 * max(abs(np.trace(H)), 1e-300))
+            R = unit_diagonal(ObjectiveContext(family, sample).hessian(theta))
+            if R is not None:
+                return bool(np.linalg.eigvalsh(R).min() > 1e-10 * len(R))
         except (DomainError, SupportViolation, np.linalg.LinAlgError):
             # a difference probe can cross an observation where g is finite
             pass

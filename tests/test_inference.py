@@ -234,6 +234,13 @@ def test_avar_quadrature_is_scale_invariant(name, theta):
     assert np.abs(B - B0).max() <= 1e-10 * np.abs(B0).max()
 
 
+def test_avar_normal_scales_with_sigma():
+    # V_n of the Normal is sigma^2 times its value at unit scale and mu/sigma
+    small = avar_matrix("normal", (-3.0, 0.2), 1).V_n
+    unit = avar_matrix("normal", (-15.0, 1.0), 1).V_n
+    assert np.abs(small - 0.04 * unit).max() <= 1e-9 * np.abs(small).max()
+
+
 def test_avar_normal_small_scale_is_fast():
     # quadrature nodes far out in the tails have zero density; building
     # s_values panels there grew with |x| / sigma
@@ -299,6 +306,27 @@ def test_sandwich_twoparamexp_ten_percent():
     sig2 = res.params["sigma"] ** 2
     target = sig2 * np.array([[1.0, -1.0], [-1.0, 2.0]])
     assert np.abs(n * sw.V_hat / target - 1).max() < 0.10
+
+
+@pytest.mark.parametrize("name,theta,units", [
+    ("exponential", (1.0,), (-1,)),
+    ("laplace", (1.0,), (1,)),
+    ("pareto", (3.0, 1.0), (0, 1)),
+])
+def test_sandwich_is_scale_equivariant(name, theta, units):
+    # fitting c x multiplies a scale by c and divides a rate by c, so V_hat
+    # of c x equals V_hat of x times c^(u_i + u_j); the judgement of the
+    # Hessian must not depend on the units either
+    x = get_family(name).draw(np.asarray(theta), 30, make_rng(1, 0))
+    s1 = build_sample(x)
+    V1 = sandwich(name, fit(name, s1), s1).V_hat
+    for c in (1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12):
+        s = build_sample(c * x)
+        res = fit(name, s)
+        d = c ** np.asarray(units, dtype=float)
+        V = sandwich(name, res, s).V_hat / np.outer(d, d)
+        assert np.abs(V - V1).max() <= 1e-9 * np.abs(V1).max(), c
+        assert res.hessian_pd, c
 
 
 def test_sandwich_requires_convergence():

@@ -189,6 +189,9 @@ def test_laplace_s_and_divergence_are_scale_equivariant_near_1e_200():
     assert div >= 0.0
     assert div == pytest.approx(c * ckl_divergence(fam, (0.5,), build_sample(base)),
                                 rel=1e-13, abs=0.0)
+    # psi = 1 - (x/theta)^2 / 2 has no units
+    np.testing.assert_allclose(psi_matrix(fam, (0.5 * c,), base * c),
+                               psi_matrix(fam, (0.5,), base), rtol=1e-13, atol=1e-13)
 
 
 def test_ckl_divergence_identity_and_minimum():
@@ -269,15 +272,17 @@ def test_psi_normal_two_paths_agree():
 
 
 def test_difference_steps_at_the_domain_edge():
-    # steps halve to keep both probes inside alpha > 1 until they underflow
+    # a bounded coordinate steps by 1e-5 of its distance to the bound, so
+    # both probes stay inside alpha > 1 until they round back onto alpha
     s = draw_sample("pareto", 40, 3)
     beta = 0.5 * float(s.obs[0])
     assert np.all(np.isfinite(ObjectiveContext("pareto", s).gradient((1 + 1e-9, beta))))
     with pytest.raises(DomainError, match="step underflow"):
         ObjectiveContext("pareto", s).gradient((1 + 1e-13, beta))
-    # the Normal has no analytic d s/d theta, so psi differences s
-    with pytest.raises(DomainError, match="step underflow"):
-        psi_matrix("normal", (2.0, 1e-13), draw_sample("normal", 10, 3))
+    # a rate far below 1 steps by a fraction of itself
+    s = draw_sample("exponential", 40, 3)
+    grad = ObjectiveContext("exponential", s).gradient((1e-80,))
+    assert grad[0] == pytest.approx(-1e160 + s.mean_sq / 2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", ALL)
