@@ -5,11 +5,11 @@ extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
 ``build_sample`` computes the mean, mean |x| and mean x^2 of every sample;
-``Sample.mean_xlogx``, which only the Pareto profile fit reads, is computed
-on first read.  Validation, in order: an empty input is a ``ParseError``;
-the sorted values are then summed, and only when a sum is non-finite are
-they scanned, the first non-finite value in input order being a
-``ParseError`` and, when there is none, the overflow a ``DataError``.
+``Sample.mean_xlogx`` is computed on first read.  Validation, in order: an
+empty input is a ``ParseError``; the sorted values are then summed, and
+only when a sum is non-finite are they scanned, the first non-finite value
+in input order being a ``ParseError`` and, when there is none, the
+overflow a ``DataError``.
 """
 
 from __future__ import annotations

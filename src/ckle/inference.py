@@ -50,7 +50,7 @@ from .empirical import Sample
 from .errors import DataError, DomainError, InferenceError
 from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
-from .objective import ObjectiveContext, g_objective, psi_matrix, unit_diagonal
+from .objective import ObjectiveContext, g_objective, positive_definite, psi_matrix
 from .solver import FitResult, fit
 
 
@@ -213,8 +213,8 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
 
 def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
-    InferenceError where the ``unit_diagonal`` scaling of I is not finite
-    or has a condition number above 1e12."""
+    InferenceError where I fails ``positive_definite``, exactly where the
+    fit's ``hessian_pd`` is False."""
     family = get_family(family)
     if not fit_result.converged:
         raise InferenceError("sandwich requires a converged fit")
@@ -223,8 +223,7 @@ def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     Psi = psi_matrix(family, theta, sample)
     J = Psi.T @ Psi / n
     I = ObjectiveContext(family, sample).hessian(theta)
-    R = unit_diagonal(I)
-    if R is None or np.linalg.cond(R) > 1e12:
+    if not positive_definite(I):
         raise InferenceError("objective locally flat")
     Iinv = np.linalg.inv(I)
     V = Iinv @ J @ Iinv / n

@@ -1,25 +1,25 @@
 """Parametric families and every model-side quantity the objective needs.
 
-A family is one ``Family`` subclass.  It sets ``name``, ``param_names``,
-``lower`` (each parameter's open lower bound, or None where it has none)
-and ``support``; ``Family.validate`` and the difference steps of
-``_central_diff`` read their bounds from ``lower`` alone.  It implements on
-its open domain ``cdf``/``sf``/``pdf``,
-``dcdf_dtheta``, ``mean_abs`` = E|X| with ``mean_abs_grad``, the integrated
-log-tail ``s_values`` per observation (s(x) = int_0^x log sf(y) dy for
-x >= 0, int_x^0 log cdf(y) dy for x < 0) with its gradient
-``ds_dtheta_matrix`` (central differences of s for the Normal, whose s has
-no closed form), ``quantile``, the upper-tail
-quantile ``isf`` (accurate for tiny survival probabilities) and ``mle``; a
-family without ``profile_fit`` adds the simplex's ``start_point``,
-``to_internal`` and ``from_internal``.  A
-one-parameter family, whose g is closed in theta and the sample moments,
-also implements ``closed_c`` and ``closed_divergence_interval``.  The
-optional hooks ``closed_form``, ``profile_fit``, ``closed_fit_warning``,
-``check_sample``, ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``,
-``closed_avar`` and ``closed_test_region`` default to the generic
-numerical path, so callers ask the family (through ``has_hook`` where the
-choice of path depends on it) instead of its name.
+A family is one ``Family`` subclass.  It sets ``name``, ``param_names``
+and ``lower`` (each parameter's open lower bound, or None where it has
+none); ``Family.validate``, the difference steps of ``_central_diff`` and
+the simplex's coordinates (``solver._simplex_map``) read their bounds from
+``lower`` alone, and ``support_lower`` (-inf unless overridden) says where
+the support starts.  It implements on its open domain
+``cdf``/``sf``/``pdf``, ``dcdf_dtheta``, ``mean_abs`` = E|X| with
+``mean_abs_grad``, the integrated log-tail ``s_values`` per observation
+(s(x) = int_0^x log sf(y) dy for x >= 0, int_x^0 log cdf(y) dy for x < 0)
+with its gradient ``ds_dtheta_matrix`` (central differences of s for the
+Normal, whose s has no closed form), ``quantile``, the upper-tail quantile
+``isf`` (accurate for tiny survival probabilities) and ``mle``, where a
+simplex fit starts.  A one-parameter family, whose g is closed in theta
+and the sample moments, also implements ``closed_c`` and
+``closed_divergence_interval``.  The optional hooks ``closed_form``,
+``profile_fit``, ``closed_fit_warning``, ``check_sample``,
+``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar`` and
+``closed_test_region`` default to the generic numerical path, so callers
+ask the family (through ``has_hook`` where the choice of path depends on
+it) instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
 panel nodes and Python floats, from the one panel builder ``_sides`` that
@@ -171,7 +171,6 @@ class Family:
     param_names: tuple[str, ...] = ()
     # per parameter, its open lower bound, or None where it is unbounded
     lower: tuple[float | None, ...] = ()
-    support: str = "real"             # "nonnegative" | "real" | "left-bounded"
 
     @property
     def dim(self) -> int:
@@ -275,11 +274,9 @@ class Family:
             raise DataError("need at least one draw")
         return np.asarray(self.quantile(theta, uniform_open(rng, n)), dtype=float)
 
-    # --- estimators and solver hooks ---
+    # --- the maximum-likelihood estimate, where the simplex starts ---
     def mle(self, sample: Sample) -> tuple[float, ...]:
-        raise NotImplementedError
-
-    def start_point(self, sample: Sample) -> tuple[float, ...]:
+        """The maximum-likelihood estimate, inside the open domain, or DataError."""
         raise NotImplementedError
 
     # --- closed scalar inference: required of every one-parameter family ---
@@ -328,15 +325,9 @@ class Family:
 
 
 class _PositiveScalar(Family):
-    """One positive parameter; the simplex works on its logarithm."""
+    """One positive parameter."""
 
     lower = (0.0,)
-
-    def to_internal(self, theta):
-        return np.log(_as_theta(theta))
-
-    def from_internal(self, t):
-        return np.exp(np.atleast_1d(np.asarray(t, dtype=float)))
 
     def check_sample(self, sample):
         # with a mean of squares of 0 no theta in the domain minimizes g
@@ -369,7 +360,6 @@ class Exponential(_PositiveScalar):
 
     name = "exponential"
     param_names = ("lambda",)
-    support = "nonnegative"
 
     def support_lower(self, theta):
         return 0.0
@@ -439,9 +429,6 @@ class Exponential(_PositiveScalar):
         if sample.mean <= 0:
             raise DataError("degenerate data")
         return (1.0 / sample.mean,)
-
-    def start_point(self, sample):
-        return (1.0 / sample.mean if sample.mean > 0 else 1.0,)
 
     def mckle_unbiased(self, theta, n):
         # removes the first-order bias 15 lambda / (8n)
@@ -551,9 +538,6 @@ class Laplace(_PositiveScalar):
             raise DataError("degenerate data")
         return (sample.mean_abs,)
 
-    def start_point(self, sample):
-        return (sample.mean_abs if sample.mean_abs > 0 else 1.0,)
-
     def closed_avar(self, theta, n):
         # |X| is exponential, so sigma^2 = 5 theta^2 / 4 as for the exponential
         th = _as_theta(theta)[0]
@@ -575,25 +559,21 @@ class Laplace(_PositiveScalar):
 
 
 class _LocationScale(Family):
-    """Location mu and scale sigma; the simplex works on (mu, log sigma)."""
+    """Location mu and scale sigma."""
 
     param_names = ("mu", "sigma")
     lower = (None, 0.0)
 
-    def to_internal(self, theta):
-        mu, sig = _as_theta(theta)
-        return np.array([mu, math.log(sig)])
-
-    def from_internal(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.array([t[0], math.exp(t[1])])
+    def check_sample(self, sample):
+        # with no spread the objective decreases all the way to sigma = 0
+        if sample.obs[0] == sample.obs[-1]:
+            raise DataError("degenerate data")
 
 
 class TwoParamExponential(_LocationScale):
     """Shifted exponential on [mu, inf) with scale sigma."""
 
     name = "twoparamexp"
-    support = "left-bounded"
 
     def support_lower(self, theta):
         return _as_theta(theta)[0]
@@ -689,9 +669,6 @@ class TwoParamExponential(_LocationScale):
             raise DataError("degenerate data")
         return (x1, sample.mean - x1)
 
-    def start_point(self, sample):
-        return self.closed_form(sample)
-
     def closed_fit_warning(self, theta, sample):
         # the closed pair is derived on the nonnegative-support branch
         return theta[0] < 0 or sample.k > 0
@@ -716,7 +693,6 @@ class Pareto(Family):
     name = "pareto"
     param_names = ("alpha", "beta")
     lower = (1.0, 0.0)
-    support = "left-bounded"
 
     def support_lower(self, theta):
         return _as_theta(theta)[1]
@@ -999,15 +975,6 @@ class Normal(_LocationScale):
         if sd <= 0:
             raise DataError("degenerate data")
         return (sample.mean, sd)
-
-    def start_point(self, sample):
-        sd = math.sqrt(max(sample.mean_sq - sample.mean**2, 0.0))
-        return (sample.mean, sd if sd > 0 else 1.0)
-
-    def check_sample(self, sample):
-        # with no spread the objective decreases all the way to sigma = 0
-        if sample.obs[0] == sample.obs[-1]:
-            raise DataError("degenerate data")
 
 
 EXPONENTIAL = Exponential()

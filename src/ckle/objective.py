@@ -19,9 +19,9 @@ its sum over the sample, is the estimating equations, n grad g.  The
 derivatives of g are central differences from ``models._central_diff``, the
 one owner of the step rule: the gradient differences g, and the Hessian
 differences psi and averages over the observations, since mean psi = grad g.
-That Hessian is the sandwich's I.  The sandwich's flatness test and
-``FitResult.hessian_pd`` judge it through ``unit_diagonal``, so neither
-depends on the parameters' units.
+That Hessian is the sandwich's I.  The sandwich and ``FitResult.hessian_pd``
+judge it with one rule, ``positive_definite``, which does not depend on the
+parameters' units.
 """
 
 from __future__ import annotations
@@ -63,16 +63,18 @@ class ObjectiveContext:
         return (I + I.T) / 2.0
 
 
-def unit_diagonal(H: np.ndarray):
-    """D^-1 H D^-1 with D = sqrt(diag H): H with the parameters' units
-    divided out, positive definite exactly when H is.  None where H has a
-    non-finite entry or a diagonal entry that is not positive (so it is
-    not positive definite)."""
+def positive_definite(H: np.ndarray) -> bool:
+    """Whether H is finite and D^-1 H D^-1 (D = sqrt(diag H): H without the
+    parameters' units) has its smallest eigenvalue above 1e-10 times the
+    dimension, which bounds its condition number by 1e10."""
     d = np.diag(H)
     if not (np.all(np.isfinite(H)) and np.all(d > 0)):
-        return None
+        return False
     r = 1.0 / np.sqrt(d)
-    return H * np.outer(r, r)
+    try:
+        return bool(np.linalg.eigvalsh(H * np.outer(r, r)).min() > 1e-10 * len(H))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def g_objective(family, theta, sample: Sample) -> float:

@@ -1,13 +1,12 @@
 """Minimization of the sample objective.
 
 Dispatch order: the family's closed form, else its profile root-solve (the
-Pareto pair), else Nelder-Mead on transformed coordinates (log for positive
-parameters, identity for locations) with deterministic restarts from
-perturbed optima.  The only choice a caller makes is the method; the start
-point (``Family.start_point``), the iteration cap, the simplex tolerance and
-the restart count are fixed.  The Pareto profile is a Newton iteration with
-no tuning constant: it starts above its root and stops when it stops
-descending.
+Pareto pair), else Nelder-Mead with deterministic restarts from perturbed
+optima, started at ``Family.mle`` in coordinates built from ``Family.lower``
+alone (``_simplex_map``).  The only choice a caller makes is the method;
+the iteration cap, the simplex tolerance and the restart count are fixed.
+The Pareto profile is a Newton iteration with no tuning constant: it
+starts above its root and stops when it stops descending.
 The simplex works on Python floats and ranks a NaN value worst of all; a
 numeric fit reads g through a memo keyed on the exact internal point, which
 lives as long as that fit, so no point is evaluated twice.  A first simplex
@@ -32,7 +31,7 @@ import numpy as np
 from .empirical import Sample
 from .errors import DataError, DomainError, SupportViolation
 from .models import ParamVector, get_family
-from .objective import ObjectiveContext, unit_diagonal
+from .objective import ObjectiveContext, positive_definite
 
 
 @dataclass
@@ -51,21 +50,18 @@ class FitResult:
 
     @cached_property
     def hessian_pd(self) -> bool:
-        """Whether the Hessian of g at the estimate is positive definite,
-        judged on its ``unit_diagonal`` scaling so that the answer does not
-        depend on units; False where g is +inf, since psi stays finite
-        there.  Computed on first read and cached."""
+        """Whether the Hessian of g at the estimate is positive definite by
+        ``objective.positive_definite``, the sandwich's rule; False where g
+        is +inf, since psi stays finite there.  Computed on first read and
+        cached."""
         family, sample, theta, g_at = self._hessian_inputs
         if math.isinf(g_at):
             return False
         try:
-            R = unit_diagonal(ObjectiveContext(family, sample).hessian(theta))
-            if R is not None:
-                return bool(np.linalg.eigvalsh(R).min() > 1e-10 * len(R))
-        except (DomainError, SupportViolation, np.linalg.LinAlgError):
+            return positive_definite(ObjectiveContext(family, sample).hessian(theta))
+        except (DomainError, SupportViolation):
             # a difference probe can cross an observation where g is finite
-            pass
-        return False
+            return False
 
 
 @dataclass(frozen=True)
@@ -152,16 +148,19 @@ def solve_pareto_profile(sample: Sample):
     The scale satisfies beta = mean * (alpha - 1) / alpha at any stationary
     point, which reduces the problem to one equation in alpha.  With
     u = 1/(alpha - 1) it reads h(u) = u - log1p(u) = d, where
-    d = mean_xlogx/mean - log(mean) > 0.  h is convex and increasing on
+    d = mean(x log x)/m - log(m) > 0 for the sample mean m, computed without
+    cancellation as mean((1 + e) log1p(e) - e) with e = (x - m)/m, since
+    mean(e) = 0.  h is convex and increasing on
     u > 0 and h(u) >= u^2/(2(1 + u)), so Newton's method started where that
     bound equals d decreases monotonically onto the root; it stops at the
     first step that does not lower u.  Returns (alpha, beta, |h(u) - d|).
     The rounding of log1p(u) against h(u) ~ u^2/2 bounds the relative error
     of alpha near 1e-16 alpha.
     """
-    if sample.obs[0] <= 0 or sample.mean_xlogx is None:
+    if sample.obs[0] <= 0:
         raise DataError("pareto profile requires strictly positive data")
-    d = sample.mean_xlogx / sample.mean - math.log(sample.mean)
+    e = (sample.obs - sample.mean) / sample.mean
+    d = float(((1.0 + e) * np.log1p(e) - e).sum()) / sample.n
     if not d > 0:
         raise DataError("degenerate data")
     u = d + math.sqrt(d * (d + 2.0))
@@ -177,12 +176,31 @@ _RESTART_SCALE = 1e-3
 _RESTART_SIMPLEX = 1e-4
 
 
+def _simplex_map(lower):
+    """(into, back) between theta and the simplex's t for the open lower
+    bounds ``lower`` (``Family.lower``): t_j = log(theta_j - lo_j), or
+    theta_j where lo_j is None.  Python floats and ``math`` throughout
+    (numpy's exp can differ in the last ulp); back may raise OverflowError."""
+    bounded = [(j, lo) for j, lo in enumerate(lower) if lo is not None]
+
+    def into(theta):
+        return [v if lo is None else math.log(v - lo) for v, lo in zip(theta, lower)]
+
+    def back(t):
+        theta = t.tolist()
+        for j, lo in bounded:
+            theta[j] = lo + math.exp(theta[j])
+        return np.array(theta)
+
+    return into, back
+
+
 def _numeric_fit(family, ctx: ObjectiveContext):
-    """Restarted Nelder-Mead in internal coordinates; returns (theta,
+    """Restarted Nelder-Mead from the family's ``mle``; returns (theta,
     iterations, converged, g(theta)).  The objective is memoized for this
     fit on the bytes of the internal point, so no point is evaluated twice
     and g at the optimum is the simplex's own value."""
-    sample = ctx.sample
+    into, back = _simplex_map(family.lower)
     g = ctx.g
     memo = {}
 
@@ -192,17 +210,16 @@ def _numeric_fit(family, ctx: ObjectiveContext):
         if value is None:
             # g validates theta; a point outside the domain is infeasible
             try:
-                value = g(family.from_internal(t))
+                value = g(back(t))
             except (DomainError, OverflowError):
                 value = math.inf
             memo[key] = value
         return value
 
-    t0 = family.to_internal(np.asarray(family.start_point(sample), dtype=float))
-    res = minimize_nelder_mead(obj, t0, tol=_SIMPLEX_TOL)
+    res = minimize_nelder_mead(obj, into(family.mle(ctx.sample)), tol=_SIMPLEX_TOL)
     if res.value == math.inf:
         # no feasible point reached: restarts near it would find none either
-        return family.from_internal(res.point), res.iterations, False, res.value
+        return back(res.point), res.iterations, False, res.value
     best = res
     iters = res.iterations
 
@@ -223,8 +240,7 @@ def _numeric_fit(family, ctx: ObjectiveContext):
     if res_p.value <= best.value:
         best = NMResult(res_p.point, res_p.value, res_p.iterations,
                         res_p.evaluations, best.converged or res_p.converged)
-    theta = family.from_internal(best.point)
-    return theta, iters, best.converged, best.value
+    return back(best.point), iters, best.converged, best.value
 
 
 def fit(family, sample: Sample, method: str = "auto") -> FitResult:

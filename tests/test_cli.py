@@ -127,7 +127,7 @@ def test_numeric_fit_on_empty_feasible_region_prints_only_the_error(tmp_path):
     data = tmp_path / "neg.csv"
     data.write_text("-1\n0.5\n2\n3\n")
     proc = subprocess.run([sys.executable, "-m", "ckle.cli", "fit", "--model",
-                           "twoparamexp", "--method", "numeric", "--data", str(data)],
+                           "exponential", "--method", "numeric", "--data", str(data)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""

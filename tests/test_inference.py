@@ -329,6 +329,23 @@ def test_sandwich_is_scale_equivariant(name, theta, units):
         assert res.hessian_pd, c
 
 
+def test_sandwich_refuses_exactly_where_hessian_pd_is_false():
+    # at small scales the twoparamexp I is indefinite (its unit-diagonal form
+    # has eigenvalues near -1487 and +1489 at 1e-12) yet well conditioned
+    x = get_family("twoparamexp").draw(np.array([1.0, 1.0]), 30, make_rng(1, 0))
+    flags = []
+    for c in (1e-12, 1e-6, 1.0, 1e6):
+        s = build_sample(c * x)
+        res = fit("twoparamexp", s)
+        flags.append(res.hessian_pd)
+        if res.hessian_pd:
+            assert np.all(np.isfinite(sandwich("twoparamexp", res, s).V_hat))
+        else:
+            with pytest.raises(InferenceError, match="locally flat"):
+                sandwich("twoparamexp", res, s)
+    assert flags == [False, False, True, True]
+
+
 def test_sandwich_requires_convergence():
     s = draw("exponential", (2.0,), 50, 5, 9)
     res = fit("exponential", s)

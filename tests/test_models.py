@@ -459,13 +459,16 @@ def test_descriptors():
     assert get_family("exponential").has_hook("closed_form")
     assert not get_family("pareto").has_hook("closed_form")
     assert not get_family("normal").has_hook("closed_avar")
-    flags = {name: (fam.support, fam.has_hook("closed_form"), fam.has_hook("closed_avar"))
+    theta = {"exponential": (2.0,), "laplace": (2.0,), "twoparamexp": (-1.5, 2.0),
+             "pareto": (3.0, 2.5), "normal": (1.0, 2.0)}
+    flags = {name: (fam.support_lower(theta[name]), fam.has_hook("closed_form"),
+                    fam.has_hook("closed_avar"))
              for name, fam in zip(ALL, map(get_family, ALL))}
-    assert flags == {"exponential": ("nonnegative", True, True),
-                     "laplace": ("real", True, True),
-                     "twoparamexp": ("left-bounded", True, True),
-                     "pareto": ("left-bounded", False, True),
-                     "normal": ("real", False, False)}
+    assert flags == {"exponential": (0.0, True, True),
+                     "laplace": (-math.inf, True, True),
+                     "twoparamexp": (-1.5, True, True),
+                     "pareto": (2.5, False, True),
+                     "normal": (-math.inf, False, False)}
 
 
 def renamed(name):

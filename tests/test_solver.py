@@ -10,7 +10,6 @@ from ckle import (DataError, DomainError, ObjectiveContext, build_sample,
                   ckl_divergence, fit, get_family, make_rng,
                   minimize_nelder_mead, psi_matrix, solve_pareto_profile)
 from ckle import solver
-from ckle.models import Laplace
 
 
 def test_nm_quadratic():
@@ -159,14 +158,15 @@ def test_nm_matches_reference_on_normal_objective(n):
     fam = get_family("normal")
     s = build_sample(fam.draw(np.array([2.0, 3.0]), n, make_rng(8, n)))
     ctx = ObjectiveContext(fam, s)
+    into, back = solver._simplex_map(fam.lower)
 
     def obj(t):
         try:
-            return ctx.g(fam.from_internal(t))
+            return ctx.g(back(t))
         except (DomainError, OverflowError):
             return math.inf
 
-    t0 = fam.to_internal(fam.start_point(s))
+    t0 = into(fam.mle(s))
     first = assert_same_run(obj, t0, tol=_SIMPLEX_TOL)
     assert_same_run(obj, first.point + 1e-3, tol=_SIMPLEX_TOL,
                     init_scale=_RESTART_SIMPLEX)
@@ -251,15 +251,16 @@ def _profile_samples():
     pytest.param(lo, hi, bound, samples, id=f"alpha_{lo:.0e}_to_{hi:.0e}")
     for (lo, hi), bound, samples in _profile_samples()])
 def test_pareto_profile_root_matches_mpmath(lo, hi, bound, samples):
-    # the reference is the 40-digit root of the same d, so only the solve is
-    # measured, not the cancellation in d itself
+    # the reference is the 40-digit root of the 40-digit d of the data, so
+    # the rounding of d is measured with the solve
     mp = pytest.importorskip("mpmath")
     for xs in samples:
         s = build_sample(xs)
-        d = s.mean_xlogx / s.mean - math.log(s.mean)
         alpha, beta, resid = solve_pareto_profile(s)
         with mp.workdps(40):
-            md = mp.mpf(d)
+            x = [mp.mpf(v) for v in s.obs.tolist()]
+            m = mp.fsum(x) / len(x)
+            md = mp.fsum(v * mp.log(v) for v in x) / len(x) / m - mp.log(m)
             u = mp.findroot(lambda u: u - mp.log1p(u) - md, md + mp.sqrt(md * (md + 2)))
             ref = 1 + 1 / u
             assert lo <= ref < hi
@@ -279,9 +280,11 @@ def test_pareto_profile_residual_and_identity():
     assert res.params.values == (alpha, beta)
     # "numeric" skips only a closed form, so the Pareto still takes its profile
     assert fit("pareto", s, method="numeric") == res
-    # nearly equal data put the root far above 1e6
-    res = fit("pareto", build_sample(1.0 + 1e-7 * np.linspace(0.0, 1.0, 50)))
-    assert res.converged and res.params["alpha"] > 1e6
+    # nearly equal data put the root far above 1e6; at a spread of 1e-8,
+    # mean_xlogx/mean - log(mean) is no longer positive, but d is
+    for eps in (1e-7, 1e-8):
+        res = fit("pareto", build_sample(1.0 + eps * np.linspace(0.0, 1.0, 50)))
+        assert res.converged and res.params["alpha"] > 1e6
 
 
 def test_pareto_profile_degenerate():
@@ -381,16 +384,22 @@ def test_fit_deterministic():
         b.iterations, b.converged, b.hessian_pd)
 
 
-def test_numeric_iterates_stay_inside_domain():
+def test_numeric_iterates_stay_inside_domain(monkeypatch):
     seen = []
+    simplex_map = solver._simplex_map
 
-    class Recorder(Laplace):
-        def from_internal(self, t):
-            theta = super().from_internal(t)
+    def recording_map(lower):
+        into, back = simplex_map(lower)
+
+        def recording_back(t):
+            theta = back(t)
             seen.append(float(theta[0]))
             return theta
 
-    fam = Recorder()
+        return into, recording_back
+
+    monkeypatch.setattr(solver, "_simplex_map", recording_map)
+    fam = get_family("laplace")
     s = build_sample(fam.draw((1.5,), 40, make_rng(13, 0)))
     fit(fam, s, method="numeric")
     assert seen and all(v > 0 for v in seen)
@@ -472,14 +481,38 @@ def test_closed_fit_at_infinite_objective_is_not_converged():
     assert math.isfinite(res.g_at_opt) and res.converged
 
 
+def test_numeric_twoparamexp_fit_on_negative_data():
+    # the simplex starts at the maximum-likelihood pair, mu = x(1), where g
+    # is finite, and minimizes the real-line objective below x(1)
+    s = build_sample([-1.0, 0.5, 2.0, 3.0])
+    res = fit("twoparamexp", s, method="numeric")
+    assert res.method == "simplex" and res.converged and res.hessian_pd
+    mu, sigma = res.params.values
+    assert mu < -1.0 < -1.0 + sigma
+    g = ObjectiveContext("twoparamexp", s).g
+    assert g(np.array([mu, sigma])) == res.g_at_opt
+    for step in (1e-1, 1e-3):
+        grid = [g(np.array([mu + i * step * sigma, sigma * math.exp(j * step)]))
+                for i in range(-10, 11) for j in range(-10, 11)]
+        assert res.g_at_opt <= min(grid)
+
+
+def test_twoparamexp_numeric_fit_refuses_equal_data():
+    # the mean of equal values can round above x(1), so the maximum-likelihood
+    # sigma would be a rounding error; g has no minimizer with sigma > 0
+    for xs in ([0.1, 0.1, 0.1], [2.0, 2.0]):
+        with pytest.raises(DataError, match="degenerate"):
+            fit("twoparamexp", build_sample(xs), method="numeric")
+
+
 def test_fit_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         fit("weibull", build_sample([1.0, 2.0]))
 
 
 def test_empty_feasible_region_stops_after_one_simplex_run(monkeypatch):
-    # every point of the first simplex run is +inf, so the restarts and the
-    # polish are skipped and fit raises at once
+    # the Exponential g is +inf at every rate on data with a negative value,
+    # so the restarts and the polish are skipped and fit raises at once
     calls = []
     original = solver.minimize_nelder_mead
 
@@ -489,7 +522,7 @@ def test_empty_feasible_region_stops_after_one_simplex_run(monkeypatch):
 
     monkeypatch.setattr(solver, "minimize_nelder_mead", counted)
     with pytest.raises(DataError) as exc:
-        fit("twoparamexp", build_sample([-1.0, 0.5, 2.0, 3.0]), method="numeric")
+        fit("exponential", build_sample([-1.0, 0.5, 2.0, 3.0]), method="numeric")
     assert str(exc.value) == "empty feasible region: objective is infinite at the optimum"
     assert len(calls) == 1
 
