@@ -13,7 +13,9 @@ from unit scale and psi at an observation below the support, g and the
 divergence of the Exponential and
 the Laplace where their moment g falls back to the per-element sum (data
 near 1e-200, whose squares underflow), at 1e120 and below the support, the
-Pareto profile solve on nearly equal data (alpha far above 1e3), the
+Pareto profile solve on nearly equal data (alpha far above 1e3), the fit
+and sandwich of an Exponential sample near 1e100 (whose psi^2 overflows)
+and of a Pareto sample with an observation at 5e-324, the
 error (or k and the moments) that
 ``build_sample`` gives for inputs whose validation the moment sums decide,
 the ``run_study`` rows of every family on the criterion-8 sizes at two
@@ -107,7 +109,7 @@ def emit(name: str, compute):
 
 
 def moments(sample):
-    return [sample.mean, sample.mean_abs, sample.mean_sq, sample.mean_xlogx]
+    return [sample.mean, sample.mean_abs, sample.mean_sq]
 
 
 def analysis(name: str, theta_true, n: int, seed: int):
@@ -190,6 +192,17 @@ def pareto_profile_edges():
     for eps in (1e-3, 1e-5, 1e-7):
         sample = build_sample(1.0 + eps * np.linspace(0.0, 1.0, 50))
         emit(f"pareto/profile.near_equal{eps:g}", lambda: solve_pareto_profile(sample))
+
+
+def extreme_fits():
+    # psi^2 is about 1e400 at 1e100, and (x - mean)/mean rounds to -1 at 5e-324
+    for name, raw in (("exponential", [1.57e100, 2.1e100, 0.3e100]),
+                      ("pareto", [5e-324, 1.0])):
+        sample = build_sample(raw)
+        emit(f"{name}/extreme/fit", lambda: [
+            *(res := fit(name, sample)).params.values, res.g_at_opt, res.converged])
+        emit(f"{name}/extreme/sandwich",
+             lambda: sandwich(name, fit(name, sample), sample).V_hat)
 
 
 def studies():
@@ -290,6 +303,7 @@ def main():
         emit(f"sample/{label}", lambda: [(s := build_sample(raw)).k, *moments(s)])
     scalar_g_edges()
     pareto_profile_edges()
+    extreme_fits()
     studies()
     for label, config in CSV_STUDIES.items():
         emit(f"study_csv/{label}", lambda: run_study(config).to_csv().strip().replace("\n", " / "))

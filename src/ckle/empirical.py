@@ -4,19 +4,17 @@ The empirical CDF is the right-continuous step function F_n(x) = #{x_i <= x}/n,
 extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
-``build_sample`` computes the mean, mean |x| and mean x^2 of every sample;
-``Sample.mean_xlogx`` is computed on first read.  Validation, in order: an
-empty input is a ``ParseError``; the sorted values are then summed, and
-only when a sum is non-finite are they scanned, the first non-finite value
-in input order being a ``ParseError`` and, when there is none, the
-overflow a ``DataError``.
+``build_sample`` computes the mean, mean |x| and mean x^2 of every sample.
+Validation, in order: an empty input is a ``ParseError``; the sorted values
+are then summed, and only when a sum is non-finite are they scanned, the
+first non-finite value in input order being a ``ParseError`` and, when
+there is none, the overflow a ``DataError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +23,10 @@ from .errors import DataError, ParseError
 
 @dataclass(frozen=True)
 class Sample:
-    """Sorted observations with the negative/nonnegative split and cached moments.
+    """Sorted observations with the negative/nonnegative split and their moments.
 
     ``k`` counts strictly negative observations, so ``obs[k]`` (when it exists)
-    is the first nonnegative value.  ``mean_xlogx`` is the average of x*log(x),
-    defined only when every observation is positive; it is computed on first
-    read and cached.
+    is the first nonnegative value.
     """
 
     obs: np.ndarray
@@ -42,11 +38,6 @@ class Sample:
 
     def __post_init__(self):
         self.obs.setflags(write=False)
-
-    @cached_property
-    def mean_xlogx(self) -> float | None:
-        obs = self.obs
-        return float((obs * np.log(obs)).sum()) / self.n if obs[0] > 0 else None
 
 
 def build_sample(raw) -> Sample:
@@ -71,7 +62,6 @@ def build_sample(raw) -> Sample:
         total = float(obs.sum())
         abs_total = total if obs[0] > 0 else float(np.abs(obs).sum())
         sq_total = float((obs * obs).sum())
-    # -1/e <= x log x <= x^2, so a finite mean_sq keeps mean_xlogx finite
     if not (math.isfinite(total) and math.isfinite(abs_total) and math.isfinite(sq_total)):
         finite = np.isfinite(arr)
         if not finite.all():

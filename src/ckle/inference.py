@@ -7,10 +7,10 @@ B^-1 A B^-1 / n.  The data-driven counterpart is the sandwich
 V = I^-1 J I^-1 / n with J the average outer product of psi and I the
 average derivative of psi.
 
-For the one-parameter families g is closed in theta and the sample moments,
-so ``c_value`` and ``divergence_interval`` take c(theta) and the interval
-(two roots of a quadratic) from the family's ``closed_c`` and
-``closed_divergence_interval``.
+For the one-parameter families g is a/t + b t + c with coefficients from
+the sample moments (``models._PositiveScalar``), so ``c_value`` and
+``divergence_interval`` take c(theta) and the interval (two roots of a
+quadratic) from the family's ``closed_c`` and ``closed_divergence_interval``.
 
 Where a family has no closed A and B, both come from one fixed tanh-sinh
 (double-exponential) rule per side of zero, in probability space: nodes
@@ -214,20 +214,29 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
 def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
     InferenceError where I fails ``positive_definite``, exactly where the
-    fit's ``hessian_pd`` is False."""
+    fit's ``hessian_pd`` is False.  V is formed in the units
+    D = sqrt(diag I) of that rule, from Psi D^-1 and D^-1 I D^-1, so it is
+    finite wherever its entries are doubles; an entry of the reported J
+    that is not a double is +inf."""
     family = get_family(family)
     if not fit_result.converged:
         raise InferenceError("sandwich requires a converged fit")
     theta = np.asarray(fit_result.params.values, dtype=float)
     n = sample.n
     Psi = psi_matrix(family, theta, sample)
-    J = Psi.T @ Psi / n
     I = ObjectiveContext(family, sample).hessian(theta)
     if not positive_definite(I):
         raise InferenceError("objective locally flat")
-    Iinv = np.linalg.inv(I)
-    V = Iinv @ J @ Iinv / n
+    # r = D^-1; scaling row by row, then column by column, overflows only
+    # where the scaled matrix itself does
+    r = 1.0 / np.sqrt(np.diag(I))
+    Psi_r = Psi * r
+    J_r = Psi_r.T @ Psi_r / n
+    Iinv_r = np.linalg.inv(I * r[:, None] * r[None, :])
+    V = Iinv_r @ J_r @ Iinv_r / n * r[:, None] * r[None, :]
     V = (V + V.T) / 2.0
+    with np.errstate(over="ignore"):
+        J = J_r / r[:, None] / r[None, :]
     return SandwichEstimate(J=J, I=I, V_hat=V)
 
 

@@ -12,9 +12,7 @@ the support starts.  It implements on its open domain
 with its gradient ``ds_dtheta_matrix`` (central differences of s for the
 Normal, whose s has no closed form), ``quantile``, the upper-tail quantile
 ``isf`` (accurate for tiny survival probabilities) and ``mle``, where a
-simplex fit starts.  A one-parameter family, whose g is closed in theta
-and the sample moments, also implements ``closed_c`` and
-``closed_divergence_interval``.  The optional hooks ``closed_form``,
+simplex fit starts.  The optional hooks ``closed_form``,
 ``profile_fit``, ``closed_fit_warning``, ``check_sample``,
 ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar`` and
 ``closed_test_region`` default to the generic numerical path, so callers
@@ -23,11 +21,16 @@ it) instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
 panel nodes and Python floats, from the one panel builder ``_sides`` that
-its ``s_values`` shares.  The Exponential and the Laplace supply a g_fn
-that reads g from the sample's moments in O(1) (``_moment_g``), within a
-few ulp of the per-element sum; below a mean of squares of
-``_MOMENT_SQ_FLOOR``, where some x^2 may have underflowed, they keep the
-per-element path.
+its ``s_values`` shares.
+
+A one-parameter family (the Exponential and the Laplace) subclasses
+``_PositiveScalar``: its g is a/t + b t + c, and it states the three
+coefficients from the sample's moments (``_coefficients``) and
+``closed_c``.  From the coefficients ``_PositiveScalar`` derives g in O(1)
+(within a few ulp of the per-element sum), the estimate sqrt(a/b) and the
+divergence interval, the two roots of b t^2 - (2 sqrt(ab) + d) t + a;
+below a mean of squares of ``_MOMENT_SQ_FLOOR``, where some x^2 may have
+underflowed, g keeps the per-element path.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -109,10 +112,6 @@ class ParamVector:
 
     names: tuple[str, ...]
     values: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, self.values))
@@ -279,15 +278,6 @@ class Family:
         """The maximum-likelihood estimate, inside the open domain, or DataError."""
         raise NotImplementedError
 
-    # --- closed scalar inference: required of every one-parameter family ---
-    def closed_c(self, theta, sample: Sample) -> float:
-        """c(theta) = sigma^2(theta) g''(theta) of the chi-square limits."""
-        raise NotImplementedError
-
-    def closed_divergence_interval(self, sample: Sample, log_k: float) -> tuple[float, float]:
-        """(lower, upper) of the set where g - g(theta_hat) <= -log_k."""
-        raise NotImplementedError
-
     # --- optional hooks: a default of None (or no check) selects the
     # generic path in the solver, inference and simulation layers ---
     def closed_form(self, sample: Sample):
@@ -325,7 +315,10 @@ class Family:
 
 
 class _PositiveScalar(Family):
-    """One positive parameter."""
+    """One positive parameter t, with g(t) = a/t + b t + c for the
+    coefficients (a, b, c) that ``_coefficients`` reads from the sample's
+    moments.  The estimate, g and the divergence interval come from them
+    here; a subclass also states ``closed_c``, since its sigma^2 is its own."""
 
     lower = (0.0,)
 
@@ -334,25 +327,50 @@ class _PositiveScalar(Family):
         if sample.mean_sq <= 0:
             raise DataError("degenerate data")
 
+    def _coefficients(self, sample: Sample) -> tuple[float, float, float]:
+        """(a, b, c) of g(t) = a/t + b t + c; a is +inf where g is +inf at
+        every t (data below the support start)."""
+        raise NotImplementedError
+
     def g_fn(self, sample):
-        # g is closed in theta and the sample moments (``_moment_g``), so an
-        # evaluation is O(1), with validate's checks inline as in Normal.g_fn
+        # O(1) from the coefficients, with validate's checks inline as in
+        # Normal.g_fn; summed in this order, g is bit for bit each family's
+        # moment formula 1/t + t mean_sq/2 or t + c + (mean_sq/2)/t
         if sample.mean_sq < _MOMENT_SQ_FLOOR:
             return Family.g_fn(self, sample)
-        g_closed, lo = self._moment_g(sample), self.lower[0]
+        a, b, c = self._coefficients(sample)
+        lo = self.lower[0]
 
         def g(theta):
             th = _as_theta(theta)
             t = th.item() if th.size == 1 else math.nan
             if not lo < t < math.inf:
                 self.validate(th)       # raises the DomainError naming the parameter
-            return g_closed(t)
+            return b * t + c + a / t
 
         return g
 
-    def _moment_g(self, sample: Sample):
-        """Callable t -> g(t) on Python floats, from the sample's moments."""
-        raise NotImplementedError
+    def closed_form(self, sample):
+        # the minimizer of a/t + b t is sqrt(a/b)
+        a, b, _ = self._coefficients(sample)
+        if a == math.inf:
+            raise DataError("negative data for nonnegative family")
+        if not (a > 0 and b > 0):
+            raise DataError("degenerate data")
+        return (math.sqrt(a / b),)
+
+    def closed_divergence_interval(self, sample: Sample, log_k: float) -> tuple[float, float]:
+        """(lower, upper) of the set where g - g(t_hat) <= d = -log_k.
+
+        g(t) - g(t_hat) = (sqrt(a/t) - sqrt(b t))^2, so the endpoints are
+        the roots of b t^2 - (2 sqrt(ab) + d) t + a: the discriminant
+        d (d + 4 sqrt(ab)) has no cancellation, and the lower root is
+        (a/b) / upper."""
+        a, b, _ = self._coefficients(sample)
+        d = -log_k
+        r = math.sqrt(a * b)
+        upper = (2.0 * r + d + math.sqrt(d * (d + 4.0 * r))) / (2.0 * b)
+        return (a / b) / upper, upper
 
 
 class Exponential(_PositiveScalar):
@@ -402,12 +420,9 @@ class Exponential(_PositiveScalar):
         self._check_support(theta, xs)
         return (-xs * xs / 2.0)[:, None]
 
-    def _moment_g(self, sample):
+    def _coefficients(self, sample):
         # g = 1/lambda + lambda mean_sq / 2, +inf below the support start
-        if sample.k > 0:
-            return lambda lam: math.inf
-        half_m = sample.mean_sq / 2.0
-        return lambda lam: 1.0 / lam + lam * half_m
+        return (math.inf if sample.k > 0 else 1.0), sample.mean_sq / 2.0, 0.0
 
     def quantile(self, theta, p):
         lam = _as_theta(theta)[0]
@@ -417,13 +432,6 @@ class Exponential(_PositiveScalar):
     def isf(self, theta, v):
         lam = _as_theta(theta)[0]
         return -np.log(_open_unit(v)) / lam
-
-    def closed_form(self, sample):
-        if sample.k > 0:
-            raise DataError("negative data for nonnegative family")
-        if sample.mean_sq <= 0:
-            raise DataError("degenerate data")
-        return (math.sqrt(2.0 / sample.mean_sq),)
 
     def mle(self, sample):
         if sample.mean <= 0:
@@ -446,16 +454,6 @@ class Exponential(_PositiveScalar):
 
     def closed_c(self, theta, sample):
         return 5.0 / (2.0 * _as_theta(theta).item())
-
-    def closed_divergence_interval(self, sample, log_k):
-        # the endpoints are the roots of m theta^2 - 2 b theta + 2 with
-        # b = d + sqrt(2m) and d = -log_k; b^2 - 2m = d (d + 2 sqrt(2m))
-        # has no cancellation, and the product of the roots is 2/m
-        m = sample.mean_sq
-        d = -log_k
-        s = math.sqrt(2.0 * m)
-        upper = (d + s + math.sqrt(d * (d + 2.0 * s))) / m
-        return (2.0 / m) / upper, upper
 
     def closed_test_region(self, theta0, n, chi2):
         # roots t of a t^2 - b t + c: the discriminant b^2 - 4ac is exactly
@@ -513,10 +511,9 @@ class Laplace(_PositiveScalar):
         # x/theta first: x * x underflows on data near 1e-200
         return ((xs / th) ** 2 / 2.0)[:, None]
 
-    def _moment_g(self, sample):
-        # g = theta + log 2 mean_abs + mean_sq / (2 theta)
-        c, half_m = math.log(2.0) * sample.mean_abs, sample.mean_sq / 2.0
-        return lambda th: th + c + half_m / th
+    def _coefficients(self, sample):
+        # g = mean_sq / (2 theta) + theta + log 2 mean_abs
+        return sample.mean_sq / 2.0, 1.0, math.log(2.0) * sample.mean_abs
 
     def quantile(self, theta, p):
         th = _as_theta(theta)[0]
@@ -526,11 +523,6 @@ class Laplace(_PositiveScalar):
     def isf(self, theta, v):
         # the law is symmetric about zero: sf(x) = cdf(-x)
         return -self.quantile(theta, v)
-
-    def closed_form(self, sample):
-        if sample.mean_sq <= 0:
-            raise DataError("degenerate data")
-        return (math.sqrt(sample.mean_sq / 2.0),)
 
     def mle(self, sample):
         # scale MLE for the zero-centered model
@@ -545,17 +537,6 @@ class Laplace(_PositiveScalar):
 
     def closed_c(self, theta, sample):
         return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta).item())
-
-    def closed_divergence_interval(self, sample, log_k):
-        # g(theta) - g(t) = (theta - t)^2 / theta with t = sqrt(mean_sq / 2),
-        # so the endpoints are the roots of theta^2 - (2t + d) theta + t^2
-        # with d = -log_k; their product is t^2 = mean_sq / 2, so the lower
-        # root comes from the upper one without cancellation
-        half_m = sample.mean_sq / 2.0
-        t = math.sqrt(half_m)
-        d = -log_k
-        upper = t + d / 2.0 + math.sqrt(d * t + d * d / 4.0)
-        return half_m / upper, upper
 
 
 class _LocationScale(Family):

@@ -160,7 +160,10 @@ def solve_pareto_profile(sample: Sample):
     if sample.obs[0] <= 0:
         raise DataError("pareto profile requires strictly positive data")
     e = (sample.obs - sample.mean) / sample.mean
-    d = float(((1.0 + e) * np.log1p(e) - e).sum()) / sample.n
+    w = 1.0 + e
+    # (1 + e) log1p(e) -> 0 as e -> -1, where an observation below m 2^-53 rounds
+    log1p = np.log1p(e, out=np.zeros_like(e), where=w > 0)
+    d = float((w * log1p - e).sum()) / sample.n
     if not d > 0:
         raise DataError("degenerate data")
     u = d + math.sqrt(d * (d + 2.0))
@@ -286,7 +289,7 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
         try:
             grad = ctx.gradient(theta)
             converged = bool(np.linalg.norm(grad) < 1e-6 * (1.0 + abs(g_at)))
-        except (DomainError, FloatingPointError):
+        except DomainError:
             converged = False
 
     warn = family.support_lower(theta) > float(sample.obs[0])

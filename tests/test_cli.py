@@ -3,6 +3,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,23 @@ def test_infinite_objective_prints_strict_json(command, tmp_path, capsys):
     assert doc["g_at_opt"] is None
     if command == "gof":
         assert doc["divergence"] is None
+
+
+@pytest.mark.parametrize("model,values", [
+    # psi^2 is about 1e400, but V_hat (about 4.2e-202) is a double
+    ("exponential", "1.57e100\n2.1e100\n0.3e100\n"),
+    # (x - mean)/mean rounds to -1 at 5e-324
+    ("pareto", "5e-324\n1.0\n")])
+def test_fit_at_extreme_scales_without_runtime_warnings(model, values, tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.write_text(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["fit", "--model", model, "--data", str(data)], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["converged"] and doc["hessian_pd"]
+    assert all(math.isfinite(v) and v != 0 for row in doc["V_hat"] for v in row)
 
 
 def test_numeric_fit_on_empty_feasible_region_prints_only_the_error(tmp_path):
@@ -278,6 +296,19 @@ def test_power_and_samplesize_contract(tmp_path, capsys):
           / (2 * (doc["g_theta1"] - doc["g_theta0"])))
     assert doc["n_star"] == math.floor(n0) + 1
     assert doc["n0"] == pytest.approx(n0, rel=1e-6)
+
+
+def test_samplesize_warning_is_one_stderr_line_in_process(tmp_path, capsys):
+    # the same command through main in this process, where the warning is
+    # printed by the CLI's own line printer
+    data = tmp_path / "exp.csv"
+    xs = get_family("exponential").draw((5.0,), 30, make_rng(1, 7))
+    data.write_text("\n".join(repr(float(v)) for v in xs))
+    code, out, err = run_cli(["samplesize", "--model", "exponential", "--data", str(data),
+                              "--null", "6.0", "--alt", "5.0", "--beta", "0.9"], capsys)
+    assert code == 0
+    assert json.loads(out)["n_star"] == 1
+    assert err == "ckle: warning: requested power is reached at any sample size; returning 1\n"
 
 
 def test_samplesize_warning_is_one_stderr_line(tmp_path):

@@ -23,14 +23,12 @@ def test_build_sample_basic():
     assert s.mean == pytest.approx(4 / 3)
     assert s.mean_abs == pytest.approx(2.0)
     assert s.mean_sq == pytest.approx(14 / 3)
-    assert s.mean_xlogx is None
 
 
 def test_build_sample_singleton():
     s = build_sample([5.0])
     assert s.obs.tolist() == [5.0] and s.k == 0
     assert s.mean == 5.0 and s.mean_sq == 25.0
-    assert s.mean_xlogx == pytest.approx(5 * math.log(5))
 
 
 def test_build_sample_errors():
@@ -65,11 +63,11 @@ def test_overflowing_moments_are_data_errors():
 
 
 def _hex(value):
-    return None if value is None else float(value).hex()
+    return float(value).hex()
 
 
 # any finite magnitude and sign, or positive values spread over every decade
-# in which the squares stay finite (the only samples with a mean_xlogx)
+# in which the squares stay finite
 unscaled = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=60)
 positive = st.lists(st.floats(min_value=5e-324, max_value=1e154),
@@ -88,14 +86,13 @@ near_zero = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
 def test_moments_are_bitwise_the_ndarray_means(values):
     obs = np.sort(np.asarray(values, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        old = (float(obs.mean()), float(np.abs(obs).mean()), float((obs * obs).mean()),
-               float((obs * np.log(obs)).mean()) if obs[0] > 0 else None)
-    if not all(math.isfinite(m) for m in (*old[:3], old[3] or 0.0)):
+        old = (float(obs.mean()), float(np.abs(obs).mean()), float((obs * obs).mean()))
+    if not all(math.isfinite(m) for m in old):
         with pytest.raises(DataError, match="moments overflow"):
             build_sample(values)
         return
     s = build_sample(values)
-    assert [_hex(m) for m in (s.mean, s.mean_abs, s.mean_sq, s.mean_xlogx)] == [
+    assert [_hex(m) for m in (s.mean, s.mean_abs, s.mean_sq)] == [
         _hex(m) for m in old]
     assert s.k == int(np.searchsorted(obs, 0.0, side="left"))
 

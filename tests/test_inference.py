@@ -329,6 +329,20 @@ def test_sandwich_is_scale_equivariant(name, theta, units):
         assert res.hessian_pd, c
 
 
+def test_sandwich_where_psi_squared_overflows():
+    # at 1e100 psi^2 (about 1e400) is no double: J is +inf, but V_hat is the
+    # unit-scale V_hat times 1e-200, computed without a warning
+    x = get_family("exponential").draw((1.0,), 30, make_rng(1, 0))
+    s1 = build_sample(x)
+    V1 = sandwich("exponential", fit("exponential", s1), s1).V_hat
+    s = build_sample(1e100 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sw = sandwich("exponential", fit("exponential", s), s)
+    assert sw.J[0, 0] == math.inf
+    assert sw.V_hat[0, 0] == pytest.approx(1e-200 * V1[0, 0], rel=1e-9)
+
+
 def test_sandwich_refuses_exactly_where_hessian_pd_is_false():
     # at small scales the twoparamexp I is indefinite (its unit-diagonal form
     # has eigenvalues near -1487 and +1489 at 1e-12) yet well conditioned

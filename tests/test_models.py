@@ -536,21 +536,26 @@ def test_exponential_test_region_within_a_few_ulp(n):
 
 @pytest.mark.parametrize("n", EXP_NS)
 def test_exponential_divergence_interval_within_a_few_ulp(n):
-    # the endpoints are the roots of m theta^2 - 2 b theta + 2 with
-    # b = sqrt(2m) - log k, solved in 40-digit arithmetic from the same
-    # mean square and the cutoff the interval uses at this n
+    # for the Exponential and the Laplace alike, g(t) = a/t + b t + c and the
+    # endpoints are the roots of b t^2 - (2 sqrt(ab) + d) t + a with
+    # d = -log k, solved in 40-digit arithmetic from the same coefficients
+    # and the cutoff the interval uses at this n
     mp = pytest.importorskip("mpmath")
-    fam = get_family("exponential")
     with mp.workdps(40):
-        for lam in (0.37, 2.0, 5.0):
-            for spread in (0.8, 1.0, 1.3):
-                m = 2.0 / lam**2 * spread
-                c_hat = fam.closed_c(fam.closed_form(SimpleNamespace(k=0, mean_sq=m)), None)
-                for chi2 in CHI2S:
-                    log_k = -c_hat * chi2 / (2.0 * n)
-                    mm = mp.mpf(m)
-                    b = mp.sqrt(2 * mm) - mp.mpf(log_k)
-                    root = mp.sqrt(b * b - 2 * mm)
-                    want = ((b - root) / mm, (b + root) / mm)
-                    got = fam.closed_divergence_interval(SimpleNamespace(mean_sq=m), log_k)
-                    assert _max_rel(got, want, mp) < FEW_ULP, (lam, spread, chi2)
+        for name in ("exponential", "laplace"):
+            fam = get_family(name)
+            for theta in (0.37, 2.0, 5.0):
+                for spread in (0.8, 1.0, 1.3):
+                    # the mean square at which the estimate is theta, spread
+                    m = (2.0 / theta**2 if name == "exponential" else 2.0 * theta**2) * spread
+                    sample = SimpleNamespace(k=0, mean_sq=m, mean_abs=math.sqrt(m))
+                    a, b, _ = fam._coefficients(sample)
+                    c_hat = fam.closed_c(fam.closed_form(sample), sample)
+                    for chi2 in CHI2S:
+                        log_k = -c_hat * chi2 / (2.0 * n)
+                        ma, mb = mp.mpf(a), mp.mpf(b)
+                        h = 2 * mp.sqrt(ma * mb) - mp.mpf(log_k)
+                        root = mp.sqrt(h * h - 4 * ma * mb)
+                        want = ((h - root) / (2 * mb), (h + root) / (2 * mb))
+                        got = fam.closed_divergence_interval(sample, log_k)
+                        assert _max_rel(got, want, mp) < FEW_ULP, (name, theta, spread, chi2)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,7 +223,7 @@ def test_normal_fit_evaluates_each_point_once(monkeypatch):
 
 def test_profile_matches_grid_scan_on_profile_equation():
     s = build_sample(get_family("pareto").draw((3.0, 5.0), 500, make_rng(21, 0)))
-    d = s.mean_xlogx / s.mean - math.log(s.mean)
+    d = float((s.obs * np.log(s.obs)).mean()) / s.mean - math.log(s.mean)
     root, _, _ = solve_pareto_profile(s)
     grid = np.linspace(1.001, 20.0, 2_000_001)
     vals = np.log(grid / (grid - 1)) - 1 / (grid - 1) + d
@@ -281,10 +282,25 @@ def test_pareto_profile_residual_and_identity():
     # "numeric" skips only a closed form, so the Pareto still takes its profile
     assert fit("pareto", s, method="numeric") == res
     # nearly equal data put the root far above 1e6; at a spread of 1e-8,
-    # mean_xlogx/mean - log(mean) is no longer positive, but d is
+    # mean(x log x)/mean - log(mean) is no longer positive, but d is
     for eps in (1e-7, 1e-8):
         res = fit("pareto", build_sample(1.0 + eps * np.linspace(0.0, 1.0, 50)))
         assert res.converged and res.params["alpha"] > 1e6
+
+
+def test_pareto_profile_with_an_observation_below_m_ulp():
+    # e = (x - m)/m rounds to -1 for x = 5e-324, where (1 + e) log1p(e) is
+    # taken as its limit 0: d = log 2, and the fit exists without a warning
+    s = build_sample([5e-324, 1.0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        alpha, beta, resid = solve_pareto_profile(s)
+        res = fit("pareto", s)
+    u = 1.0 / (alpha - 1.0)
+    assert resid < 1e-15
+    assert u - math.log1p(u) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert beta == s.mean / (1.0 + u)
+    assert res.converged and res.params.values == (alpha, beta)
 
 
 def test_pareto_profile_degenerate():
@@ -508,6 +524,25 @@ def test_twoparamexp_numeric_fit_refuses_equal_data():
 def test_fit_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         fit("weibull", build_sample([1.0, 2.0]))
+
+
+def test_numeric_objective_ranks_overflow_and_domain_errors_infinite(monkeypatch):
+    # the simplex objective is +inf where back overflows (exp(1000)) and
+    # where g raises DomainError (exp(-1000) = 0 is no rate); the fit around
+    # those probes is the one without them
+    probes = {}
+    original = solver.minimize_nelder_mead
+
+    def probing(fn, x0, *args, **kwargs):
+        if not probes:
+            probes.update({t: fn(np.array([t])) for t in (1000.0, -1000.0)})
+        return original(fn, x0, *args, **kwargs)
+
+    s = build_sample(get_family("exponential").draw((2.0,), 30, make_rng(4, 0)))
+    want = fit("exponential", s, method="numeric")
+    monkeypatch.setattr(solver, "minimize_nelder_mead", probing)
+    assert fit("exponential", s, method="numeric") == want
+    assert probes == {1000.0: math.inf, -1000.0: math.inf}
 
 
 def test_empty_feasible_region_stops_after_one_simplex_run(monkeypatch):
