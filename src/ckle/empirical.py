@@ -4,11 +4,15 @@ The empirical CDF is the right-continuous step function F_n(x) = #{x_i <= x}/n,
 extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
-``build_sample`` computes the mean, mean |x| and mean x^2 of every sample.
-Validation, in order: an empty input is a ``ParseError``; the sorted values
-are then summed, and only when a sum is non-finite are they scanned, the
-first non-finite value in input order being a ``ParseError`` and, when
-there is none, the overflow a ``DataError``.
+``build_samples`` is the one sample builder: it takes a 2-D array of rows
+and returns one ``Sample`` per row, with the mean, mean |x| and mean x^2 of
+each, sorting the rows and summing them along axis 1 (over C-contiguous
+rows the pairwise sum of each row alone, bit for bit).  ``build_sample``
+is its one-row call.  Validation, in order: an empty row is a
+``ParseError``; the sorted rows are then summed, and only the first row
+whose sums are non-finite is scanned, its first non-finite value in input
+order being a ``ParseError`` and, when there is none, the overflow a
+``DataError``.  So a row raises what ``build_sample`` raises on it alone.
 """
 
 from __future__ import annotations
@@ -41,35 +45,46 @@ class Sample:
 
 
 def build_sample(raw) -> Sample:
-    """Validate, sort and summarize raw observations.
+    """Validate, sort and summarize raw observations: ``build_samples`` of
+    the one row they make.
 
     Raises ``ParseError`` (a ``DataError``) for an empty input or any
     non-finite value (reported at its position in the original ordering),
-    and ``DataError`` when a moment overflows.  The moment sums are the
-    finiteness check, since any NaN or +-inf makes the plain sum
-    non-finite; only then is the input scanned to tell the two apart.
+    and ``DataError`` when a moment overflows.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    n = arr.size
+    return build_samples(np.asarray(raw, dtype=float).reshape(1, -1))[0]
+
+
+def build_samples(rows: np.ndarray) -> list[Sample]:
+    """One ``Sample`` per row of the 2-D float array ``rows``, each bit for
+    bit the sample of that row alone.  The mean of squares is the
+    finiteness check: any NaN or +-inf makes it non-finite, and while it is
+    finite every |x| <= 1.4e154, so the plain sum and the sum of |x| are
+    finite too.  Only the first row where it is not is scanned to tell the
+    two errors apart.
+    """
+    n = rows.shape[1]
     if n == 0:
         raise ParseError("empty sample")
-    obs = np.sort(arr)
+    obs = np.sort(rows, axis=1)
     # a.sum() / n is bitwise ndarray.mean(): the same pairwise sum, one
     # division; |x| is x bit for bit when every x > 0, but not for -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(obs.sum())
-        abs_total = total if obs[0] > 0 else float(np.abs(obs).sum())
-        sq_total = float((obs * obs).sum())
-    if not (math.isfinite(total) and math.isfinite(abs_total) and math.isfinite(sq_total)):
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ParseError(f"non-finite observation at index {int(np.argmin(finite))}")
+        mean_sq = (np.add.reduce(obs * obs, axis=1) / n).tolist()
+    if not all(map(math.isfinite, mean_sq)):
+        raw = rows[[math.isfinite(m) for m in mean_sq].index(False)]
+        ok = np.isfinite(raw)
+        if not ok.all():
+            raise ParseError(f"non-finite observation at index {int(np.argmin(ok))}")
         raise DataError("moments overflow: data too large in magnitude")
-    k = 0 if obs[0] >= 0 else int(np.searchsorted(obs, 0.0, side="left"))
-    return Sample(obs=obs, n=n, k=k, mean=total / n, mean_abs=abs_total / n,
-                  mean_sq=sq_total / n)
+    total = np.add.reduce(obs, axis=1)
+    low = np.minimum.reduce(obs[:, 0])
+    abs_total = total if low > 0 else np.add.reduce(np.abs(obs), axis=1)
+    # on sorted finite rows, the count below 0 is searchsorted(0.0, "left")
+    k = np.add.reduce(obs < 0, axis=1).tolist() if low < 0 else [0] * len(obs)
+    return [Sample(obs=o, n=n, k=kk, mean=t, mean_abs=a, mean_sq=q)
+            for o, kk, t, a, q in zip(obs, k, (total / n).tolist(),
+                                      (abs_total / n).tolist(), mean_sq)]
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:

@@ -36,7 +36,9 @@ Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
 makes s integrate log 0 over positive measure, which ``_check_support``
 raises as ``SupportViolation`` from both ``s_values`` and
-``ds_dtheta_matrix`` (the objective is +inf there, and psi undefined).
+``ds_dtheta_matrix`` (the objective is +inf there, and psi undefined).  The
+two-parameter exponential's ``ds_dtheta_matrix`` also raises it for a
+negative observation at the support start, where psi is -inf.
 
 ``scipy.special`` is imported on first use, through the cached accessor
 ``_special``: ``log_ndtr``, ``ndtr``, ``ndtri`` and ``spence`` are
@@ -623,6 +625,10 @@ class TwoParamExponential(_LocationScale):
             xn = xs[neg]
             t0 = -mu / sig
             tx = (xn - mu) / sig
+            if not tx.min() > 0:
+                # d s / d mu has log(1 - e^{-t}), which is -inf at t = 0
+                raise SupportViolation("support violation: a negative observation "
+                                       "at the support start")
             dmu[neg] = np.log(-np.expm1(-tx)) - math.log(-math.expm1(-t0))
             G = lambda t: t * np.log(-np.expm1(-t)) - _dilog(np.exp(-t))
             dsig[neg] = G(tx) - G(t0)

@@ -6,9 +6,18 @@ Every entry point runs its replicates through one engine,
 consecutive slices of that stream in the order given (drawn in blocks of
 at most max(largest size, 4096) values, each slice the values a draw of its
 size alone gives), and each of the caller's cells maps (family, sample) to
-a fixed number of floats; a cell raising ``CkleError`` is a NaN row, and an
-error of ``draw`` or ``build_sample`` propagates.  Values are aggregated in
-replicate order, so no report depends on the worker count.
+a fixed number of floats; a cell raising ``CkleError`` is a NaN row.  The
+engine works size-major over groups of consecutive replicates whose blocks
+hold at most ``_GROUP_VALUES`` (2**16) values together, so its memory is
+bounded at any replicate count: for each block, each replicate of the group
+draws its row of a (group, block) array, and each size's column slice is
+sorted and summed in one ``build_samples`` call.  Errors propagate in that
+order: all of a group's draws of a block (a ``draw`` error, then a
+non-finite draw as a ``DataError`` naming the family and parameters) come
+before any sample of that block is built, and a ``build_samples`` error (a
+moment overflow) is raised at the block's first failing size, at its first
+failing replicate.  Values are aggregated in replicate order, so no report
+depends on the worker count.
 
 ``run_study`` counts a row's failures and aggregates its finite estimates:
 the mean, the mean over the true value (NaN when that is 0) and the sample
@@ -28,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, build_sample
-from .errors import CkleError, DomainError, InferenceError
+from .empirical import Sample, build_samples
+from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import avar_scalar, divergence_interval, wald_ci
 from .models import EXPONENTIAL, Family, get_family
 from .objective import g_objective
@@ -39,6 +48,8 @@ from .solver import fit
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
 # consecutive sizes of a replicate share one draw up to this many values
 _BLOCK_VALUES = 4096
+# consecutive replicates are drawn and built together up to this many values
+_GROUP_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,28 +140,41 @@ def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
 def _replicate_chunk(args) -> np.ndarray:
     """Cell values of replicates start..stop-1, shape (replicates, sizes,
     cells, width): each cell is called as cell(family, sample) and returns
-    width floats, and a cell that raises CkleError gives a NaN row."""
+    width floats, and a cell that raises CkleError gives a NaN row.  A
+    group is as many replicates as _GROUP_VALUES holds of the largest
+    block, and at least one."""
     family, theta, sizes, cells, width, seed, start, stop = args
     blocks = _size_blocks(sizes)
+    group = max(1, _GROUP_VALUES // max(total for _, _, total in blocks))
     failed = (math.nan,) * width
-    values = []
-    for r in range(start, stop):
-        rng = make_rng(seed, r)
+    out = np.empty((stop - start, len(sizes), len(cells), width))
+    for g0 in range(start, stop, group):
+        reps = range(g0, min(g0 + group, stop))
+        rngs = [make_rng(seed, r) for r in reps]
         for first, last, total in blocks:
             # the stream is read in order and every quantile is elementwise,
             # so each slice holds the values a draw of its size alone gives
-            xs = family.draw(theta, total, rng)
+            draws = np.empty((len(reps), total))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row, rng in zip(draws, rngs):
+                    row[:] = family.draw(theta, total, rng)
+            if not np.isfinite(draws).all():
+                at = tuple(float(t) for t in theta)
+                raise DataError(f"simulated draws are not finite: {family.name} "
+                                f"at {at} overflows")
             offset = 0
-            for n in sizes[first:last]:
-                sample = build_sample(xs[offset:offset + n])
+            for si, n in enumerate(sizes[first:last], first):
+                values = []
+                for sample in build_samples(draws[:, offset:offset + n]):
+                    for cell in cells:
+                        try:
+                            values.append(cell(family, sample))
+                        except CkleError:
+                            values.append(failed)
                 offset += n
-                for cell in cells:
-                    try:
-                        values.append(cell(family, sample))
-                    except CkleError:
-                        values.append(failed)
-    return np.array(values, dtype=float).reshape(
-        stop - start, len(sizes), len(cells), width)
+                out[g0 - start:reps.stop - start, si] = np.reshape(
+                    values, (len(reps), len(cells), width))
+    return out
 
 
 def run_study(config: StudyConfig) -> SimulationReport:

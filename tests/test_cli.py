@@ -140,6 +140,21 @@ def test_fit_at_extreme_scales_without_runtime_warnings(model, values, tmp_path,
     assert all(math.isfinite(v) and v != 0 for row in doc["V_hat"] for v in row)
 
 
+def test_fit_with_a_negative_observation_at_the_support_start(tmp_path, capsys):
+    # mu_hat = x_(1) < 0 puts that observation at t = 0, where psi is -inf:
+    # no V_hat and no positive-definite Hessian, and no warning on the way
+    data = tmp_path / "x.csv"
+    data.write_text("-3.57e16\n1e-12\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["fit", "--model", "twoparamexp", "--data", str(data)],
+                                 capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["theta_hat"]["mu"] == -3.57e16 and doc["support_warning"]
+    assert doc["hessian_pd"] is False and doc["V_hat"] is None
+
+
 def test_numeric_fit_on_empty_feasible_region_prints_only_the_error(tmp_path):
     # a child process, so that any warning reaches stderr as a user sees it
     data = tmp_path / "neg.csv"
@@ -416,6 +431,19 @@ def test_simulate_nonpositive_sizes_exit64(capsys, sizes):
     assert code == 64
     assert out == ""
     assert err == "ckle: error: sizes must be positive\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_overflowing_draws_exit2(capsys, threads):
+    # no file is read, so a non-finite draw is a data error, not a parse error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["simulate", "--model", "exponential", "--params",
+                                  "lambda=1e-310", "--sizes", "10:20:10", "--reps", "3",
+                                  "--seed", "1", "--threads", threads], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("ckle: error: simulated draws are not finite: "
+                   "exponential at (1e-310,) overflows\n")
 
 
 def test_out_file(tmp_path, capsys):

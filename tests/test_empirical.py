@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from ckle import (DataError, ParseError, build_sample, ecdf_eval, esf_eval,
                   empirical_entropy_constant, make_rng)
+from ckle.empirical import build_samples
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -34,6 +35,8 @@ def test_build_sample_singleton():
 def test_build_sample_errors():
     with pytest.raises(DataError, match="empty sample"):
         build_sample([])
+    with pytest.raises(ParseError, match="empty sample"):
+        build_samples(np.empty((3, 0)))
     with pytest.raises(DataError, match="non-finite observation at index 2"):
         build_sample([1.0, 2.0, math.nan])
     with pytest.raises(DataError, match="non-finite observation at index 0"):
@@ -115,6 +118,59 @@ def test_errors_follow_the_scan_first_rule(values):
             build_sample(values)
     else:
         assert build_sample(values).n == len(values)
+
+
+# signed magnitudes from 1e-300 to 1e150, and a few values that tie
+magnitudes = st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+                       st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0),
+                       st.integers(-300, 150))
+row_values = st.one_of(magnitudes, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300]))
+bad_values = st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e160])
+
+
+@st.composite
+def row_arrays(draw, elements):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=m, max_size=m))
+    return np.array(rows, dtype=float)
+
+
+def _fields(s):
+    # every Sample field, bit for bit: the sorted values with their signs
+    # of zero, and each count and moment with its type
+    return (s.obs.dtype, s.obs.tobytes(), s.obs.flags.writeable,
+            type(s.n), s.n, type(s.k), s.k,
+            *(type(m).__name__ + m.hex() for m in (s.mean, s.mean_abs, s.mean_sq)))
+
+
+@given(row_arrays(row_values))
+@example(np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [5e-324, -0.0, 0.0]]))
+@example(np.array([[3.0], [-0.0], [1e150]]))
+def test_rows_builder_is_build_sample_of_each_row(rows):
+    # also on a column slice of a wider array, as a study's sizes are
+    wide = np.concatenate([rows[:, ::-1], rows], axis=1)
+    for view in (rows, wide[:, rows.shape[1]:]):
+        got = build_samples(view)
+        assert [_fields(s) for s in got] == [_fields(build_sample(row)) for row in rows]
+
+
+@given(row_arrays(st.one_of(row_values, bad_values)))
+@example(np.array([[1.0, 2.0], [1e200, math.nan], [math.inf, 1.0]]))
+@example(np.array([[1.0, 2.0], [1e200, 2e200], [math.inf, 1.0]]))
+def test_rows_builder_raises_what_build_sample_raises_on_the_first_bad_row(rows):
+    want = None
+    for row in rows:
+        try:
+            build_sample(row)
+        except DataError as exc:
+            want = (type(exc), str(exc))
+            break
+    if want is None:
+        assert len(build_samples(rows)) == len(rows)
+        return
+    with pytest.raises(DataError) as exc:
+        build_samples(rows)
+    assert (type(exc.value), str(exc.value)) == want
 
 
 def test_sample_immutable():

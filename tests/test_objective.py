@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,27 @@ def test_psi_raises_below_the_support_start():
         ObjectiveContext(fam, s).hessian(theta)
     res = replace(fit(fam, s), _hessian_inputs=(fam, s, theta, g))
     assert res.hessian_pd is False
+
+
+def test_psi_raises_at_a_negative_observation_on_the_support_start():
+    # g is finite at mu = x_(1) < 0, but d s / d mu has log(1 - e^{-t}) at
+    # t = 0 there; so too where (x - mu)/sigma underflows to 0
+    fam = get_family("twoparamexp")
+    above = float(np.nextafter(-1e-300, 0.0))
+    for xs, theta in (([-1.0, 0.5, 2.0], (-1.0, 1.5)),
+                      ([-3.57e16, 1e-12], (-3.57e16, 1.785e16)),
+                      ([above, 2.0], (-1e-300, 1e10))):
+        s = build_sample(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert g_objective(fam, theta, s) < math.inf
+            with pytest.raises(SupportViolation, match="at the support start"):
+                psi_matrix(fam, theta, s)
+    # just above the support start psi is finite
+    s = build_sample([-1.0, 0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(psi_matrix(fam, (-1.0 - 1e-9, 1.5), s)))
 
 
 @pytest.mark.parametrize("name,theta", [("exponential", (1.0,)), ("pareto", (2.0, 5.0))])

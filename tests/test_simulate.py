@@ -102,6 +102,55 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
         assert _hex_rows(run_study(threaded)) == want
 
 
+def _replicate_loop_chunk(args):
+    # the replicate-by-replicate reference: each replicate draws its blocks
+    # from its own stream, slices them into sizes, builds each sample alone
+    # and runs the cells on it
+    family, theta, sizes, cells, width, seed, start, stop = args
+    out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
+    for i, r in enumerate(range(start, stop)):
+        rng = make_rng(seed, r)
+        for first, last, total in simulate._size_blocks(sizes):
+            xs = family.draw(theta, total, rng)
+            offset = 0
+            for si in range(first, last):
+                sample = build_sample(xs[offset:offset + sizes[si]])
+                offset += sizes[si]
+                for ci, cell in enumerate(cells):
+                    try:
+                        out[i, si, ci, :] = cell(family, sample)
+                    except CkleError:
+                        pass
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_TRUTH))
+def test_grouped_engine_matches_the_replicate_loop_bitwise(name, monkeypatch):
+    theta = STUDY_TRUTH[name]
+    # the Normal's simplex is slow, so its larger studies take the MLE only
+    many = ("mle",) if name == "normal" else ("mckle", "mle")
+    configs = [
+        # the criterion-8 grid: 201 replicates fill a group, so two groups
+        dict(sizes=tuple(range(10, 56, 5)), replicates=250, estimators=many),
+        # two draw blocks; 21 replicates fill a group, so three groups
+        dict(sizes=(3000, 2000), replicates=45, estimators=many),
+        dict(sizes=tuple(range(10, 56, 5)), replicates=3),
+    ]
+    for kwargs in configs:
+        cfg = StudyConfig(name, theta, seed=801, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_replicate_chunk", _replicate_loop_chunk)
+            want = _hex_rows(run_study(cfg))
+        assert _hex_rows(run_study(cfg)) == want
+        threaded = StudyConfig(name, theta, seed=801, threads=2, **kwargs)
+        assert _hex_rows(run_study(threaded)) == want
+        # groups of one and of two replicates, with a shorter last group
+        for bound in (1, 700):
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_GROUP_VALUES", bound)
+                assert _hex_rows(run_study(cfg)) == want
+
+
 def _coverage_loop(name, params, n, reps, level, kind, seed):
     # the reference: the per-replicate loop coverage_study ran on its own
     family = get_family(name)
@@ -246,6 +295,25 @@ def test_block_draw_memory_stays_at_the_largest_size():
 
     wide = peak(tuple(range(1000, 20001, 1000)))
     assert wide <= 2 * peak((20000,))
+
+
+def test_group_memory_does_not_grow_with_the_replicates():
+    # replicates are built a bounded group at a time, and only each cell's
+    # floats are kept
+    def peak(replicates):
+        cfg = StudyConfig("exponential", (5.0,), tuple(range(10, 56, 5)), replicates,
+                          seed=3, estimators=("mle",))
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)                        # imports and caches out of the count
+    # a replicate adds its ten 8-byte estimates, not its samples or a list
+    # of their values
+    assert (peak(4000) - peak(400)) / 3600 <= 2 * 10 * 8
 
 
 def test_run_study_single_replicate_smoke():
