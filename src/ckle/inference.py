@@ -93,7 +93,7 @@ class AsymptoticVariance:
     B: np.ndarray
     V_n: np.ndarray | None          # B^-1 A B^-1 / n when n was supplied
     sigma2: float | None            # scalar case A/B^2
-    source: str                     # closed-form | quadrature | sandwich
+    source: str                     # closed-form | quadrature
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,10 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
 def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     """Asymptotic variance for the one-parameter families.
 
-    The family's closed form where it has one (``Family.closed_avar``), the
-    quadrature otherwise; ``method='quadrature'`` forces the integral path.
+    The family's closed form where it has one (``Family.closed_avar``,
+    whose V_1 is sigma^2, so sigma^2 is finite even where A or B^2 is not),
+    the quadrature otherwise; ``method='quadrature'`` forces the integral
+    path.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -188,8 +190,8 @@ def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     if family.dim != 1:
         raise DomainError("avar_scalar expects a one-parameter family")
     if method == "auto" and family.has_hook("closed_avar"):
-        A, B, _ = family.closed_avar(theta, 1)
-        return AsymptoticVariance(A, B, None, float(A[0, 0] / B[0, 0] ** 2), "closed-form")
+        A, B, V = family.closed_avar(theta, 1)
+        return AsymptoticVariance(A, B, None, float(V[0, 0]), "closed-form")
     A, B = _avar_quadrature(family, theta)
     return AsymptoticVariance(A, B, None, float(A[0, 0] / B[0, 0] ** 2), "quadrature")
 

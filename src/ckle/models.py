@@ -305,7 +305,8 @@ class Family:
         """Raise InferenceError where the variance integrals diverge."""
 
     def closed_avar(self, theta, n: int):
-        """(A, B, V_n) of the asymptotic variance; V_n is None for a scalar."""
+        """(A, B, V_n) of the asymptotic variance at sample size n; V_n =
+        B^-1 A B^-1 / n is formed directly, not from A and B."""
 
     def closed_test_region(self, theta0: float, n: int, chi2: float):
         """Interval of the mean of squares where the test at theta0 accepts."""
@@ -450,9 +451,12 @@ class Exponential(_PositiveScalar):
         return ((sample.n - 1.0) / (sample.n * sample.mean),)
 
     def closed_avar(self, theta, n):
-        # sigma^2 = A / B^2 = 5 lambda^2 / 4
+        # sigma^2 = A / B^2 = 5 lambda^2 / 4; A and B leave the doubles
+        # beyond lambda = 1e+-77, sigma^2 only beyond 1e+-154
         lam = _as_theta(theta)[0]
-        return np.array([[5.0 / lam**4]]), np.array([[2.0 / lam**3]]), None
+        with np.errstate(over="ignore", divide="ignore"):
+            A, B = np.array([[5.0 / lam**4]]), np.array([[2.0 / lam**3]])
+        return A, B, np.array([[5.0 * lam**2 / (4.0 * n)]])
 
     def closed_c(self, theta, sample):
         return 5.0 / (2.0 * _as_theta(theta).item())
@@ -535,7 +539,8 @@ class Laplace(_PositiveScalar):
     def closed_avar(self, theta, n):
         # |X| is exponential, so sigma^2 = 5 theta^2 / 4 as for the exponential
         th = _as_theta(theta)[0]
-        return np.array([[5.0]]), np.array([[2.0 / th]]), None
+        V = np.array([[5.0 * th**2 / (4.0 * n)]])
+        return np.array([[5.0]]), np.array([[2.0 / th]]), V
 
     def closed_c(self, theta, sample):
         return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta).item())

@@ -27,26 +27,21 @@ parameters' units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .empirical import Sample, empirical_entropy_constant
-from .models import Family, _central_diff, get_family
+from .models import _central_diff, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 
 
-@dataclass
 class ObjectiveContext:
     """The evaluator of g and its derivatives, caching per-sample pieces."""
 
-    family: Family
-    sample: Sample
-    _g: object = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.family = get_family(self.family)
-        self._g = self.family.g_fn(self.sample)
+    def __init__(self, family, sample: Sample):
+        self.family = get_family(family)
+        self.sample = sample
+        self._g = self.family.g_fn(sample)
 
     def g(self, theta) -> float:
         return self._g(theta)

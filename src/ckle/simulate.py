@@ -3,19 +3,20 @@ interval coverage, test size and resampled region cutoffs.
 
 Every entry point runs its replicates through one engine,
 ``_replicate_chunk``: replicate r reads the stream (seed, r), its sizes are
-consecutive slices of that stream in the order given (drawn in blocks of
-at most max(largest size, 4096) values, each slice the values a draw of its
-size alone gives), and each of the caller's cells maps (family, sample) to
-a fixed number of floats; a cell raising ``CkleError`` is a NaN row.  The
-engine works size-major over groups of consecutive replicates whose blocks
-hold at most ``_GROUP_VALUES`` (2**16) values together, so its memory is
-bounded at any replicate count: for each block, each replicate of the group
-draws its row of a (group, block) array, and each size's column slice is
-sorted and summed in one ``build_samples`` call.  Errors propagate in that
-order: all of a group's draws of a block (a ``draw`` error, then a
-non-finite draw as a ``DataError`` naming the family and parameters) come
-before any sample of that block is built, and a ``build_samples`` error (a
-moment overflow) is raised at the block's first failing size, at its first
+consecutive slices of that stream in the order given, and each of the
+caller's cells maps (family, sample) to a fixed number of floats; a cell
+raising ``CkleError`` is a NaN row.  One budget, ``_GROUP_VALUES`` (2**16
+values), bounds memory at any replicate count: a replicate draws its sizes
+in one block when they total at most that, else one block per size (each
+slice holds what a draw of its size alone gives), and a group of
+consecutive replicates holds at most that many values of its largest
+block, or one replicate.  For each block, each replicate of a group draws
+its row of a (group, block) array, and each size's column slice is sorted
+and summed in one ``build_samples`` call.  Errors propagate in that order:
+all of a group's draws of a block (a ``draw`` error, then a non-finite
+draw as a ``DataError`` naming the family and parameters) come before any
+sample of that block is built, and a ``build_samples`` error (a moment
+overflow) is raised at the block's first failing size, at its first
 failing replicate.  Values are aggregated in replicate order, so no report
 depends on the worker count.
 
@@ -46,9 +47,8 @@ from .rng import make_rng
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
-# consecutive sizes of a replicate share one draw up to this many values
-_BLOCK_VALUES = 4096
-# consecutive replicates are drawn and built together up to this many values
+# the draw budget: a replicate's sizes share one block, and replicates one
+# group, up to this many values
 _GROUP_VALUES = 1 << 16
 
 
@@ -123,18 +123,12 @@ def _estimate(est: str, family: Family, sample: Sample):
 
 def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """(first, stop, total) of each run of consecutive sizes drawn in one
-    call: a run grows while its total stays at or below _BLOCK_VALUES, and a
-    larger size is a block of its own, so no block exceeds
-    max(largest size, _BLOCK_VALUES) values."""
-    blocks = []
-    first, total = 0, 0
-    for si, n in enumerate(sizes):
-        if total and total + n > _BLOCK_VALUES:
-            blocks.append((first, si, total))
-            first, total = si, 0
-        total += n
-    blocks.append((first, len(sizes), total))
-    return blocks
+    call: all of them when they total at most _GROUP_VALUES values, else
+    one size per call."""
+    total = sum(sizes)
+    if total <= _GROUP_VALUES:
+        return [(0, len(sizes), total)]
+    return [(si, si + 1, n) for si, n in enumerate(sizes)]
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -142,7 +136,8 @@ def _replicate_chunk(args) -> np.ndarray:
     cells, width): each cell is called as cell(family, sample) and returns
     width floats, and a cell that raises CkleError gives a NaN row.  A
     group is as many replicates as _GROUP_VALUES holds of the largest
-    block, and at least one."""
+    block, and at least one, so it holds at most max(largest size,
+    _GROUP_VALUES) values."""
     family, theta, sizes, cells, width, seed, start, stop = args
     blocks = _size_blocks(sizes)
     group = max(1, _GROUP_VALUES // max(total for _, _, total in blocks))

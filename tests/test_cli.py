@@ -140,6 +140,22 @@ def test_fit_at_extreme_scales_without_runtime_warnings(model, values, tmp_path,
     assert all(math.isfinite(v) and v != 0 for row in doc["V_hat"] for v in row)
 
 
+def test_wald_interval_far_below_unit_scale(tmp_path, capsys):
+    # lambda_hat is about 5e100, where lambda^4 overflows (A = 5 / lambda^4
+    # is 0) and B^2 underflows, but sigma^2 = 5 lambda^2 / 4 is a double
+    xs = get_family("exponential").draw((5.0,), 30, make_rng(1, 0)) * 1e-100
+    data = tmp_path / "x.csv"
+    data.write_text("".join(f"{float(x)!r}\n" for x in xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["interval", "--model", "exponential", "--data",
+                                  str(data), "--kind", "wald"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    lam = doc["theta_hat"]["lambda"]
+    assert 0 < doc["lower"] < lam < doc["upper"] < math.inf
+
+
 def test_fit_with_a_negative_observation_at_the_support_start(tmp_path, capsys):
     # mu_hat = x_(1) < 0 puts that observation at t = 0, where psi is -inf:
     # no V_hat and no positive-definite Hessian, and no warning on the way

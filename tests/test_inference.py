@@ -158,6 +158,30 @@ def test_avar_laplace_closed_and_monte_carlo():
     assert n * np.var(vals - th) == pytest.approx(5 * th * th / 4, rel=0.05)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,theta,power", [("exponential", (5.0,), -1),
+                                              ("laplace", (2.0,), 1)])
+def test_scalar_variance_and_wald_bounds_are_scale_equivariant(name, theta, power):
+    # sigma^2 = 5 t^2 / 4 is formed directly, so it is a double wherever t^2
+    # is, even where A (5 / lambda^4) and B^2 are not
+    family = get_family(name)
+    xs = family.draw(theta, 30, make_rng(1, 0))
+
+    def sigma2_and_bounds(c):
+        res = fit(family, build_sample(xs * c))
+        sigma2 = avar_scalar(family, res.params.values).sigma2
+        ci = wald_ci(res, sigma2, 0.95)
+        return sigma2, ci.lower, ci.upper
+
+    unit = sigma2_and_bounds(1.0)
+    for e in range(-150, 151):
+        c = 10.0**e
+        got = sigma2_and_bounds(c)
+        want = (unit[0] * c ** (2 * power), unit[1] * c**power, unit[2] * c**power)
+        for g, w in zip(got, want):
+            assert abs(g / w - 1.0) <= 1e-15, (e, g, w)
+
+
 def test_avar_matrix_twoparamexp():
     av = avar_matrix("twoparamexp", (3.0, 2.0), 100)
     assert np.allclose(av.V_n, (4.0 / 100) * np.array([[1, -1], [-1, 2]]))

@@ -87,10 +87,12 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
     configs = [
         # the criterion-8 grid, one block
         dict(sizes=tuple(range(10, 56, 5)), replicates=4 if name == "normal" else 30),
-        # a block of two, a block of one, a size above the block bound, a tail
+        # large and small sizes in one block of 9130 values
         dict(sizes=(10, 4000, 100, 5000, 20), replicates=3, estimators=("mle",)),
         # size 1 fails every fit of the Normal and the Pareto
         dict(sizes=(1, 10, 1), replicates=5),
+        # 70,000 values exceed the budget, so one block per size
+        dict(sizes=(40000, 30000), replicates=2, estimators=("mle",)),
     ]
     for kwargs in configs:
         cfg = StudyConfig(name, theta, seed=801, **kwargs)
@@ -132,7 +134,7 @@ def test_grouped_engine_matches_the_replicate_loop_bitwise(name, monkeypatch):
     configs = [
         # the criterion-8 grid: 201 replicates fill a group, so two groups
         dict(sizes=tuple(range(10, 56, 5)), replicates=250, estimators=many),
-        # two draw blocks; 21 replicates fill a group, so three groups
+        # one draw block; 13 replicates fill a group, so four groups
         dict(sizes=(3000, 2000), replicates=45, estimators=many),
         dict(sizes=tuple(range(10, 56, 5)), replicates=3),
     ]
@@ -262,9 +264,14 @@ def test_zero_truth_ratio_is_nan_without_a_warning():
 
 
 def test_size_blocks_are_bounded():
-    assert simulate._size_blocks((10, 5000, 20)) == [(0, 1, 10), (1, 2, 5000), (2, 3, 20)]
-    assert simulate._size_blocks((4000, 96, 1)) == [(0, 2, 4096), (2, 3, 1)]
-    assert simulate._size_blocks((4097,)) == [(0, 1, 4097)]
+    # all sizes in one block up to the budget, one block per size beyond it
+    budget = simulate._GROUP_VALUES
+    assert budget == 2**16
+    assert simulate._size_blocks((budget,)) == [(0, 1, budget)]
+    assert simulate._size_blocks((budget - 100, 99, 1)) == [(0, 3, budget)]
+    assert simulate._size_blocks((budget - 100, 100, 1)) == [
+        (0, 1, budget - 100), (1, 2, 100), (2, 3, 1)]
+    assert simulate._size_blocks((budget + 1,)) == [(0, 1, budget + 1)]
     assert simulate._size_blocks(tuple(range(10, 56, 5))) == [(0, 10, 325)]
 
 
