@@ -113,19 +113,9 @@ def empirical_entropy_constant(sample: Sample) -> float:
     or all observations coincide.
     """
     obs, n, k = sample.obs, sample.n, sample.k
-    total = 0.0
-    if k > 0:
-        # intervals [x_(i), x_(i+1)) below zero carry F_n = i/n; the last one
-        # is capped at 0
-        breaks = np.concatenate((obs[:k], [0.0]))
-        widths = np.diff(breaks)
-        vals = np.arange(1, k + 1) / n
-        total += float(widths @ _xlogx(vals))
-    if k < n:
-        # intervals from 0 through the nonnegative order statistics carry
-        # survival values 1 - i/n; beyond x_(n) the survival is 0
-        breaks = np.concatenate(([0.0], obs[k:]))
-        widths = np.diff(breaks)
-        vals = 1.0 - np.arange(k, n) / n
-        total += float(widths @ _xlogx(vals))
-    return total
+    # the n intervals between x_(1)..x_(k), 0, x_(k+1)..x_(n): below zero
+    # [x_(i), x_(i+1)) carries F_n = i/n, the last one capped at 0; from 0
+    # up they carry the survival 1 - i/n, which is 0 beyond x_(n)
+    widths = np.diff(np.concatenate((obs[:k], [0.0], obs[k:])))
+    vals = np.concatenate((np.arange(1, k + 1) / n, 1.0 - np.arange(k, n) / n))
+    return float(widths @ _xlogx(vals))

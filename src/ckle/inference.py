@@ -47,7 +47,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .empirical import Sample
-from .errors import DataError, DomainError, InferenceError
+from .errors import DataError, DomainError, InferenceError, SupportViolation
 from .models import Family, _special, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
 from .objective import ObjectiveContext, g_objective, positive_definite, psi_matrix
@@ -175,6 +175,15 @@ def _avar_quadrature(family: Family, theta) -> tuple[np.ndarray, np.ndarray]:
     return (A + A.T) / 2.0, B
 
 
+def _scalar_family(family, what: str) -> Family:
+    """The family ``family`` names, or DomainError naming the function
+    ``what`` when it has more than one parameter."""
+    family = get_family(family)
+    if family.dim != 1:
+        raise DomainError(f"{what} expects a one-parameter family")
+    return family
+
+
 def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     """Asymptotic variance for the one-parameter families.
 
@@ -185,10 +194,8 @@ def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    family = get_family(family)
+    family = _scalar_family(family, "avar_scalar")
     theta = family.validate(theta)
-    if family.dim != 1:
-        raise DomainError("avar_scalar expects a one-parameter family")
     if method == "auto" and family.has_hook("closed_avar"):
         A, B, V = family.closed_avar(theta, 1)
         return AsymptoticVariance(A, B, None, float(V[0, 0]), "closed-form")
@@ -275,9 +282,7 @@ def c_value(family, sample: Sample, theta) -> float:
     chi-square limits, in the one-parameter family's closed form; DataError
     where it is 0 (a Laplace sample whose mean of squares is 0), since the
     limits then have no scale."""
-    family = get_family(family)
-    if family.dim != 1:
-        raise DomainError("c_value expects a scalar parameter")
+    family = _scalar_family(family, "c_value")
     c = family.closed_c(family.validate(theta), sample)
     if c == 0.0:
         raise DataError("degenerate data: c(theta) = 0")
@@ -289,11 +294,9 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     """Parameter set with normalized divergence above the cutoff
     k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)), in the one-parameter
     family's closed form."""
-    family = get_family(family)
+    family = _scalar_family(family, "divergence_interval")
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
-    if family.dim != 1:
-        raise DomainError("divergence_interval expects a scalar parameter")
     if not fit_result.converged:
         raise InferenceError("divergence interval requires a converged fit")
     theta_hat = fit_result.params.values[0]
@@ -307,14 +310,10 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
 def pivotal_q(family, sample: Sample, fit_result: FitResult, theta) -> float:
     """Q(theta_hat, theta) = 2n [g(theta) - g(theta_hat)] / (sigma_F^2 g''(theta_hat));
     asymptotically chi-square with 1 df under the model."""
-    family = get_family(family)
-    if family.dim != 1:
-        raise DomainError("pivotal_q expects a scalar parameter")
+    family = _scalar_family(family, "pivotal_q")
     theta_hat = fit_result.params.values[0]
     n = sample.n
     denom = c_value(family, sample, (theta_hat,))
-    if denom <= 0:
-        raise InferenceError("objective curvature not positive")
     num = 2.0 * n * (g_objective(family, theta, sample)
                      - g_objective(family, (theta_hat,), sample))
     return num / denom
@@ -339,11 +338,9 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     """Divergence-difference test of a point null (or the minimizer over a
     finite null grid): statistic 2n [g(theta0_hat) - g(theta_hat)], limiting
     law c(theta0_hat) chi-square_1."""
-    family = get_family(family)
+    family = _scalar_family(family, "gddt_test")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
-    if family.dim != 1:
-        raise DomainError("gddt_test expects a scalar parameter")
     nulls = np.atleast_1d(np.asarray(theta0, dtype=float))
     for t0 in nulls:
         family.validate((t0,))
@@ -371,6 +368,18 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
                       region_mean_sq=region)
 
 
+def _g_and_c(family, sample: Sample, theta0, theta1):
+    """(g0, g1, c0, c1) at the scalars theta0 and theta1; SupportViolation,
+    before c is read, where g is +inf at either (data below the support
+    start), since the test has no law there."""
+    thetas = ((float(theta0),), (float(theta1),))
+    g0, g1 = (g_objective(family, t, sample) for t in thetas)
+    if math.inf in (g0, g1):
+        raise SupportViolation("support violation: objective is +inf at theta0 or theta1")
+    c0, c1 = (c_value(family, sample, t) for t in thetas)
+    return g0, g1, c0, c1
+
+
 def power_approx(family, sample: Sample, theta0, theta1, alpha: float,
                  n: int | None = None) -> float:
     """Tail approximation of the test power at the alternative theta1:
@@ -379,10 +388,7 @@ def power_approx(family, sample: Sample, theta0, theta1, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
     n = sample.n if n is None else int(n)
-    g0 = g_objective(family, (float(theta0),), sample)
-    g1 = g_objective(family, (float(theta1),), sample)
-    c0 = c_value(family, sample, (float(theta0),))
-    c1 = c_value(family, sample, (float(theta1),))
+    g0, g1, c0, c1 = _g_and_c(family, sample, theta0, theta1)
     threshold = (2.0 * n * (g1 - g0) + c0 * chi2_quantile_df1(1.0 - alpha, "alpha", alpha)) / c1
     return chi2_sf_df1(threshold)
 
@@ -406,12 +412,9 @@ def required_sample_size(family, sample: Sample, theta0, theta1,
     family = get_family(family)
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
         raise DomainError("alpha and beta must be in (0, 1)")
-    g0 = g_objective(family, (float(theta0),), sample)
-    g1 = g_objective(family, (float(theta1),), sample)
+    g0, g1, c0, c1 = _g_and_c(family, sample, theta0, theta1)
     if g1 == g0:
         raise InferenceError("indistinguishable alternative")
-    c0 = c_value(family, sample, (float(theta0),))
-    c1 = c_value(family, sample, (float(theta1),))
     chi_a = chi2_quantile_df1(1.0 - alpha, "alpha", alpha)
     chi_b = chi2_quantile_df1(1.0 - beta, "beta", beta)
     n0 = (c1 * chi_b - c0 * chi_a) / (2.0 * (g1 - g0))

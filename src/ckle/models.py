@@ -25,12 +25,13 @@ its ``s_values`` shares.
 
 A one-parameter family (the Exponential and the Laplace) subclasses
 ``_PositiveScalar``: its g is a/t + b t + c, and it states the three
-coefficients from the sample's moments (``_coefficients``) and
-``closed_c``.  From the coefficients ``_PositiveScalar`` derives g in O(1)
-(within a few ulp of the per-element sum), the estimate sqrt(a/b) and the
-divergence interval, the two roots of b t^2 - (2 sqrt(ab) + d) t + a;
-below a mean of squares of ``_MOMENT_SQ_FLOOR``, where some x^2 may have
-underflowed, g keeps the per-element path.
+coefficients from the sample's moments (``_coefficients``).  From them
+``_PositiveScalar`` derives g in O(1) (within a few ulp of the per-element
+sum), the estimate sqrt(a/b), c(t) = sigma^2 g''(t) = 5a/(2t) (both have
+sigma^2 = 5t^2/4) and the divergence interval, the two roots of
+b t^2 - (2 sqrt(ab) + d) t + a; below a mean of squares of
+``_MOMENT_SQ_FLOOR``, where some x^2 may have underflowed, g keeps the
+per-element path.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -161,7 +162,9 @@ def _central_diff(family: "Family", fn, theta: np.ndarray) -> np.ndarray:
         tm = theta.copy(); tm[j] -= h
         if not tm[j] < t < tp[j]:
             raise DomainError("boundary point: differentiation step underflow")
-        cols.append((fn(tp) - fn(tm)) / (2 * h))
+        fp, fm = fn(tp), fn(tm)
+        with np.errstate(invalid="ignore"):     # inf - inf: NaN, never positive definite
+            cols.append((fp - fm) / (2 * h))
     return np.stack(cols, axis=-1)
 
 
@@ -320,8 +323,8 @@ class Family:
 class _PositiveScalar(Family):
     """One positive parameter t, with g(t) = a/t + b t + c for the
     coefficients (a, b, c) that ``_coefficients`` reads from the sample's
-    moments.  The estimate, g and the divergence interval come from them
-    here; a subclass also states ``closed_c``, since its sigma^2 is its own."""
+    moments.  The estimate, g, c(t) and the divergence interval come from
+    them here."""
 
     lower = (0.0,)
 
@@ -374,6 +377,10 @@ class _PositiveScalar(Family):
         r = math.sqrt(a * b)
         upper = (2.0 * r + d + math.sqrt(d * (d + 4.0 * r))) / (2.0 * b)
         return (a / b) / upper, upper
+
+    def closed_c(self, theta, sample: Sample) -> float:
+        # sigma^2 g'' = (5 t^2 / 4)(2 a / t^3) in both families; +inf where a is
+        return 5.0 * self._coefficients(sample)[0] / (2.0 * _as_theta(theta).item())
 
 
 class Exponential(_PositiveScalar):
@@ -458,9 +465,6 @@ class Exponential(_PositiveScalar):
             A, B = np.array([[5.0 / lam**4]]), np.array([[2.0 / lam**3]])
         return A, B, np.array([[5.0 * lam**2 / (4.0 * n)]])
 
-    def closed_c(self, theta, sample):
-        return 5.0 / (2.0 * _as_theta(theta).item())
-
     def closed_test_region(self, theta0, n, chi2):
         # roots t of a t^2 - b t + c: the discriminant b^2 - 4ac is exactly
         # 10 n theta0^2 chi2, and the product of the roots is c/a, so the
@@ -541,9 +545,6 @@ class Laplace(_PositiveScalar):
         th = _as_theta(theta)[0]
         V = np.array([[5.0 * th**2 / (4.0 * n)]])
         return np.array([[5.0]]), np.array([[2.0 / th]]), V
-
-    def closed_c(self, theta, sample):
-        return 5.0 * sample.mean_sq / (4.0 * _as_theta(theta).item())
 
 
 class _LocationScale(Family):
@@ -824,7 +825,8 @@ class Normal(_LocationScale):
         return _normal_mean_abs(*_as_theta(theta).tolist())
 
     def mean_abs_grad(self, theta):
-        mu, sig = _as_theta(theta)
+        # Python floats, as in _normal_mean_abs: m * m may overflow at a probe
+        mu, sig = _as_theta(theta).tolist()
         m = mu / sig
         phi = math.exp(-0.5 * m * m) / _SQRT2PI
         return np.array([2.0 * ndtr(m) - 1.0, 2.0 * phi])

@@ -40,7 +40,7 @@ import numpy as np
 
 from .empirical import Sample, build_samples
 from .errors import CkleError, DataError, DomainError, InferenceError
-from .inference import avar_scalar, divergence_interval, wald_ci
+from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
 from .models import EXPONENTIAL, Family, get_family
 from .objective import g_objective
 from .rng import make_rng
@@ -268,10 +268,8 @@ class CoverageReport:
 def coverage_study(family, params, n: int, reps: int, level: float,
                    kind: str, seed: int) -> CoverageReport:
     """Fraction of seeded replicates whose interval covers the truth."""
-    family = get_family(family)
+    family = _scalar_family(family, "coverage_study")
     theta = family.validate(params)
-    if family.dim != 1:
-        raise DomainError("coverage_study expects a scalar family")
     if kind not in ("wald", "divergence"):
         raise DomainError("kind must be 'wald' or 'divergence'")
     if n < 1 or reps < 1:

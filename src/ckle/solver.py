@@ -74,14 +74,16 @@ class NMResult:
 
 
 _by_rank = itemgetter(0, 1)
+_MAX_ITER = 2000           # Nelder-Mead iteration cap of every run
 
 
-def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
+def minimize_nelder_mead(fn, x0, tol: float = 1e-10,
                          init_scale: float = 0.05) -> NMResult:
     """Nelder-Mead with reflection/expansion/contraction/shrink coefficients
     (1, 2, 0.5, 0.5); stops when the simplex objective spread falls below
-    ``tol`` or the iteration cap is reached.  The objective must be total
-    (+inf marks infeasible points; NaN ranks worst of all).
+    ``tol`` or after the fixed cap of ``_MAX_ITER`` iterations, reported
+    as not converged.  The objective must be total (+inf marks infeasible
+    points; NaN ranks worst of all).
 
     A simplex straddling a minimum symmetrically has near-zero spread, so the
     stopping test probes the simplex centroid once; the probe replaces the
@@ -106,7 +108,7 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
         points.append(p)
     sim = [vertex(p) for p in points]
     nev = m + 1
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         sim.sort(key=_by_rank)
         _, fb, best = sim[0]
         _, fw, worst = sim[-1]
@@ -139,7 +141,7 @@ def minimize_nelder_mead(fn, x0, max_iter: int = 2000, tol: float = 1e-10,
                 nev += m
     sim.sort(key=_by_rank)
     _, fb, best = sim[0]
-    return NMResult(np.array(best), fb, max_iter, nev, False)
+    return NMResult(np.array(best), fb, _MAX_ITER, nev, False)
 
 
 def solve_pareto_profile(sample: Sample):

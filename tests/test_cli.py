@@ -127,15 +127,21 @@ def test_infinite_objective_prints_strict_json(command, tmp_path, capsys):
     # psi^2 is about 1e400, but V_hat (about 4.2e-202) is a double
     ("exponential", "1.57e100\n2.1e100\n0.3e100\n"),
     # (x - mean)/mean rounds to -1 at 5e-324
-    ("pareto", "5e-324\n1.0\n")])
+    ("pareto", "5e-324\n1.0\n"),
+    # the one fit that does not converge (exit 3): s is infinite at the
+    # Hessian's probes, so I is NaN, with no V_hat and no warning
+    ("normal", "1.1e-160\n2.3e-160\n3.7e-160\n5.2e-160\n")])
 def test_fit_at_extreme_scales_without_runtime_warnings(model, values, tmp_path, capsys):
     data = tmp_path / "x.csv"
     data.write_text(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(["fit", "--model", model, "--data", str(data)], capsys)
-    assert (code, err) == (0, "")
+    assert (code, err) == ((3 if model == "normal" else 0), "")
     doc = json.loads(out)
+    if model == "normal":
+        assert not doc["hessian_pd"] and doc["V_hat"] is None
+        return
     assert doc["converged"] and doc["hessian_pd"]
     assert all(math.isfinite(v) and v != 0 for row in doc["V_hat"] for v in row)
 
@@ -154,6 +160,22 @@ def test_wald_interval_far_below_unit_scale(tmp_path, capsys):
     doc = json.loads(out)
     lam = doc["theta_hat"]["lambda"]
     assert 0 < doc["lower"] < lam < doc["upper"] < math.inf
+
+
+@pytest.mark.parametrize("command", [["power", "--null", "6.0", "--alt", "5.0"],
+                                     ["samplesize", "--null", "6.0", "--alt", "5.0",
+                                      "--beta", "0.9"]])
+def test_power_and_samplesize_on_data_below_the_support(command, tmp_path, capsys):
+    # g is +inf at every lambda: a domain error, not "power": null or an
+    # indistinguishable alternative
+    data = tmp_path / "x.csv"
+    data.write_text("0.3\n-0.2\n1.1\n0.7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(command + ["--model", "exponential", "--data", str(data)],
+                                 capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("ckle: error: support violation")
 
 
 def test_fit_with_a_negative_observation_at_the_support_start(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from ckle import (DataError, DomainError, InferenceError, ObjectiveContext, avar_matrix,
                   avar_scalar, build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
-                  divergence_interval, divergence_region_cutoffs, fit,
+                  coverage_study, divergence_interval, divergence_region_cutoffs, fit,
                   g_objective, gddt_test, get_family, make_rng, pivotal_q,
                   power_approx, required_sample_size, sandwich, wald_ci)
 
@@ -279,6 +279,27 @@ def test_avar_matrix_errors():
         avar_matrix("pareto", (1.5, 5.0), 10)
     with pytest.raises(InferenceError, match="diverges"):
         avar_matrix("twoparamexp", (-1.0, 1.0), 10)
+
+
+@pytest.mark.parametrize("message,call", [
+    ("avar_scalar", lambda s, res: avar_scalar("twoparamexp", (1.0, 2.0))),
+    ("wald_ci", lambda s, res: wald_ci(res, 1.0, 0.95)),
+    ("c_value", lambda s, res: c_value("twoparamexp", s, (1.0, 2.0))),
+    ("divergence_interval", lambda s, res: divergence_interval("twoparamexp", s, res, 0.95)),
+    ("pivotal_q", lambda s, res: pivotal_q("twoparamexp", s, res, (1.0, 2.0))),
+    ("gddt_test", lambda s, res: gddt_test("twoparamexp", s, 1.0, 0.05)),
+    ("coverage_study", lambda s, res: coverage_study("twoparamexp", (1.0, 2.0), 30, 5,
+                                                     0.95, "wald", 1)),
+    ("avar_matrix", lambda s, res: avar_matrix("exponential", (5.0,), 30)),
+    ("n must be >= 1", lambda s, res: avar_matrix("twoparamexp", (1.0, 2.0), 0)),
+], ids=["avar_scalar", "wald_ci", "c_value", "divergence_interval", "pivotal_q",
+        "gddt_test", "coverage_study", "avar_matrix-scalar-family", "avar_matrix-n0"])
+def test_scalar_and_vector_entry_points_refuse_the_other_kind(message, call):
+    # a vector family where one parameter is expected (and the reverse, and
+    # n = 0, for avar_matrix) is a DomainError naming the function
+    s = draw("twoparamexp", (1.0, 2.0), 30, 70)
+    with pytest.raises(DomainError, match=message):
+        call(s, fit("twoparamexp", s))
 
 
 @pytest.mark.slow

@@ -22,7 +22,7 @@ def test_nm_quadratic():
 def test_nm_rosenbrock():
     def rosen(x):
         return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-    res = minimize_nelder_mead(rosen, [-1.2, 1.0], max_iter=2000, tol=1e-12)
+    res = minimize_nelder_mead(rosen, [-1.2, 1.0], tol=1e-12)
     assert res.iterations < 2000
     assert np.abs(res.point - 1.0).max() < 1e-4
 
