@@ -20,7 +20,10 @@ error (or k and the moments) that
 ``build_sample`` gives for inputs whose validation the moment sums decide,
 the ``run_study`` rows of every family on the criterion-8 sizes at two
 seeds and small replicate counts, with every estimator the family defines,
-the CSV of a study where every fit fails and of studies with a true value
+the rows of scalar studies far from unit scale (the Exponential at rates
+1e150 and 1e160, whose squares fall below the moment floor and, at 1e160,
+whose MLE variance passes the doubles, and at 1e-160, whose moments
+overflow; the Laplace at scale 1e-160), the CSV of a study where every fit fails and of studies with a true value
 of 0, and the other Monte Carlo entry points at small replicate counts:
 ``bias_check_exponential``, ``coverage_study`` of both scalar families with
 both interval kinds, and ``divergence_region_cutoffs`` of the three vector
@@ -78,6 +81,10 @@ VALIDATION_SAMPLES = {"nan_after_overflow": [1e200, math.nan],
                       "signed_zeros": [-0.0, 0.0, 1.0],
                       "negative_zeros": [-0.0] * 3,
                       "zero_and_two": [0.0, 2.0]}
+# scalar studies whose per-element g, variance past the doubles or moment
+# overflow the unit-scale studies do not reach
+EXTREME_STUDIES = (("exponential", 1e150), ("exponential", 1e160),
+                   ("exponential", 1e-160), ("laplace", 1e-160))
 # a study where every fit fails, and studies whose true mu is 0
 CSV_STUDIES = {"all_failed": StudyConfig("normal", (0.0, 1.0), (1,), 3, 1),
                "zero_truth.normal": StudyConfig("normal", (0.0, 1.0), (5,), 3, 1),
@@ -217,6 +224,14 @@ def studies():
             for row in report.rows:
                 emit(f"study/{name}/s{seed}/n{row.size}/{row.estimator}/{row.param}",
                      lambda: [row.mean, row.ratio, row.variance, row.failures])
+    for name, theta in EXTREME_STUDIES:
+        estimators = ("mckle", "mckle_unbiased", "mle", "mle_unbiased") \
+            if name == "exponential" else ("mckle", "mle")
+        config = StudyConfig(name, (theta,), (1, 3, 10, 30), 40, STUDY_SEEDS[0],
+                             estimators=estimators)
+        emit(f"study/{name}/t{theta:g}", lambda: [
+            [r.size, r.estimator, r.mean, r.ratio, r.variance, r.failures]
+            for r in run_study(config).rows])
 
 
 def monte_carlo():

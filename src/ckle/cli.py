@@ -288,6 +288,8 @@ def _cmd_simulate(args):
         raise _UsageError("reps must be positive")
     if args.threads < 1:
         raise _UsageError("threads must be positive")
+    if args.seed < 0:
+        raise _UsageError("--seed must be a non-negative integer")
     params = _parse_params(args.model, args.params or [])
     sizes = _parse_sizes(args.sizes)
     estimators = tuple(args.estimators.split(","))

@@ -5,20 +5,24 @@ extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
 ``build_samples`` is the one sample builder: it takes a 2-D array of rows
-and returns one ``Sample`` per row, with the mean, mean |x| and mean x^2 of
-each, sorting the rows and summing them along axis 1 (over C-contiguous
-rows the pairwise sum of each row alone, bit for bit).  ``build_sample``
-is its one-row call.  Validation, in order: an empty row is a
-``ParseError``; the sorted rows are then summed, and only the first row
-whose sums are non-finite is scanned, its first non-finite value in input
-order being a ``ParseError`` and, when there is none, the overflow a
-``DataError``.  So a row raises what ``build_sample`` raises on it alone.
+and returns a read-only ``Samples`` batch, sorting the rows and summing
+them along axis 1 (over C-contiguous rows the pairwise sum of each row
+alone, bit for bit).  The batch holds the sorted rows and per-row arrays of
+k, the mean, mean |x| and mean x^2; a row's ``Sample`` is built only when
+the batch is indexed or iterated, and it is the one ``build_sample`` gives
+for that row alone, Python ``int`` and ``float`` fields included.
+``build_sample`` is the batch's one-row call.  Validation, in order: an
+empty row is a ``ParseError``; the sorted rows are then summed, and only
+the first row whose sums are non-finite is scanned, its first non-finite
+value in input order being a ``ParseError`` and, when there is none, the
+overflow a ``DataError``.  So a row raises what ``build_sample`` raises on
+it alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,13 +59,40 @@ def build_sample(raw) -> Sample:
     return build_samples(np.asarray(raw, dtype=float).reshape(1, -1))[0]
 
 
-def build_samples(rows: np.ndarray) -> list[Sample]:
-    """One ``Sample`` per row of the 2-D float array ``rows``, each bit for
-    bit the sample of that row alone.  The mean of squares is the
-    finiteness check: any NaN or +-inf makes it non-finite, and while it is
-    finite every |x| <= 1.4e154, so the plain sum and the sum of |x| are
-    finite too.  Only the first row where it is not is scanned to tell the
-    two errors apart.
+class Samples:
+    """A read-only batch of samples of one size n, one per row: ``obs`` is
+    the row-sorted 2-D array and ``k``, ``mean``, ``mean_abs`` and
+    ``mean_sq`` are per-row arrays.  Indexing or iterating it builds each
+    row's ``Sample`` then, the one ``build_sample`` gives for that row."""
+
+    __slots__ = ("obs", "n", "k", "mean", "mean_abs", "mean_sq")
+
+    def __init__(self, obs: np.ndarray, k: np.ndarray, mean: np.ndarray,
+                 mean_abs: np.ndarray, mean_sq: np.ndarray):
+        for a in (obs, k, mean, mean_abs, mean_sq):
+            a.setflags(write=False)
+        self.obs, self.n, self.k = obs, obs.shape[1], k
+        self.mean, self.mean_abs, self.mean_sq = mean, mean_abs, mean_sq
+
+    def __len__(self) -> int:
+        return len(self.obs)
+
+    def __getitem__(self, i: int) -> Sample:
+        return Sample(self.obs[i], self.n, int(self.k[i]), float(self.mean[i]),
+                      float(self.mean_abs[i]), float(self.mean_sq[i]))
+
+    def __iter__(self):
+        return map(Sample, self.obs, repeat(self.n), self.k.tolist(), self.mean.tolist(),
+                   self.mean_abs.tolist(), self.mean_sq.tolist())
+
+
+def build_samples(rows: np.ndarray) -> Samples:
+    """The ``Samples`` batch of the 2-D float array ``rows``, each row's
+    sample bit for bit the sample of that row alone.  The mean of squares
+    is the finiteness check: any NaN or +-inf makes it non-finite, and
+    while it is finite every |x| <= 1.4e154, so the plain sum and the sum
+    of |x| are finite too.  Only the first row where it is not is scanned
+    to tell the two errors apart.
     """
     n = rows.shape[1]
     if n == 0:
@@ -70,9 +101,10 @@ def build_samples(rows: np.ndarray) -> list[Sample]:
     # a.sum() / n is bitwise ndarray.mean(): the same pairwise sum, one
     # division; |x| is x bit for bit when every x > 0, but not for -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_sq = (np.add.reduce(obs * obs, axis=1) / n).tolist()
-    if not all(map(math.isfinite, mean_sq)):
-        raw = rows[[math.isfinite(m) for m in mean_sq].index(False)]
+        mean_sq = np.add.reduce(obs * obs, axis=1) / n
+    finite = np.isfinite(mean_sq)
+    if not finite.all():
+        raw = rows[np.argmin(finite)]
         ok = np.isfinite(raw)
         if not ok.all():
             raise ParseError(f"non-finite observation at index {int(np.argmin(ok))}")
@@ -81,10 +113,8 @@ def build_samples(rows: np.ndarray) -> list[Sample]:
     low = np.minimum.reduce(obs[:, 0])
     abs_total = total if low > 0 else np.add.reduce(np.abs(obs), axis=1)
     # on sorted finite rows, the count below 0 is searchsorted(0.0, "left")
-    k = np.add.reduce(obs < 0, axis=1).tolist() if low < 0 else [0] * len(obs)
-    return [Sample(obs=o, n=n, k=kk, mean=t, mean_abs=a, mean_sq=q)
-            for o, kk, t, a, q in zip(obs, k, (total / n).tolist(),
-                                      (abs_total / n).tolist(), mean_sq)]
+    k = np.add.reduce(obs < 0, axis=1) if low < 0 else np.zeros(len(obs), dtype=int)
+    return Samples(obs, k, total / n, abs_total / n, mean_sq)
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:

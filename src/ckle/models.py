@@ -13,7 +13,7 @@ with its gradient ``ds_dtheta_matrix`` (central differences of s for the
 Normal, whose s has no closed form), ``quantile``, the upper-tail quantile
 ``isf`` (accurate for tiny survival probabilities) and ``mle``, where a
 simplex fit starts.  The optional hooks ``closed_form``,
-``profile_fit``, ``closed_fit_warning``, ``check_sample``,
+``profile_fit``, ``closed_fit_warning``, ``check_sample``, ``fit_rows``,
 ``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar`` and
 ``closed_test_region`` default to the generic numerical path, so callers
 ask the family (through ``has_hook`` where the choice of path depends on
@@ -31,7 +31,11 @@ sum), the estimate sqrt(a/b), c(t) = sigma^2 g''(t) = 5a/(2t) (both have
 sigma^2 = 5t^2/4) and the divergence interval, the two roots of
 b t^2 - (2 sqrt(ab) + d) t + a; below a mean of squares of
 ``_MOMENT_SQ_FLOOR``, where some x^2 may have underflowed, g keeps the
-per-element path.
+per-element path.  ``_coefficients``, ``closed_form``, ``mle``,
+``mckle_unbiased`` and ``mle_unbiased`` also take a ``Samples`` batch, whose
+moments are per-row arrays: the same expressions give per-row arrays, NaN
+where one sample raises (``_require``), and ``fit_rows`` is ``solver.fit``
+on each row at or above the floor.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample
+from .empirical import Sample, Samples
 from .errors import DataError, DomainError, InferenceError, SupportViolation
 from .rng import uniform_open
 
@@ -131,6 +135,27 @@ def _as_theta(theta) -> np.ndarray:
     if isinstance(theta, ParamVector):
         return np.asarray(theta.values, dtype=float)
     return np.atleast_1d(np.asarray(theta, dtype=float))
+
+
+def _where(cond, x, y):
+    """``x if cond else y`` on one sample's Python bool, ``np.where`` on a
+    batch's array."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else x if cond else y
+
+
+def _require(ok, value, message: str = "degenerate data"):
+    """value where ok holds: on one sample's Python bool a failure raises
+    DataError(message), on a batch's array its rows are NaN."""
+    if isinstance(ok, np.ndarray):
+        return np.where(ok, value, math.nan)
+    if not ok:
+        raise DataError(message)
+    return value
+
+
+def _sqrt(x):
+    # both correctly rounded: math keeps a Python float, numpy takes arrays
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _open_unit(p) -> np.ndarray:
@@ -298,6 +323,11 @@ class Family:
     def check_sample(self, sample: Sample) -> None:
         """Raise DataError when g has no minimizer inside the domain."""
 
+    def fit_rows(self, samples: Samples):
+        """(values,) of ``solver.fit`` on each row of a batch whose mean of
+        squares is at least ``_MOMENT_SQ_FLOOR``: the estimate where the fit
+        converges, NaN where it raises or does not."""
+
     def mckle_unbiased(self, theta, n: int):
         """Bias-corrected minimum-divergence estimate theta at sample size n."""
 
@@ -335,35 +365,48 @@ class _PositiveScalar(Family):
 
     def _coefficients(self, sample: Sample) -> tuple[float, float, float]:
         """(a, b, c) of g(t) = a/t + b t + c; a is +inf where g is +inf at
-        every t (data below the support start)."""
+        every t (data below the support start).  On a ``Samples`` batch
+        they are per-row arrays, or floats shared by every row."""
         raise NotImplementedError
+
+    @staticmethod
+    def _g(a, b, c, t):
+        # summed in this order, g is bit for bit each family's moment
+        # formula 1/t + t mean_sq/2 or t + c + (mean_sq/2)/t
+        return b * t + c + a / t
 
     def g_fn(self, sample):
         # O(1) from the coefficients, with validate's checks inline as in
-        # Normal.g_fn; summed in this order, g is bit for bit each family's
-        # moment formula 1/t + t mean_sq/2 or t + c + (mean_sq/2)/t
+        # Normal.g_fn
         if sample.mean_sq < _MOMENT_SQ_FLOOR:
             return Family.g_fn(self, sample)
         a, b, c = self._coefficients(sample)
-        lo = self.lower[0]
+        lo, g_at = self.lower[0], self._g
 
         def g(theta):
             th = _as_theta(theta)
             t = th.item() if th.size == 1 else math.nan
             if not lo < t < math.inf:
                 self.validate(th)       # raises the DomainError naming the parameter
-            return b * t + c + a / t
+            return g_at(a, b, c, t)
 
         return g
 
     def closed_form(self, sample):
-        # the minimizer of a/t + b t is sqrt(a/b)
+        # the minimizer of a/t + b t is sqrt(a/b); per row of a batch, NaN
+        # where one sample raises
         a, b, _ = self._coefficients(sample)
-        if a == math.inf:
-            raise DataError("negative data for nonnegative family")
-        if not (a > 0 and b > 0):
-            raise DataError("degenerate data")
-        return (math.sqrt(a / b),)
+        a = _require(a != math.inf, a, "negative data for nonnegative family")
+        a = _require((a > 0) & (b > 0), a)
+        return (_sqrt(a / b),)
+
+    def fit_rows(self, samples):
+        # such rows pass check_sample (mean_sq > 0) and take the moment g;
+        # the closed fit converges where g is finite at the estimate, and
+        # g is +inf wherever validate would refuse t (0 or +inf)
+        a, b, c = self._coefficients(samples)
+        t = self.closed_form(samples)[0]
+        return (_require(np.isfinite(self._g(a, b, c, t)), t),)
 
     def closed_divergence_interval(self, sample: Sample, log_k: float) -> tuple[float, float]:
         """(lower, upper) of the set where g - g(t_hat) <= d = -log_k.
@@ -432,7 +475,7 @@ class Exponential(_PositiveScalar):
 
     def _coefficients(self, sample):
         # g = 1/lambda + lambda mean_sq / 2, +inf below the support start
-        return (math.inf if sample.k > 0 else 1.0), sample.mean_sq / 2.0, 0.0
+        return _where(sample.k > 0, math.inf, 1.0), sample.mean_sq / 2.0, 0.0
 
     def quantile(self, theta, p):
         lam = _as_theta(theta)[0]
@@ -444,18 +487,14 @@ class Exponential(_PositiveScalar):
         return -np.log(_open_unit(v)) / lam
 
     def mle(self, sample):
-        if sample.mean <= 0:
-            raise DataError("degenerate data")
-        return (1.0 / sample.mean,)
+        return (1.0 / _require(sample.mean > 0, sample.mean),)
 
     def mckle_unbiased(self, theta, n):
         # removes the first-order bias 15 lambda / (8n)
         return (8.0 * n / (8.0 * n + 15.0) * theta[0],)
 
     def mle_unbiased(self, sample):
-        if sample.mean <= 0:
-            raise DataError("degenerate data")
-        return ((sample.n - 1.0) / (sample.n * sample.mean),)
+        return ((sample.n - 1.0) / (sample.n * _require(sample.mean > 0, sample.mean)),)
 
     def closed_avar(self, theta, n):
         # sigma^2 = A / B^2 = 5 lambda^2 / 4; A and B leave the doubles
@@ -536,9 +575,7 @@ class Laplace(_PositiveScalar):
 
     def mle(self, sample):
         # scale MLE for the zero-centered model
-        if sample.mean_abs <= 0:
-            raise DataError("degenerate data")
-        return (sample.mean_abs,)
+        return (_require(sample.mean_abs > 0, sample.mean_abs),)
 
     def closed_avar(self, theta, n):
         # |X| is exponential, so sigma^2 = 5 theta^2 / 4 as for the exponential

@@ -5,20 +5,27 @@ Every entry point runs its replicates through one engine,
 ``_replicate_chunk``: replicate r reads the stream (seed, r), its sizes are
 consecutive slices of that stream in the order given, and each of the
 caller's cells maps (family, sample) to a fixed number of floats; a cell
-raising ``CkleError`` is a NaN row.  One budget, ``_GROUP_VALUES`` (2**16
-values), bounds memory at any replicate count: a replicate draws its sizes
-in one block when they total at most that, else one block per size (each
-slice holds what a draw of its size alone gives), and a group of
-consecutive replicates holds at most that many values of its largest
-block, or one replicate.  For each block, each replicate of a group draws
-its row of a (group, block) array, and each size's column slice is sorted
-and summed in one ``build_samples`` call.  Errors propagate in that order:
-all of a group's draws of a block (a ``draw`` error, then a non-finite
-draw as a ``DataError`` naming the family and parameters) come before any
-sample of that block is built, and a ``build_samples`` error (a moment
-overflow) is raised at the block's first failing size, at its first
+raising ``CkleError`` is a NaN row.  A cell may carry a group form,
+``cell.group(family, samples)``, which gives those floats for every row of
+a ``Samples`` batch at once, NaN where the cell raises; the engine calls it
+instead of the cell.  The estimator cells of ``run_study`` have one for the
+families with ``fit_rows`` (the Exponential and the Laplace), read from the
+batch's moment arrays; rows below ``_MOMENT_SQ_FLOOR`` take the cell.  One
+budget, ``_GROUP_VALUES`` (2**16 values), bounds memory at any replicate
+count: a replicate draws its sizes in one block when they total at most
+that, else one block per size (each slice holds what a draw of its size
+alone gives), and a group of consecutive replicates holds at most that many
+values of its largest block, or one replicate.  For each block, each
+replicate of a group reads its row of uniforms (``uniform_open``) from its
+own stream, one ``family.quantile`` call maps the (group, block) array, and
+each size's column slice is sorted and summed in one ``build_samples``
+call.  Errors propagate in that order: all of a group's draws of a block (a
+non-finite draw is a ``DataError`` naming the family and parameters) come
+before any sample of that block is built, and a ``build_samples`` error (a
+moment overflow) is raised at the block's first failing size, at its first
 failing replicate.  Values are aggregated in replicate order, so no report
-depends on the worker count.
+depends on the worker count.  Every entry point raises ``DomainError`` for
+a seed that is not a non-negative integer before it draws.
 
 ``run_study`` counts a row's failures and aggregates its finite estimates:
 the mean, the mean over the true value (NaN when that is 0) and the sample
@@ -38,12 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, build_samples
+from .empirical import Sample, Samples, build_samples
 from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
-from .models import EXPONENTIAL, Family, get_family
+from .models import _MOMENT_SQ_FLOOR, EXPONENTIAL, Family, get_family
 from .objective import g_objective
-from .rng import make_rng
+from .rng import check_seed, make_rng, uniform_open
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
@@ -74,6 +81,7 @@ class StudyConfig:
                 raise DomainError(f"unknown estimator {est!r}")
             if est.endswith("_unbiased") and not get_family(self.family).has_hook(est):
                 raise DomainError(f"{est} is not defined for the {self.family} family")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,14 @@ class SimulationReport:
         raise KeyError((size, estimator, param))
 
 
-def _estimate(est: str, family: Family, sample: Sample):
-    """The study cell of estimator ``est`` (a name StudyConfig accepted)."""
+def _estimate(est: str, family: Family, sample: Sample | Samples):
+    """The study cell of estimator ``est`` (a name StudyConfig accepted).
+    On a ``Samples`` batch of a family with ``fit_rows`` (a one-parameter
+    family) the same calls give each parameter's per-row array, NaN where
+    the cell raises CkleError on that row's sample."""
     if est == "mckle":
+        if isinstance(sample, Samples):
+            return family.fit_rows(sample)
         res = fit(family, sample)
         if not res.converged:
             raise InferenceError("fit did not converge")
@@ -119,6 +132,31 @@ def _estimate(est: str, family: Family, sample: Sample):
     if est == "mle":
         return family.mle(sample)
     return family.mle_unbiased(sample)
+
+
+def _estimate_rows(est: str, family: Family, samples: Samples) -> np.ndarray:
+    """The group form of the ``_estimate`` cell: (rows, dim) floats.  Rows
+    whose mean of squares is below ``_MOMENT_SQ_FLOOR``, where the scalar
+    families' g is summed per element, take the cell itself.  As on one
+    sample's Python floats, a quotient past the doubles is +inf without a
+    warning."""
+    with np.errstate(all="ignore"):
+        values = np.column_stack(_estimate(est, family, samples))
+    for i in np.flatnonzero(samples.mean_sq < _MOMENT_SQ_FLOOR).tolist():
+        try:
+            values[i] = _estimate(est, family, samples[i])
+        except CkleError:
+            values[i] = math.nan
+    return values
+
+
+def _cell(est: str, family: Family):
+    """The picklable cell of estimator ``est``, with its group form where
+    the family fits a batch."""
+    cell = functools.partial(_estimate, est)
+    if family.has_hook("fit_rows"):
+        cell.group = functools.partial(_estimate_rows, est)
+    return cell
 
 
 def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -134,7 +172,8 @@ def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
 def _replicate_chunk(args) -> np.ndarray:
     """Cell values of replicates start..stop-1, shape (replicates, sizes,
     cells, width): each cell is called as cell(family, sample) and returns
-    width floats, and a cell that raises CkleError gives a NaN row.  A
+    width floats, and a cell that raises CkleError gives a NaN row; a cell
+    with a group form is called once per size and group instead.  A
     group is as many replicates as _GROUP_VALUES holds of the largest
     block, and at least one, so it holds at most max(largest size,
     _GROUP_VALUES) values."""
@@ -142,6 +181,8 @@ def _replicate_chunk(args) -> np.ndarray:
     blocks = _size_blocks(sizes)
     group = max(1, _GROUP_VALUES // max(total for _, _, total in blocks))
     failed = (math.nan,) * width
+    grouped = [(ci, cell.group) for ci, cell in enumerate(cells) if hasattr(cell, "group")]
+    loose = [ci for ci, cell in enumerate(cells) if not hasattr(cell, "group")]
     out = np.empty((stop - start, len(sizes), len(cells), width))
     for g0 in range(start, stop, group):
         reps = range(g0, min(g0 + group, stop))
@@ -150,25 +191,30 @@ def _replicate_chunk(args) -> np.ndarray:
             # the stream is read in order and every quantile is elementwise,
             # so each slice holds the values a draw of its size alone gives
             draws = np.empty((len(reps), total))
+            for row, rng in zip(draws, rngs):
+                row[:] = uniform_open(rng, total)
             with np.errstate(over="ignore", invalid="ignore"):
-                for row, rng in zip(draws, rngs):
-                    row[:] = family.draw(theta, total, rng)
+                draws = np.asarray(family.quantile(theta, draws), dtype=float)
             if not np.isfinite(draws).all():
                 at = tuple(float(t) for t in theta)
                 raise DataError(f"simulated draws are not finite: {family.name} "
                                 f"at {at} overflows")
             offset = 0
             for si, n in enumerate(sizes[first:last], first):
-                values = []
-                for sample in build_samples(draws[:, offset:offset + n]):
-                    for cell in cells:
-                        try:
-                            values.append(cell(family, sample))
-                        except CkleError:
-                            values.append(failed)
+                samples = build_samples(draws[:, offset:offset + n])
                 offset += n
-                out[g0 - start:reps.stop - start, si] = np.reshape(
-                    values, (len(reps), len(cells), width))
+                block = out[g0 - start:reps.stop - start, si]
+                for ci, group_form in grouped:
+                    block[:, ci] = group_form(family, samples)
+                if loose:
+                    values = []
+                    for sample in samples:
+                        for ci in loose:
+                            try:
+                                values.append(cells[ci](family, sample))
+                            except CkleError:
+                                values.append(failed)
+                    block[:, loose] = np.reshape(values, (len(reps), len(loose), width))
     return out
 
 
@@ -183,7 +229,7 @@ def run_study(config: StudyConfig) -> SimulationReport:
     R = config.replicates
     sizes = tuple(int(s) for s in config.sizes)
     estimators = tuple(config.estimators)
-    cells = tuple(functools.partial(_estimate, est) for est in estimators)
+    cells = tuple(_cell(est, family) for est in estimators)
     study = (family, theta, sizes, cells, family.dim, config.seed)
 
     threads = min(int(config.threads), R)
@@ -199,24 +245,27 @@ def run_study(config: StudyConfig) -> SimulationReport:
             estimates = np.concatenate(pool.map(_replicate_chunk, chunks))
 
     rows = []
-    for si, n in enumerate(sizes):
-        for ei, est in enumerate(estimators):
-            block = estimates[:, si, ei, :]
-            ok = np.all(np.isfinite(block), axis=1)
-            failures = int(R - ok.sum())
-            vals = block[ok]
-            for pi, pname in enumerate(family.param_names):
-                col = vals[:, pi]
-                if col.size:
-                    mean = float(col.mean())
-                    truth = float(theta[pi])
-                    ratio = mean / truth if truth != 0.0 else math.nan
-                    var = float(col.var(ddof=1)) if col.size > 1 else 0.0
-                else:
-                    mean = ratio = var = math.nan
-                rows.append(StudyRow(size=n, estimator=est, param=pname,
-                                     mean=mean, ratio=ratio, variance=var,
-                                     failures=failures))
+    # a column whose sum or squares pass the doubles has mean or variance
+    # +inf, without a warning
+    with np.errstate(over="ignore"):
+        for si, n in enumerate(sizes):
+            for ei, est in enumerate(estimators):
+                block = estimates[:, si, ei, :]
+                ok = np.all(np.isfinite(block), axis=1)
+                failures = int(R - ok.sum())
+                vals = block[ok]
+                for pi, pname in enumerate(family.param_names):
+                    col = vals[:, pi]
+                    if col.size:
+                        mean = float(col.mean())
+                        truth = float(theta[pi])
+                        ratio = mean / truth if truth != 0.0 else math.nan
+                        var = float(col.var(ddof=1)) if col.size > 1 else 0.0
+                    else:
+                        mean = ratio = var = math.nan
+                    rows.append(StudyRow(size=n, estimator=est, param=pname,
+                                         mean=mean, ratio=ratio, variance=var,
+                                         failures=failures))
     return SimulationReport(rows=tuple(rows), seed=config.seed, replicates=R)
 
 
@@ -274,6 +323,7 @@ def coverage_study(family, params, n: int, reps: int, level: float,
         raise DomainError("kind must be 'wald' or 'divergence'")
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")
+    check_seed(seed)
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     true_val = float(theta[0])
@@ -319,6 +369,7 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
         raise DomainError("n must be >= 1")
     if reps < 100:
         raise DomainError("reps must be >= 100")
+    check_seed(seed)
     levels = tuple(float(lv) for lv in levels)
     for lv in levels:
         if not 0.0 < lv < 1.0:

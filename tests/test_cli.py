@@ -461,6 +461,15 @@ def test_simulate_nonpositive_threads_exit64(capsys, threads):
     assert err == "ckle: error: threads must be positive\n"
 
 
+def test_simulate_negative_seed_exit64(capsys):
+    code, out, err = run_cli(["simulate", "--model", "exponential", "--params",
+                              "lambda=5", "--sizes", "10", "--reps", "3", "--seed", "-1",
+                              "--threads", "1"], capsys)
+    assert code == 64
+    assert out == ""
+    assert err == "ckle: error: --seed must be a non-negative integer\n"
+
+
 @pytest.mark.parametrize("sizes", ["0:10:5", "0", "10,0,20", "10,-1"])
 def test_simulate_nonpositive_sizes_exit64(capsys, sizes):
     code, out, err = run_cli(["simulate", "--model", "exponential", "--params",

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from ckle import (CkleError, DataError, DomainError, InferenceError, StudyConfig,
                   avar_scalar, bias_check_exponential, build_sample, coverage_study,
                   divergence_interval, divergence_region_cutoffs, fit, g_objective,
                   get_family, make_rng, run_study, simulate, wald_ci)
+from ckle.empirical import build_samples
 
 
 def test_mle_formulas():
@@ -238,17 +240,34 @@ def test_bias_check_is_the_study_mckle_row():
 
 
 def test_bias_check_raises_on_a_failed_replicate(monkeypatch):
+    # the study fits its 50 replicates in one group call; the third one fails
+    family = get_family("exponential")
+    original = type(family).fit_rows
     calls = []
 
-    def failing_third_fit(family, sample, method="auto"):
-        calls.append(1)
-        if len(calls) == 3:
-            raise DataError("degenerate data")
-        return fit(family, sample, method)
+    def failing_third_fit(self, samples):
+        calls.append(len(samples))
+        (values,) = original(self, samples)
+        values = values.copy()
+        values[2] = math.nan
+        return (values,)
 
-    monkeypatch.setattr(simulate, "fit", failing_third_fit)
+    monkeypatch.setattr(type(family), "fit_rows", failing_third_fit)
     with pytest.raises(InferenceError, match="1 of 50 replicate fits failed"):
         bias_check_exponential(5.0, 20, 50, seed=4)
+    assert calls == [50]
+
+
+def test_study_moments_beyond_the_doubles_are_inf_without_a_warning():
+    # the mle of Exponential data near 1e-160 is near 1e160, so its
+    # replicates' variance is past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_study(StudyConfig("exponential", (1e160,), (3, 10), 15, seed=1))
+    for n in (3, 10):
+        row = rep.row(n, "mle", "lambda")
+        assert row.failures == 0 and math.isfinite(row.mean)
+        assert row.variance == math.inf
 
 
 def test_zero_truth_ratio_is_nan_without_a_warning():
@@ -276,17 +295,32 @@ def test_size_blocks_are_bounded():
 
 
 def test_one_draw_per_block_and_replicate(monkeypatch):
+    # each replicate reads its block of uniforms from its own stream, and
+    # one quantile call maps a group's (replicates x block) array
     family = get_family("exponential")
-    calls = []
-    original = type(family).draw
+    uniforms, quantiles = [], []
+    original_uniform, original_quantile = simulate.uniform_open, type(family).quantile
 
-    def counting_draw(self, theta, n, rng):
-        calls.append(n)
-        return original(self, theta, n, rng)
+    def counting_uniform(rng, size):
+        uniforms.append(size)
+        return original_uniform(rng, size)
 
-    monkeypatch.setattr(type(family), "draw", counting_draw)
-    run_study(StudyConfig("exponential", (5.0,), tuple(range(10, 56, 5)), 7, seed=1))
-    assert calls == [325] * 7
+    def counting_quantile(self, theta, p):
+        quantiles.append(p.shape)
+        return original_quantile(self, theta, p)
+
+    monkeypatch.setattr(simulate, "uniform_open", counting_uniform)
+    monkeypatch.setattr(type(family), "quantile", counting_quantile)
+    cfg = StudyConfig("exponential", (5.0,), tuple(range(10, 56, 5)), 7, seed=1)
+    run_study(cfg)
+    assert uniforms == [325] * 7
+    assert quantiles == [(7, 325)]
+    # groups of two replicates, the last one short
+    uniforms.clear(), quantiles.clear()
+    monkeypatch.setattr(simulate, "_GROUP_VALUES", 700)
+    run_study(cfg)
+    assert uniforms == [325] * 7
+    assert quantiles == [(2, 325)] * 3 + [(1, 325)]
 
 
 def test_block_draw_memory_stays_at_the_largest_size():
@@ -424,7 +458,79 @@ def test_coverage_validation():
                 coverage_study("exponential", (3.0,), n, reps, level, kind, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, None])
+def test_a_bad_seed_is_a_domain_error_before_any_draw(seed, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(simulate, "_replicate_chunk", no_draws)
+    calls = [lambda: StudyConfig("exponential", (5.0,), (10,), 3, seed),
+             lambda: bias_check_exponential(5.0, 20, 10, seed),
+             lambda: coverage_study("exponential", (3.0,), 20, 10, 0.9, "wald", seed),
+             lambda: divergence_region_cutoffs("normal", (0.0, 1.0), 20, 100, (0.5,), seed)]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"seed must be a non-negative integer, got {seed!r}$"):
+            call()
+
+
+def test_numpy_integer_seeds_are_accepted():
+    want = run_study(StudyConfig("exponential", (5.0,), (10,), 3, 7)).to_csv()
+    assert run_study(StudyConfig("exponential", (5.0,), (10,), 3, np.int64(7))).to_csv() == want
+    assert run_study(StudyConfig("exponential", (5.0,), (10,), 3, 0)).rows
+
+
 def test_bias_check_rejects_no_replicates():
     # rejected at entry, before the mean divides by reps
     with pytest.raises(DomainError, match="reps"):
         bias_check_exponential(2.0, 20, 0, 1)
+
+
+# signed rows at one scale each, from below the moment floor (1e-146 and
+# less) to near the overflow of the squares, with zeros among them
+@st.composite
+def batches(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    rows = []
+    for _ in range(m):
+        scale = 10.0 ** draw(st.integers(-170, 150))
+        base = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, -0.0, -1.0])),
+                             min_size=n, max_size=n))
+        rows.append(scale * np.array(base))
+    return np.array(rows)
+
+
+def _group_matches_the_cell_on_every_row(family, est, rows):
+    samples = build_samples(rows)
+    want = []
+    for row in rows:
+        try:
+            want.append(float(simulate._estimate(est, family, build_sample(row))[0]).hex())
+        except CkleError:
+            want.append(math.nan.hex())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = simulate._cell(est, family).group(family, samples)
+    assert got.shape == (len(rows), 1)
+    assert [v.hex() for v in got[:, 0].tolist()] == want
+
+
+GROUP_CELLS = [("exponential", est) for est in
+               ("mckle", "mckle_unbiased", "mle", "mle_unbiased")] + [
+               ("laplace", "mckle"), ("laplace", "mle")]
+
+
+@pytest.mark.parametrize("name,est", GROUP_CELLS)
+@given(rows=batches())
+@settings(deadline=None)
+@example(rows=np.array([[-1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+@example(rows=1e-160 * np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [-1.0, 0.0, 2.0]]))
+@example(rows=1e150 * np.array([[1.0, 2.0, 3.0], [0.5, 1.5, 1.0], [-0.5, 1.0, 1.0]]))
+@example(rows=np.array([[5.0], [0.0], [-1.0], [1e-160], [1e150], [-0.0]]))
+def test_group_forms_are_the_cells_bitwise(name, est, rows):
+    _group_matches_the_cell_on_every_row(get_family(name), est, rows)
+
+
+def test_group_forms_cover_both_scalar_families_only():
+    for name in STUDY_TRUTH:
+        cell = simulate._cell("mle", get_family(name))
+        assert hasattr(cell, "group") == (name in ("exponential", "laplace"))
