@@ -8,6 +8,13 @@ sampling are drawn as ``k / 2**53`` with ``k`` uniform on ``{1, ..., 2**53-1}``,
 so they lie strictly inside (0, 1) and every quantile function is safe to
 apply.  Identical ``(seed, stream)`` pairs reproduce identical draws on any
 platform.
+
+``make_rng`` builds one stream.  ``stream_states`` seeds a run of
+consecutive streams in one pass: it restates numpy's ``SeedSequence``
+entropy hash on uint32 arrays, one element per stream, and numpy's PCG64
+seeding on Python integers, so that each returned state, set on any PCG64
+through its ``state`` setter, gives the stream ``make_rng`` gives bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,15 @@ import numpy as np
 from .errors import DomainError
 
 _TWO53 = 1 << 53
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), its
+# pool of four words, and the 128-bit multiplier of PCG64's LCG step
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def check_seed(seed) -> None:
@@ -36,3 +52,85 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), exactly representable."""
     return rng.integers(1, _TWO53, size=size) / _TWO53
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an integer: its uint32 words, least
+    significant first, and one zero word for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _pool(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's mixed pool for each column of ``entropy``, a (words,
+    streams) uint32 array.  The hash constant runs through the same values
+    for every column, so it stays a Python integer; every product wraps in
+    uint32 arrays, which warn on no overflow."""
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ np.uint32(hc)
+        hc = hc * _MULT_A & _MASK32
+        value = value * np.uint32(hc)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg64_states(pool: list[np.ndarray]) -> list[dict]:
+    """PCG64's state dicts seeded from each column of a SeedSequence pool:
+    ``generate_state(4, uint64)`` gives the seed s and the stream number q,
+    then inc = 2q + 1 and the state is ((inc + s)·M + inc) mod 2**128."""
+    hc = _INIT_B
+    words = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(hc)
+        hc = hc * _MULT_B & _MASK32
+        value = value * np.uint32(hc)
+        words.append(value ^ (value >> 16))
+    w = np.array(words, dtype=np.uint64)
+    s_hi, s_lo, q_hi, q_lo = (w[0::2] | (w[1::2] << np.uint64(32))).tolist()
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def stream_states(seed: int, start: int, stop: int) -> list[dict]:
+    """The PCG64 ``state`` of ``make_rng(seed, r)`` for r = start..stop-1,
+    from one hash pass per run of streams whose index has the same number
+    of uint32 words (one below 2**32)."""
+    seed_words = _words(int(seed))
+    states = []
+    r = int(start)
+    while r < stop:
+        m = len(_words(r))
+        rs = range(r, min(int(stop), 1 << (32 * m)))
+        entropy = np.empty((len(seed_words) + m, len(rs)), dtype=np.uint32)
+        entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        for j in range(m):
+            entropy[len(seed_words) + j] = [x >> (32 * j) & _MASK32 for x in rs]
+        states += _pcg64_states(_pool(entropy))
+        r = rs.stop
+    return states

@@ -15,9 +15,12 @@ budget, ``_GROUP_VALUES`` (2**16 values), bounds memory at any replicate
 count: a replicate draws its sizes in one block when they total at most
 that, else one block per size (each slice holds what a draw of its size
 alone gives), and a group of consecutive replicates holds at most that many
-values of its largest block, or one replicate.  For each block, each
-replicate of a group reads its row of uniforms (``uniform_open``) from its
-own stream, one ``family.quantile`` call maps the (group, block) array, and
+values of its largest block, or one replicate.  A group's streams are
+seeded in one pass (``rng.stream_states``, bit for bit ``make_rng``'s) and
+set in turn on one generator, and a replicate's state is kept from block to
+block.  For each block, each replicate of a group reads its row of uniforms
+(``uniform_open``) from its own stream, one ``family.quantile`` call maps
+the (group, block) array, and
 each size's column slice is sorted and summed in one ``build_samples``
 call.  Errors propagate in that order: all of a group's draws of a block (a
 non-finite draw is a ``DataError`` naming the family and parameters) come
@@ -29,7 +32,11 @@ a seed that is not a non-negative integer before it draws.
 
 ``run_study`` counts a row's failures and aggregates its finite estimates:
 the mean, the mean over the true value (NaN when that is 0) and the sample
-variance (0 for one success), all NaN when every replicate failed.
+variance (0 for one success), all NaN when every replicate failed.  The
+failure-free columns are reduced together, one contiguous row each, which
+sums in the order a column alone does; a column with failures is reduced
+alone.  Counts (sizes, replicates, threads, n, reps) are integers, numpy
+ones too, and anything else is a ``DomainError``.
 ``bias_check_exponential`` is the mckle row of a one-size study and raises
 ``InferenceError`` if a replicate failed; ``coverage_study`` counts failed
 fits or intervals and reports coverage over the rest;
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +58,22 @@ from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
 from .models import _MOMENT_SQ_FLOOR, EXPONENTIAL, Family, get_family
 from .objective import g_objective
-from .rng import check_seed, make_rng, uniform_open
+from .rng import check_seed, stream_states, uniform_open
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
 # the draw budget: a replicate's sizes share one block, and replicates one
 # group, up to this many values
 _GROUP_VALUES = 1 << 16
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise DomainError unless value is an integer (a Python or numpy
+    integer, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +87,12 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise DomainError("sizes must be nonempty and positive")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        _check_count("replicates", self.replicates)
+        if not self.sizes:
+            raise DomainError("sizes must be nonempty")
+        for size in self.sizes:
+            _check_count("sizes", size)
+        _check_count("threads", self.threads)
         for est in self.estimators:
             if est not in _ESTIMATORS:
                 raise DomainError(f"unknown estimator {est!r}")
@@ -184,15 +201,21 @@ def _replicate_chunk(args) -> np.ndarray:
     grouped = [(ci, cell.group) for ci, cell in enumerate(cells) if hasattr(cell, "group")]
     loose = [ci for ci, cell in enumerate(cells) if not hasattr(cell, "group")]
     out = np.empty((stop - start, len(sizes), len(cells), width))
+    # each replicate's stream is set on this one generator in turn; a fixed
+    # seed spares an OS entropy read
+    rng = np.random.Generator(np.random.PCG64(0))
     for g0 in range(start, stop, group):
         reps = range(g0, min(g0 + group, stop))
-        rngs = [make_rng(seed, r) for r in reps]
+        states = stream_states(seed, reps.start, reps.stop)
         for first, last, total in blocks:
             # the stream is read in order and every quantile is elementwise,
             # so each slice holds the values a draw of its size alone gives
             draws = np.empty((len(reps), total))
-            for row, rng in zip(draws, rngs):
+            for i, row in enumerate(draws):
+                rng.bit_generator.state = states[i]
                 row[:] = uniform_open(rng, total)
+                if len(blocks) > 1:  # the next block continues the stream
+                    states[i] = rng.bit_generator.state
             with np.errstate(over="ignore", invalid="ignore"):
                 draws = np.asarray(family.quantile(theta, draws), dtype=float)
             if not np.isfinite(draws).all():
@@ -244,28 +267,37 @@ def run_study(config: StudyConfig) -> SimulationReport:
         with Pool(processes=threads) as pool:
             estimates = np.concatenate(pool.map(_replicate_chunk, chunks))
 
-    rows = []
+    ok = np.isfinite(estimates).all(axis=3)
+    failures = R - ok.sum(axis=0)
+    clean = failures == 0
+    # (size, estimator, parameter, replicate) rows: each failure-free column
+    # is one contiguous row, which reduces with the same pairwise sums as
+    # the column alone
+    columns = np.ascontiguousarray(estimates.transpose(1, 2, 3, 0)[clean])
+    means = np.full(estimates.shape[1:], math.nan)
+    variances = np.full(estimates.shape[1:], math.nan)
     # a column whose sum or squares pass the doubles has mean or variance
     # +inf, without a warning
     with np.errstate(over="ignore"):
-        for si, n in enumerate(sizes):
-            for ei, est in enumerate(estimators):
-                block = estimates[:, si, ei, :]
-                ok = np.all(np.isfinite(block), axis=1)
-                failures = int(R - ok.sum())
-                vals = block[ok]
-                for pi, pname in enumerate(family.param_names):
-                    col = vals[:, pi]
-                    if col.size:
-                        mean = float(col.mean())
-                        truth = float(theta[pi])
-                        ratio = mean / truth if truth != 0.0 else math.nan
-                        var = float(col.var(ddof=1)) if col.size > 1 else 0.0
-                    else:
-                        mean = ratio = var = math.nan
-                    rows.append(StudyRow(size=n, estimator=est, param=pname,
-                                         mean=mean, ratio=ratio, variance=var,
-                                         failures=failures))
+        means[clean] = columns.mean(axis=2)
+        variances[clean] = columns.var(axis=2, ddof=1) if R > 1 else 0.0
+        for si, ei in zip(*np.nonzero(~clean)):
+            vals = estimates[ok[:, si, ei], si, ei, :]
+            for pi in range(family.dim):
+                col = vals[:, pi]
+                if col.size:
+                    means[si, ei, pi] = col.mean()
+                    variances[si, ei, pi] = col.var(ddof=1) if col.size > 1 else 0.0
+    rows = []
+    for si, n in enumerate(sizes):
+        for ei, est in enumerate(estimators):
+            for pi, pname in enumerate(family.param_names):
+                mean = float(means[si, ei, pi])
+                truth = float(theta[pi])
+                ratio = mean / truth if truth != 0.0 else math.nan
+                rows.append(StudyRow(size=n, estimator=est, param=pname, mean=mean,
+                                     ratio=ratio, variance=float(variances[si, ei, pi]),
+                                     failures=int(failures[si, ei])))
     return SimulationReport(rows=tuple(rows), seed=config.seed, replicates=R)
 
 
@@ -286,10 +318,8 @@ def bias_check_exponential(lambda_true: float, n: int, reps: int,
     """Mean bias of the exponential estimate against its first-order value
     15 lambda / (8n), and the effect of the family's bias correction, from
     the mckle row of a one-size study; a failed replicate raises."""
-    if n < 10:
-        raise DomainError("n must be >= 10")
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    _check_count("n", n, 10)
+    _check_count("reps", reps)
     row = run_study(StudyConfig("exponential", (lambda_true,), (n,), reps, seed,
                                 estimators=("mckle",))).rows[0]
     if row.failures:
@@ -321,8 +351,8 @@ def coverage_study(family, params, n: int, reps: int, level: float,
     theta = family.validate(params)
     if kind not in ("wald", "divergence"):
         raise DomainError("kind must be 'wald' or 'divergence'")
-    if n < 1 or reps < 1:
-        raise DomainError("n and reps must be >= 1")
+    _check_count("n", n)
+    _check_count("reps", reps)
     check_seed(seed)
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
@@ -365,10 +395,8 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
     theta_true = family.validate(theta_true)
     if family.dim < 2:
         raise DomainError("region cutoffs apply to vector parameters")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if reps < 100:
-        raise DomainError("reps must be >= 100")
+    _check_count("n", n)
+    _check_count("reps", reps, 100)
     check_seed(seed)
     levels = tuple(float(lv) for lv in levels)
     for lv in levels:

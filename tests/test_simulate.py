@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -282,6 +283,75 @@ def test_zero_truth_ratio_is_nan_without_a_warning():
                 assert math.isfinite(rep.row(5, est, "sigma").ratio)
 
 
+def _per_column_rows(cfg):
+    # the reference aggregation: each (size, estimator, parameter) column
+    # of the engine's estimates reduced alone
+    family = get_family(cfg.family)
+    theta = family.validate(cfg.params)
+    cells = tuple(simulate._cell(est, family) for est in cfg.estimators)
+    R = cfg.replicates
+    estimates = simulate._replicate_chunk(
+        (family, theta, cfg.sizes, cells, family.dim, cfg.seed, 0, R))
+    rows = []
+    with np.errstate(over="ignore"):
+        for si, n in enumerate(cfg.sizes):
+            for ei, est in enumerate(cfg.estimators):
+                block = estimates[:, si, ei, :]
+                ok = np.all(np.isfinite(block), axis=1)
+                vals = block[ok]
+                for pi, pname in enumerate(family.param_names):
+                    col = vals[:, pi]
+                    if col.size:
+                        mean = float(col.mean())
+                        truth = float(theta[pi])
+                        ratio = mean / truth if truth != 0.0 else math.nan
+                        var = float(col.var(ddof=1)) if col.size > 1 else 0.0
+                    else:
+                        mean = ratio = var = math.nan
+                    rows.append((n, est, pname, mean.hex(), ratio.hex(), var.hex(),
+                                 int(R - ok.sum())))
+    return rows
+
+
+def test_aggregation_with_failures_is_the_per_column_loop_bitwise(monkeypatch):
+    # n = 10: every third row from row 2 fails; n = 20: only row 0 succeeds (variance 0);
+    # n = 30: every row fails (a NaN row); n = 40 and the mle: no failure
+    family = get_family("exponential")
+    original = type(family).fit_rows
+
+    def failing_fits(self, samples):
+        (values,) = original(self, samples)
+        values = values.copy()
+        if samples.n == 10:
+            values[2::3] = math.nan
+        elif samples.n == 20:
+            values[1:] = math.nan
+        elif samples.n == 30:
+            values[:] = math.nan
+        return (values,)
+
+    monkeypatch.setattr(type(family), "fit_rows", failing_fits)
+    for R in (1, 2, 7, 60, 300):
+        cfg = StudyConfig("exponential", (5.0,), (10, 20, 30, 40), R, seed=801,
+                          estimators=("mckle", "mle"))
+        want = _per_column_rows(cfg)
+        assert _hex_rows(run_study(cfg)) == want
+        if R == 60:
+            assert [row[-1] for row in want] == [20, 0, 59, 0, 60, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name,theta,sizes,R", [
+    ("normal", (2.0, 3.0), (1, 10, 2), 5),         # size 1 fails every fit
+    ("normal", (2.0, 3.0), (1,), 3),               # no failure-free column
+    ("pareto", (4.0, 2.0), (1, 10, 25), 40),
+    ("twoparamexp", (0.0, 2.0), (5, 15), 1),      # a zero truth: NaN ratio
+    ("exponential", (1e160,), (3, 10), 15),        # variance past the doubles
+    ("laplace", (2.0,), tuple(range(10, 56, 5)), 257)])
+def test_aggregation_is_the_per_column_loop_bitwise(name, theta, sizes, R):
+    cfg = StudyConfig(name, theta, sizes, R, seed=801)
+    assert _hex_rows(run_study(cfg)) == _per_column_rows(cfg)
+
+
 def test_size_blocks_are_bounded():
     # all sizes in one block up to the budget, one block per size beyond it
     budget = simulate._GROUP_VALUES
@@ -477,6 +547,40 @@ def test_numpy_integer_seeds_are_accepted():
     want = run_study(StudyConfig("exponential", (5.0,), (10,), 3, 7)).to_csv()
     assert run_study(StudyConfig("exponential", (5.0,), (10,), 3, np.int64(7))).to_csv() == want
     assert run_study(StudyConfig("exponential", (5.0,), (10,), 3, 0)).rows
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True, "3", None])
+def test_counts_must_be_integers(bad):
+    # a float count was truncated (sizes), kept (replicates=True, the
+    # bias check's n) or a bare TypeError deep in the engine
+    calls = [lambda: StudyConfig("exponential", (5.0,), (10, bad), 3, 1),
+             lambda: StudyConfig("exponential", (5.0,), (10,), bad, 1),
+             lambda: StudyConfig("exponential", (5.0,), (10,), 3, 1, threads=bad),
+             lambda: bias_check_exponential(5.0, bad, 20, 1),
+             lambda: bias_check_exponential(5.0, 20, bad, 1),
+             lambda: coverage_study("exponential", (3.0,), bad, 10, 0.9, "wald", 1),
+             lambda: coverage_study("exponential", (3.0,), 20, bad, 0.9, "wald", 1),
+             lambda: divergence_region_cutoffs("normal", (0.0, 1.0), bad, 100, (0.5,), 1),
+             lambda: divergence_region_cutoffs("normal", (0.0, 1.0), 20, bad, (0.5,), 1)]
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(f"must be an integer, got {bad!r}") + "$"):
+            call()
+    with pytest.raises(DomainError, match="n must be >= 10"):
+        bias_check_exponential(5.0, 9, 20, 1)
+    with pytest.raises(DomainError, match="reps must be >= 100"):
+        divergence_region_cutoffs("normal", (0.0, 1.0), 20, 99, (0.5,), 1)
+
+
+def test_numpy_integer_counts_are_accepted():
+    i = np.int64
+    want = run_study(StudyConfig("exponential", (5.0,), (10, 20), 3, 7, threads=2))
+    got = run_study(StudyConfig("exponential", (5.0,), (i(10), i(20)), i(3), 7, threads=i(2)))
+    assert got.to_csv() == want.to_csv()
+    assert bias_check_exponential(5.0, i(20), i(30), 4) == bias_check_exponential(5.0, 20, 30, 4)
+    assert (coverage_study("laplace", (3.0,), i(20), i(30), 0.9, "wald", 4)
+            == coverage_study("laplace", (3.0,), 20, 30, 0.9, "wald", 4))
+    assert (divergence_region_cutoffs("twoparamexp", (1.0, 2.0), i(20), i(100), (0.5,), 4)
+            == divergence_region_cutoffs("twoparamexp", (1.0, 2.0), 20, 100, (0.5,), 4))
 
 
 def test_bias_check_rejects_no_replicates():
