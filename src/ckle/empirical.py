@@ -4,25 +4,27 @@ The empirical CDF is the right-continuous step function F_n(x) = #{x_i <= x}/n,
 extended with F_n = 0 below the smallest order statistic and F_n = 1 above the
 largest; the empirical survival function is its complement.  Ties are allowed
 and zero-length intervals contribute nothing to any integral.
-``build_samples`` is the one sample builder: it takes a 2-D array of rows
-and returns a read-only ``Samples`` batch, sorting the rows and summing
-them along axis 1 (over C-contiguous rows the pairwise sum of each row
-alone, bit for bit).  The batch holds the sorted rows and per-row arrays of
-k, the mean, mean |x| and mean x^2; a row's ``Sample`` is built only when
-the batch is indexed or iterated, and it is the one ``build_sample`` gives
-for that row alone, Python ``int`` and ``float`` fields included.
-``build_sample`` is the batch's one-row call.  Validation, in order: an
-empty row is a ``ParseError``; the sorted rows are then summed, and only
-the first row whose sums are non-finite is scanned, its first non-finite
-value in input order being a ``ParseError`` and, when there is none, the
-overflow a ``DataError``.  So a row raises what ``build_sample`` raises on
-it alone.
+``build_samples`` is the one sample builder: it takes one or more 2-D
+arrays of rows, one size each, and returns a read-only ``Samples`` batch
+of all their rows in order, sorting each array's rows and summing them
+along axis 1 (over C-contiguous rows the pairwise sum of each row alone,
+bit for bit).  The batch holds each array's sorted rows and per-row arrays
+of n, k, the mean, mean |x| and mean x^2; a row's ``Sample`` is built only
+when the batch is indexed or iterated, and it is the one ``build_sample``
+gives for that row alone, Python ``int`` and ``float`` fields included.
+``build_sample`` summarizes one row the same way.  Validation, array by array
+and in order: an empty row is a ``ParseError``; the sorted rows are then
+summed, and only the first row whose sums are non-finite is scanned, its
+first non-finite value in input order being a ``ParseError`` and, when
+there is none, the overflow a ``DataError``.  So a row raises what
+``build_sample`` raises on it alone, and the first failing array raises
+at its first failing row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -49,51 +51,57 @@ class Sample:
 
 
 def build_sample(raw) -> Sample:
-    """Validate, sort and summarize raw observations: ``build_samples`` of
-    the one row they make.
+    """Validate, sort and summarize raw observations: the sample
+    ``build_samples`` gives for the one row they make.
 
     Raises ``ParseError`` (a ``DataError``) for an empty input or any
     non-finite value (reported at its position in the original ordering),
     and ``DataError`` when a moment overflows.
     """
-    return build_samples(np.asarray(raw, dtype=float).reshape(1, -1))[0]
+    obs, k, mean, mean_abs, mean_sq = _summarize(np.asarray(raw, dtype=float).reshape(1, -1))
+    return Sample(obs[0], obs.shape[1], int(k[0]), float(mean[0]), float(mean_abs[0]),
+                  float(mean_sq[0]))
 
 
 class Samples:
-    """A read-only batch of samples of one size n, one per row: ``obs`` is
-    the row-sorted 2-D array and ``k``, ``mean``, ``mean_abs`` and
-    ``mean_sq`` are per-row arrays.  Indexing or iterating it builds each
-    row's ``Sample`` then, the one ``build_sample`` gives for that row."""
+    """A read-only batch of samples, one per row: ``obs`` is a tuple of
+    row-sorted 2-D arrays, one per sample size, and ``n``, ``k``, ``mean``,
+    ``mean_abs`` and ``mean_sq`` are per-row arrays over all their rows in
+    order.  Indexing or iterating it builds each row's ``Sample`` then, the
+    one ``build_sample`` gives for that row."""
 
     __slots__ = ("obs", "n", "k", "mean", "mean_abs", "mean_sq")
 
-    def __init__(self, obs: np.ndarray, k: np.ndarray, mean: np.ndarray,
-                 mean_abs: np.ndarray, mean_sq: np.ndarray):
-        for a in (obs, k, mean, mean_abs, mean_sq):
+    def __init__(self, obs: tuple[np.ndarray, ...], n: np.ndarray, k: np.ndarray,
+                 mean: np.ndarray, mean_abs: np.ndarray, mean_sq: np.ndarray):
+        for a in (*obs, n, k, mean, mean_abs, mean_sq):
             a.setflags(write=False)
-        self.obs, self.n, self.k = obs, obs.shape[1], k
+        self.obs, self.n, self.k = obs, n, k
         self.mean, self.mean_abs, self.mean_sq = mean, mean_abs, mean_sq
 
     def __len__(self) -> int:
-        return len(self.obs)
+        return len(self.n)
 
     def __getitem__(self, i: int) -> Sample:
-        return Sample(self.obs[i], self.n, int(self.k[i]), float(self.mean[i]),
-                      float(self.mean_abs[i]), float(self.mean_sq[i]))
+        i = j = range(len(self.n))[i]
+        for rows in self.obs:
+            if j < len(rows):
+                return Sample(rows[j], int(self.n[i]), int(self.k[i]), float(self.mean[i]),
+                              float(self.mean_abs[i]), float(self.mean_sq[i]))
+            j -= len(rows)
 
     def __iter__(self):
-        return map(Sample, self.obs, repeat(self.n), self.k.tolist(), self.mean.tolist(),
-                   self.mean_abs.tolist(), self.mean_sq.tolist())
+        return map(Sample, chain.from_iterable(self.obs), self.n.tolist(), self.k.tolist(),
+                   self.mean.tolist(), self.mean_abs.tolist(), self.mean_sq.tolist())
 
 
-def build_samples(rows: np.ndarray) -> Samples:
-    """The ``Samples`` batch of the 2-D float array ``rows``, each row's
-    sample bit for bit the sample of that row alone.  The mean of squares
-    is the finiteness check: any NaN or +-inf makes it non-finite, and
-    while it is finite every |x| <= 1.4e154, so the plain sum and the sum
-    of |x| are finite too.  Only the first row where it is not is scanned
-    to tell the two errors apart.
-    """
+def _summarize(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(obs, k, mean, mean_abs, mean_sq) of one 2-D array of rows, or the
+    error of its first failing row.  The mean of squares is the finiteness
+    check: any NaN or +-inf makes it non-finite, and while it is finite
+    every |x| <= 1.4e154, so the plain sum and the sum of |x| are finite
+    too.  Only the first row where it is not is scanned to tell the two
+    errors apart."""
     n = rows.shape[1]
     if n == 0:
         raise ParseError("empty sample")
@@ -114,7 +122,17 @@ def build_samples(rows: np.ndarray) -> Samples:
     abs_total = total if low > 0 else np.add.reduce(np.abs(obs), axis=1)
     # on sorted finite rows, the count below 0 is searchsorted(0.0, "left")
     k = np.add.reduce(obs < 0, axis=1) if low < 0 else np.zeros(len(obs), dtype=int)
-    return Samples(obs, k, total / n, abs_total / n, mean_sq)
+    return obs, k, total / n, abs_total / n, mean_sq
+
+
+def build_samples(*blocks: np.ndarray) -> Samples:
+    """The ``Samples`` batch of the rows of the 2-D float arrays
+    ``blocks``, in order, each row's sample bit for bit the sample of that
+    row alone; the arrays are summarized one after another, so the first
+    one with a failing row raises."""
+    obs, *moments = zip(*map(_summarize, blocks))
+    n = np.repeat([rows.shape[1] for rows in obs], [len(rows) for rows in obs])
+    return Samples(obs, n, *map(np.concatenate, moments))
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:

@@ -33,7 +33,7 @@ b t^2 - (2 sqrt(ab) + d) t + a; below a mean of squares of
 ``_MOMENT_SQ_FLOOR``, where some x^2 may have underflowed, g keeps the
 per-element path.  ``_coefficients``, ``closed_form``, ``mle``,
 ``mckle_unbiased`` and ``mle_unbiased`` also take a ``Samples`` batch, whose
-moments are per-row arrays: the same expressions give per-row arrays, NaN
+n and moments are per-row arrays: the same expressions give per-row arrays, NaN
 where one sample raises (``_require``), and ``fit_rows`` is ``solver.fit``
 on each row at or above the floor.
 

@@ -9,6 +9,18 @@ so they lie strictly inside (0, 1) and every quantile function is safe to
 apply.  Identical ``(seed, stream)`` pairs reproduce identical draws on any
 platform.
 
+``uniform_open`` draws ``k`` with numpy's ``Generator.integers(1, 2**53)``.
+numpy maps each raw 64-bit word w by Lemire's multiply-and-reject rule
+(ACM TOMACS 29(1), 2019): k = 1 + floor(w (2**53 - 1) / 2**64), and it
+redraws w when the low 64 bits of that product, the leftover, are below
+its threshold (2**64 - 2**53 + 1) mod (2**53 - 1) = 2048, one word in
+2**53.  ``lemire_open`` restates that rule on a uint64 array of raw PCG64
+words and returns the uniforms with the mask of the words numpy would
+redraw.  A study maps the raw words of a whole group of streams in one
+call and draws a stream with a rejected word again by ``uniform_open``;
+one stream alone keeps numpy's own single pass, which is faster than
+reading raw words and mapping them.
+
 ``make_rng`` builds one stream.  ``stream_states`` seeds a run of
 consecutive streams in one pass: it restates numpy's ``SeedSequence``
 entropy hash on uint32 arrays, one element per stream, and numpy's PCG64
@@ -26,6 +38,10 @@ import numpy as np
 from .errors import DomainError
 
 _TWO53 = 1 << 53
+# Lemire's rule for integers(1, 2**53): the split of a word at bit 11 and
+# the leftover below which numpy redraws
+_LOW11, _SHIFT11, _SHIFT53 = np.uint64(2047), np.uint64(11), np.uint64(53)
+_THRESHOLD = np.uint64(2048)
 _MASK32 = (1 << 32) - 1
 _MASK128 = (1 << 128) - 1
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), its
@@ -47,6 +63,25 @@ def check_seed(seed) -> None:
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for substream ``stream`` of master ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
+
+
+def lemire_open(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k / 2**53, rejected) for a uint64 array of raw PCG64 words: k is
+    the value ``integers(1, 2**53)`` gives for each word and ``rejected``
+    marks the words it redraws.  With w = 2**11 h + l, the product
+    w (2**53 - 1) is h 2**64 + (l 2**53 - w), so with b = l 2**53 its high
+    word is h - (w > b), which makes k = h + (w <= b), and its low word, the
+    leftover, is b - w mod 2**64."""
+    b = words & _LOW11
+    b <<= _SHIFT53
+    k = words >> _SHIFT11
+    k += words <= b
+    b -= words
+    # k < 2**53 converts exactly, and from int64 faster than from uint64;
+    # in place, a large group allocates one array fewer
+    u = k.view(np.int64).astype(np.float64)
+    u *= 1.0 / _TWO53
+    return u, b < _THRESHOLD
 
 
 def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -8,7 +8,9 @@ caller's cells maps (family, sample) to a fixed number of floats; a cell
 raising ``CkleError`` is a NaN row.  A cell may carry a group form,
 ``cell.group(family, samples)``, which gives those floats for every row of
 a ``Samples`` batch at once, NaN where the cell raises; the engine calls it
-instead of the cell.  The estimator cells of ``run_study`` have one for the
+instead of the cell, once per replicate group and draw block, on one batch
+of all the block's sizes (rows size by size, replicate by replicate, each
+with its own n).  The estimator cells of ``run_study`` have one for the
 families with ``fit_rows`` (the Exponential and the Laplace), read from the
 batch's moment arrays; rows below ``_MOMENT_SQ_FLOOR`` take the cell.  One
 budget, ``_GROUP_VALUES`` (2**16 values), bounds memory at any replicate
@@ -18,14 +20,17 @@ alone gives), and a group of consecutive replicates holds at most that many
 values of its largest block, or one replicate.  A group's streams are
 seeded in one pass (``rng.stream_states``, bit for bit ``make_rng``'s) and
 set in turn on one generator, and a replicate's state is kept from block to
-block.  For each block, each replicate of a group reads its row of uniforms
-(``uniform_open``) from its own stream, one ``family.quantile`` call maps
-the (group, block) array, and
-each size's column slice is sorted and summed in one ``build_samples``
-call.  Errors propagate in that order: all of a group's draws of a block (a
-non-finite draw is a ``DataError`` naming the family and parameters) come
-before any sample of that block is built, and a ``build_samples`` error (a
-moment overflow) is raised at the block's first failing size, at its first
+block.  For each block, each replicate of a group reads its row of raw
+64-bit words (``random_raw``) from its own stream, one ``rng.lemire_open``
+call maps the (group, block) array to uniforms by numpy's bounded-integer
+rule, so each row is ``uniform_open``'s draw bit for bit; a stream with a
+word numpy would redraw takes ``uniform_open`` again from its start state.
+One ``family.quantile`` call maps the uniforms, and one ``build_samples``
+call sorts and sums each size's column slice, size by size.  Errors
+propagate in that order: all of a group's draws of a block (a non-finite
+draw is a ``DataError`` naming the family and parameters) come before any
+sample of that block is built, and a ``build_samples`` error (a moment
+overflow) is raised at the block's first failing size, at its first
 failing replicate.  Values are aggregated in replicate order, so no report
 depends on the worker count.  Every entry point raises ``DomainError`` for
 a seed that is not a non-negative integer before it draws.
@@ -50,6 +55,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
 from .models import _MOMENT_SQ_FLOOR, EXPONENTIAL, Family, get_family
 from .objective import g_objective
-from .rng import check_seed, stream_states, uniform_open
+from .rng import check_seed, lemire_open, stream_states, uniform_open
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
@@ -190,10 +196,10 @@ def _replicate_chunk(args) -> np.ndarray:
     """Cell values of replicates start..stop-1, shape (replicates, sizes,
     cells, width): each cell is called as cell(family, sample) and returns
     width floats, and a cell that raises CkleError gives a NaN row; a cell
-    with a group form is called once per size and group instead.  A
-    group is as many replicates as _GROUP_VALUES holds of the largest
-    block, and at least one, so it holds at most max(largest size,
-    _GROUP_VALUES) values."""
+    with a group form is called instead once per group and draw block, on
+    the batch of all the block's sizes.  A group is as many replicates as
+    _GROUP_VALUES holds of the largest block, and at least one, so it holds
+    at most max(largest size, _GROUP_VALUES) values."""
     family, theta, sizes, cells, width, seed, start, stop = args
     blocks = _size_blocks(sizes)
     group = max(1, _GROUP_VALUES // max(total for _, _, total in blocks))
@@ -204,40 +210,54 @@ def _replicate_chunk(args) -> np.ndarray:
     # each replicate's stream is set on this one generator in turn; a fixed
     # seed spares an OS entropy read
     rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    keep = len(blocks) > 1  # the next block continues each stream
     for g0 in range(start, stop, group):
         reps = range(g0, min(g0 + group, stop))
         states = stream_states(seed, reps.start, reps.stop)
         for first, last, total in blocks:
-            # the stream is read in order and every quantile is elementwise,
-            # so each slice holds the values a draw of its size alone gives
-            draws = np.empty((len(reps), total))
-            for i, row in enumerate(draws):
-                rng.bit_generator.state = states[i]
-                row[:] = uniform_open(rng, total)
-                if len(blocks) > 1:  # the next block continues the stream
-                    states[i] = rng.bit_generator.state
+            words = np.empty((len(reps), total), dtype=np.uint64)
+            ends = []
+            for state, row in zip(states, words):
+                bits.state = state
+                row[:] = bits.random_raw(total)
+                if keep:
+                    ends.append(bits.state)
+            draws, rejected = lemire_open(words)
+            # numpy redraws a rejected word, so such a stream is drawn again
+            # from its start, where uniform_open takes numpy's own draw
+            for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+                bits.state = states[i]
+                draws[i] = uniform_open(rng, total)
+                if keep:
+                    ends[i] = bits.state
+            states = ends
+            # every quantile is elementwise, so each slice holds the values a
+            # draw of its size alone gives
             with np.errstate(over="ignore", invalid="ignore"):
                 draws = np.asarray(family.quantile(theta, draws), dtype=float)
             if not np.isfinite(draws).all():
                 at = tuple(float(t) for t in theta)
                 raise DataError(f"simulated draws are not finite: {family.name} "
                                 f"at {at} overflows")
-            offset = 0
-            for si, n in enumerate(sizes[first:last], first):
-                samples = build_samples(draws[:, offset:offset + n])
-                offset += n
-                block = out[g0 - start:reps.stop - start, si]
-                for ci, group_form in grouped:
-                    block[:, ci] = group_form(family, samples)
-                if loose:
-                    values = []
-                    for sample in samples:
-                        for ci in loose:
-                            try:
-                                values.append(cells[ci](family, sample))
-                            except CkleError:
-                                values.append(failed)
-                    block[:, loose] = np.reshape(values, (len(reps), len(loose), width))
+            cuts = list(accumulate(sizes[first:last], initial=0))
+            samples = build_samples(*(draws[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])))
+            # the batch's rows run size by size, replicate by replicate
+            block = out[g0 - start:reps.stop - start, first:last]
+            shape = (last - first, len(reps))
+            for ci, group_form in grouped:
+                block[:, :, ci] = group_form(family, samples).reshape(
+                    *shape, width).swapaxes(0, 1)
+            if loose:
+                values = []
+                for sample in samples:
+                    for ci in loose:
+                        try:
+                            values.append(cells[ci](family, sample))
+                        except CkleError:
+                            values.append(failed)
+                block[:, :, loose] = np.reshape(
+                    values, (*shape, len(loose), width)).swapaxes(0, 1)
     return out
 
 

@@ -154,23 +154,54 @@ def test_rows_builder_is_build_sample_of_each_row(rows):
         assert [_fields(s) for s in got] == [_fields(build_sample(row)) for row in rows]
 
 
-@given(row_arrays(st.one_of(row_values, bad_values)))
-@example(np.array([[1.0, 2.0], [1e200, math.nan], [math.inf, 1.0]]))
-@example(np.array([[1.0, 2.0], [1e200, 2e200], [math.inf, 1.0]]))
-def test_rows_builder_raises_what_build_sample_raises_on_the_first_bad_row(rows):
-    want = None
+def _first_error(rows):
     for row in rows:
         try:
             build_sample(row)
         except DataError as exc:
-            want = (type(exc), str(exc))
-            break
+            return type(exc), str(exc)
+    return None
+
+
+@given(row_arrays(st.one_of(row_values, bad_values)))
+@example(np.array([[1.0, 2.0], [1e200, math.nan], [math.inf, 1.0]]))
+@example(np.array([[1.0, 2.0], [1e200, 2e200], [math.inf, 1.0]]))
+def test_rows_builder_raises_what_build_sample_raises_on_the_first_bad_row(rows):
+    want = _first_error(rows)
     if want is None:
         assert len(build_samples(rows)) == len(rows)
         return
     with pytest.raises(DataError) as exc:
         build_samples(rows)
     assert (type(exc.value), str(exc.value)) == want
+
+
+@given(st.lists(row_arrays(st.one_of(row_values, bad_values)), min_size=1, max_size=4))
+@example([np.array([[1.0, 2.0], [3.0, -0.0]]), np.array([[5.0], [-2.0], [0.0]])])
+@example([np.array([[1.0, 2.0]]), np.array([[1e200], [math.nan]]), np.array([[math.inf]])])
+def test_batch_of_several_sizes_is_build_sample_of_each_row(blocks):
+    rows = [row for b in blocks for row in b]
+    want = _first_error(rows)
+    if want is not None:
+        with pytest.raises(DataError) as exc:
+            build_samples(*blocks)
+        assert (type(exc.value), str(exc.value)) == want
+        return
+    batches = [build_samples(*blocks)]
+    if len({len(b) for b in blocks}) == 1:
+        # also as column slices of one wide array, as a study's sizes are
+        wide = np.concatenate(blocks, axis=1)
+        cuts = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
+        batches.append(build_samples(*(wide[:, a:c] for a, c in zip(cuts[:-1], cuts[1:]))))
+    want_fields = [_fields(build_sample(row)) for row in rows]
+    for got in batches:
+        assert len(got) == len(rows)
+        assert got.n.tolist() == [len(row) for row in rows]
+        assert [_fields(s) for s in got] == want_fields
+        assert [_fields(got[i]) for i in range(len(rows))] == want_fields
+        assert _fields(got[-1]) == want_fields[-1]
+        with pytest.raises(IndexError):
+            got[len(rows)]
 
 
 def test_sample_immutable():

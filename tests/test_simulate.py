@@ -156,6 +156,63 @@ def test_grouped_engine_matches_the_replicate_loop_bitwise(name, monkeypatch):
                 assert _hex_rows(run_study(cfg)) == want
 
 
+def _rejecting_streams(state_before_word, rejected):
+    # stream_states with replicate r's stream replaced, for each r in
+    # ``rejected``, by one whose word number rejected[r] numpy redraws
+    def states(seed, start, stop):
+        return [state_before_word(2**53 - 2047, rejected[r], hi=r + 1) if r in rejected
+                else make_rng(seed, r).bit_generator.state for r in range(start, stop)]
+    return states
+
+
+def _numpy_draw_chunk(streams):
+    # the reference: each replicate's blocks drawn from its stream with
+    # numpy's own integers(1, 2**53), one sample built per size
+    def chunk(args):
+        family, theta, sizes, cells, width, seed, start, stop = args
+        out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
+        rng = np.random.Generator(np.random.PCG64(0))
+        for i, r in enumerate(range(start, stop)):
+            rng.bit_generator.state = streams(seed, r, r + 1)[0]
+            for first, last, total in simulate._size_blocks(sizes):
+                xs = family.quantile(theta, rng.integers(1, 2**53, size=total) / 2**53)
+                offset = 0
+                for si in range(first, last):
+                    sample = build_sample(xs[offset:offset + sizes[si]])
+                    offset += sizes[si]
+                    for ci, cell in enumerate(cells):
+                        try:
+                            out[i, si, ci, :] = cell(family, sample)
+                        except CkleError:
+                            pass
+        return out
+    return chunk
+
+
+@pytest.mark.parametrize("name", ["exponential", "pareto"])
+def test_streams_with_a_rejected_word_are_numpys_draws(name, state_before_word, monkeypatch):
+    # replicates 0, 4 and 8 meet a word that numpy's bounded integers
+    # redraw: first, inside and last in the criterion-8 block, and with two
+    # blocks (a 700-value budget) at the end of the first and inside the
+    # second, so the second block continues the redrawn stream
+    theta = STUDY_TRUTH[name]
+    cases = [(tuple(range(10, 56, 5)), {0: 0, 4: 100, 8: 324}),
+             ((300, 500), {0: 299, 4: 310, 8: 0})]
+    for sizes, rejected in cases:
+        streams = _rejecting_streams(state_before_word, rejected)
+        cfg = StudyConfig(name, theta, sizes, 9, seed=801)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_replicate_chunk", _numpy_draw_chunk(streams))
+            want = _hex_rows(run_study(cfg))
+        for bound in (simulate._GROUP_VALUES, 700):
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "stream_states", streams)
+                m.setattr(simulate, "_GROUP_VALUES", bound)
+                assert _hex_rows(run_study(cfg)) == want, (sizes, bound)
+        # the redrawn streams moved the rows
+        assert want != _hex_rows(run_study(cfg))
+
+
 def _coverage_loop(name, params, n, reps, level, kind, seed):
     # the reference: the per-replicate loop coverage_study ran on its own
     family = get_family(name)
@@ -320,14 +377,12 @@ def test_aggregation_with_failures_is_the_per_column_loop_bitwise(monkeypatch):
     original = type(family).fit_rows
 
     def failing_fits(self, samples):
+        # the batch holds every size of a replicate group; its rows of one
+        # size run in replicate order
         (values,) = original(self, samples)
         values = values.copy()
-        if samples.n == 10:
-            values[2::3] = math.nan
-        elif samples.n == 20:
-            values[1:] = math.nan
-        elif samples.n == 30:
-            values[:] = math.nan
+        for n, rows in ((10, slice(2, None, 3)), (20, slice(1, None)), (30, slice(None))):
+            values[np.flatnonzero(samples.n == n)[rows]] = math.nan
         return (values,)
 
     monkeypatch.setattr(type(family), "fit_rows", failing_fits)
@@ -365,32 +420,60 @@ def test_size_blocks_are_bounded():
 
 
 def test_one_draw_per_block_and_replicate(monkeypatch):
-    # each replicate reads its block of uniforms from its own stream, and
+    # each replicate reads its block of raw words from its own stream, and
     # one quantile call maps a group's (replicates x block) array
     family = get_family("exponential")
-    uniforms, quantiles = [], []
-    original_uniform, original_quantile = simulate.uniform_open, type(family).quantile
+    reads, quantiles = [], []
+    original_quantile = type(family).quantile
 
-    def counting_uniform(rng, size):
-        uniforms.append(size)
-        return original_uniform(rng, size)
+    # named as numpy's, whose state setter checks the class name
+    class PCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            reads.append(size)
+            return super().random_raw(size, output)
 
     def counting_quantile(self, theta, p):
         quantiles.append(p.shape)
         return original_quantile(self, theta, p)
 
-    monkeypatch.setattr(simulate, "uniform_open", counting_uniform)
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
     monkeypatch.setattr(type(family), "quantile", counting_quantile)
     cfg = StudyConfig("exponential", (5.0,), tuple(range(10, 56, 5)), 7, seed=1)
     run_study(cfg)
-    assert uniforms == [325] * 7
+    assert reads == [325] * 7
     assert quantiles == [(7, 325)]
     # groups of two replicates, the last one short
-    uniforms.clear(), quantiles.clear()
+    reads.clear(), quantiles.clear()
     monkeypatch.setattr(simulate, "_GROUP_VALUES", 700)
     run_study(cfg)
-    assert uniforms == [325] * 7
+    assert reads == [325] * 7
     assert quantiles == [(2, 325)] * 3 + [(1, 325)]
+
+
+def test_a_grouped_cell_is_called_once_per_block(monkeypatch):
+    # one call per (replicate group, draw block) and estimator, over every
+    # size of the block, size by size and replicate by replicate
+    family = get_family("exponential")
+    original = type(family).fit_rows
+    calls = []
+
+    def recording_fit_rows(self, samples):
+        calls.append(samples.n.tolist())
+        return original(self, samples)
+
+    monkeypatch.setattr(type(family), "fit_rows", recording_fit_rows)
+    sizes = tuple(range(10, 56, 5))
+    run_study(StudyConfig("exponential", (5.0,), sizes, 7, seed=1, estimators=("mckle",)))
+    assert calls == [[n for n in sizes for _ in range(7)]]
+    calls.clear()
+    monkeypatch.setattr(simulate, "_GROUP_VALUES", 700)
+    run_study(StudyConfig("exponential", (5.0,), sizes, 7, seed=1, estimators=("mckle",)))
+    assert calls == [[n for n in sizes for _ in range(g)] for g in (2, 2, 2, 1)]
+    # sizes past the budget are one block each
+    calls.clear()
+    run_study(StudyConfig("exponential", (5.0,), (400, 500), 1, seed=1,
+                          estimators=("mckle", "mle")))
+    assert calls == [[400], [500]]
 
 
 def test_block_draw_memory_stays_at_the_largest_size():
