@@ -10,8 +10,8 @@ of all their rows in order, sorting each array's rows and summing them
 along axis 1 (over C-contiguous rows the pairwise sum of each row alone,
 bit for bit).  The batch holds each array's sorted rows and per-row arrays
 of n, k, the mean, mean |x| and mean x^2; a row's ``Sample`` is built only
-when the batch is indexed or iterated, and it is the one ``build_sample``
-gives for that row alone, Python ``int`` and ``float`` fields included.
+when the batch is iterated, and it is the one ``build_sample`` gives for
+that row alone, Python ``int`` and ``float`` fields included.
 ``build_sample`` summarizes one row the same way.  Validation, array by array
 and in order: an empty row is a ``ParseError``; the sorted rows are then
 summed, and only the first row whose sums are non-finite is scanned, its
@@ -67,8 +67,8 @@ class Samples:
     """A read-only batch of samples, one per row: ``obs`` is a tuple of
     row-sorted 2-D arrays, one per sample size, and ``n``, ``k``, ``mean``,
     ``mean_abs`` and ``mean_sq`` are per-row arrays over all their rows in
-    order.  Indexing or iterating it builds each row's ``Sample`` then, the
-    one ``build_sample`` gives for that row."""
+    order.  Iterating it builds each row's ``Sample`` then, the one
+    ``build_sample`` gives for that row."""
 
     __slots__ = ("obs", "n", "k", "mean", "mean_abs", "mean_sq")
 
@@ -81,14 +81,6 @@ class Samples:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    def __getitem__(self, i: int) -> Sample:
-        i = j = range(len(self.n))[i]
-        for rows in self.obs:
-            if j < len(rows):
-                return Sample(rows[j], int(self.n[i]), int(self.k[i]), float(self.mean[i]),
-                              float(self.mean_abs[i]), float(self.mean_sq[i]))
-            j -= len(rows)
 
     def __iter__(self):
         return map(Sample, chain.from_iterable(self.obs), self.n.tolist(), self.k.tolist(),

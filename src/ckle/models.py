@@ -35,7 +35,7 @@ per-element path.  ``_coefficients``, ``closed_form``, ``mle``,
 ``mckle_unbiased`` and ``mle_unbiased`` also take a ``Samples`` batch, whose
 n and moments are per-row arrays: the same expressions give per-row arrays, NaN
 where one sample raises (``_require``), and ``fit_rows`` is ``solver.fit``
-on each row at or above the floor.
+on each row, also below the floor, since no estimate reads g.
 
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
@@ -211,8 +211,11 @@ class Family:
         return getattr(type(self), hook) is not getattr(Family, hook)
 
     def _theta(self, theta) -> np.ndarray:
-        """theta as an array, raising DomainError unless it has dim entries."""
-        th = _as_theta(theta)
+        """theta as an array, raising DomainError unless it has dim floats."""
+        try:
+            th = _as_theta(theta)
+        except (TypeError, ValueError):
+            raise DomainError(f"{self.name} parameters must be numbers, got {theta!r}") from None
         if th.size != len(self.param_names):
             raise DomainError(f"{self.name} expects {self.dim} parameters, got {th.size}")
         return th
@@ -324,9 +327,8 @@ class Family:
         """Raise DataError when g has no minimizer inside the domain."""
 
     def fit_rows(self, samples: Samples):
-        """(values,) of ``solver.fit`` on each row of a batch whose mean of
-        squares is at least ``_MOMENT_SQ_FLOOR``: the estimate where the fit
-        converges, NaN where it raises or does not."""
+        """(values,) of ``solver.fit`` on each row of a batch: the estimate
+        where the fit converges, NaN where it raises or does not."""
 
     def mckle_unbiased(self, theta, n: int):
         """Bias-corrected minimum-divergence estimate theta at sample size n."""
@@ -401,9 +403,10 @@ class _PositiveScalar(Family):
         return (_sqrt(a / b),)
 
     def fit_rows(self, samples):
-        # such rows pass check_sample (mean_sq > 0) and take the moment g;
-        # the closed fit converges where g is finite at the estimate, and
-        # g is +inf wherever validate would refuse t (0 or +inf)
+        # the closed fit converges where g is finite at the estimate; the
+        # moment g is +inf or NaN where validate refuses t (0, +inf, or NaN
+        # where mean_sq = 0 fails check_sample) and finite elsewhere, as the
+        # per-element g is: no term (t x) x or (x / t) x overflows there
         a, b, c = self._coefficients(samples)
         t = self.closed_form(samples)[0]
         return (_require(np.isfinite(self._g(a, b, c, t)), t),)

@@ -4,20 +4,18 @@ interval coverage, test size and resampled region cutoffs.
 Every entry point runs its replicates through one engine,
 ``_replicate_chunk``: replicate r reads the stream (seed, r), its sizes are
 consecutive slices of that stream in the order given, and each of the
-caller's cells maps (family, sample) to a fixed number of floats; a cell
-raising ``CkleError`` is a NaN row.  A cell may carry a group form,
-``cell.group(family, samples)``, which gives those floats for every row of
-a ``Samples`` batch at once, NaN where the cell raises; the engine calls it
-instead of the cell, once per replicate group and draw block, on one batch
-of all the block's sizes (rows size by size, replicate by replicate, each
-with its own n).  The estimator cells of ``run_study`` have one for the
-families with ``fit_rows`` (the Exponential and the Laplace), read from the
-batch's moment arrays; rows below ``_MOMENT_SQ_FLOOR`` take the cell.  One
-budget, ``_GROUP_VALUES`` (2**16 values), bounds memory at any replicate
-count: a replicate draws its sizes in one block when they total at most
-that, else one block per size (each slice holds what a draw of its size
-alone gives), and a group of consecutive replicates holds at most that many
-values of its largest block, or one replicate.  A group's streams are
+caller's cells maps a ``Samples`` batch to (rows, width) floats, NaN where
+a row fails, called as ``cell(family, samples)`` once per replicate group
+and draw block on one batch of all the block's sizes (rows size by size,
+replicate by replicate, each with its own n).  A per-sample cell runs
+through ``_each``, the one loop that turns a ``CkleError`` into a NaN row;
+``run_study``'s estimator cells for the families with ``fit_rows`` (the
+Exponential and the Laplace) read the batch's moment arrays.  One budget,
+``_GROUP_VALUES`` (2**16 values), bounds memory at any replicate count: a
+replicate draws its sizes in one block when they total at most that, else
+one block per size (each slice holds what a draw of its size alone gives),
+and a group of consecutive replicates holds at most that many values of
+its largest block, or one replicate.  A group's streams are
 seeded in one pass (``rng.stream_states``, bit for bit ``make_rng``'s) and
 set in turn on one generator, and a replicate's state is kept from block to
 block.  For each block, each replicate of a group reads its row of raw
@@ -54,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -62,7 +61,7 @@ import numpy as np
 from .empirical import Sample, Samples, build_samples
 from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
-from .models import _MOMENT_SQ_FLOOR, EXPONENTIAL, Family, get_family
+from .models import EXPONENTIAL, Family, get_family
 from .objective import g_objective
 from .rng import check_seed, lemire_open, stream_states, uniform_open
 from .solver import fit
@@ -82,6 +81,17 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise DomainError(f"{name} must be >= {least}")
 
 
+def _check_levels(name: str, levels) -> tuple[float, ...]:
+    """The sequence ``levels`` as floats, or DomainError unless each is a
+    real number in (0, 1)."""
+    if not isinstance(levels, Iterable):
+        raise DomainError(f"{name} must be a sequence of numbers in (0, 1), got {levels!r}")
+    levels = tuple(levels)
+    if not all(isinstance(lv, numbers.Real) and 0.0 < lv < 1.0 for lv in levels):
+        raise DomainError(f"{name} must be in (0, 1)")
+    return tuple(map(float, levels))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     family: str
@@ -94,8 +104,8 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_count("replicates", self.replicates)
-        if not self.sizes:
-            raise DomainError("sizes must be nonempty")
+        if not isinstance(self.sizes, Iterable) or not tuple(self.sizes):
+            raise DomainError(f"sizes must be a nonempty sequence of integers, got {self.sizes!r}")
         for size in self.sizes:
             _check_count("sizes", size)
         _check_count("threads", self.threads)
@@ -158,28 +168,31 @@ def _estimate(est: str, family: Family, sample: Sample | Samples):
 
 
 def _estimate_rows(est: str, family: Family, samples: Samples) -> np.ndarray:
-    """The group form of the ``_estimate`` cell: (rows, dim) floats.  Rows
-    whose mean of squares is below ``_MOMENT_SQ_FLOOR``, where the scalar
-    families' g is summed per element, take the cell itself.  As on one
-    sample's Python floats, a quotient past the doubles is +inf without a
-    warning."""
+    """The batch cell of estimator ``est`` for a family with ``fit_rows``,
+    read from the batch's moment arrays.  As on one sample's Python floats,
+    a quotient past the doubles is +inf without a warning."""
     with np.errstate(all="ignore"):
-        values = np.column_stack(_estimate(est, family, samples))
-    for i in np.flatnonzero(samples.mean_sq < _MOMENT_SQ_FLOOR).tolist():
+        return np.column_stack(_estimate(est, family, samples))
+
+
+def _each(fn, width: int, family: Family, samples: Samples) -> np.ndarray:
+    """The batch cell of the per-sample ``fn(family, sample)`` of ``width``
+    floats, a NaN row where ``fn`` raises CkleError: the one place a study
+    turns an error into a failed row."""
+    out = np.full((len(samples), width), math.nan)
+    for row, sample in zip(out, samples):
         try:
-            values[i] = _estimate(est, family, samples[i])
+            row[:] = fn(family, sample)
         except CkleError:
-            values[i] = math.nan
-    return values
+            pass
+    return out
 
 
 def _cell(est: str, family: Family):
-    """The picklable cell of estimator ``est``, with its group form where
-    the family fits a batch."""
-    cell = functools.partial(_estimate, est)
+    """The picklable batch cell of estimator ``est``."""
     if family.has_hook("fit_rows"):
-        cell.group = functools.partial(_estimate_rows, est)
-    return cell
+        return functools.partial(_estimate_rows, est)
+    return functools.partial(_each, functools.partial(_estimate, est), family.dim)
 
 
 def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -194,18 +207,14 @@ def _size_blocks(sizes: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 def _replicate_chunk(args) -> np.ndarray:
     """Cell values of replicates start..stop-1, shape (replicates, sizes,
-    cells, width): each cell is called as cell(family, sample) and returns
-    width floats, and a cell that raises CkleError gives a NaN row; a cell
-    with a group form is called instead once per group and draw block, on
-    the batch of all the block's sizes.  A group is as many replicates as
+    cells, width): each cell is called as cell(family, samples) once per
+    group and draw block, on the batch of all the block's sizes, and
+    returns (rows, width) floats.  A group is as many replicates as
     _GROUP_VALUES holds of the largest block, and at least one, so it holds
     at most max(largest size, _GROUP_VALUES) values."""
     family, theta, sizes, cells, width, seed, start, stop = args
     blocks = _size_blocks(sizes)
     group = max(1, _GROUP_VALUES // max(total for _, _, total in blocks))
-    failed = (math.nan,) * width
-    grouped = [(ci, cell.group) for ci, cell in enumerate(cells) if hasattr(cell, "group")]
-    loose = [ci for ci, cell in enumerate(cells) if not hasattr(cell, "group")]
     out = np.empty((stop - start, len(sizes), len(cells), width))
     # each replicate's stream is set on this one generator in turn; a fixed
     # seed spares an OS entropy read
@@ -243,21 +252,9 @@ def _replicate_chunk(args) -> np.ndarray:
             cuts = list(accumulate(sizes[first:last], initial=0))
             samples = build_samples(*(draws[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])))
             # the batch's rows run size by size, replicate by replicate
-            block = out[g0 - start:reps.stop - start, first:last]
-            shape = (last - first, len(reps))
-            for ci, group_form in grouped:
-                block[:, :, ci] = group_form(family, samples).reshape(
-                    *shape, width).swapaxes(0, 1)
-            if loose:
-                values = []
-                for sample in samples:
-                    for ci in loose:
-                        try:
-                            values.append(cells[ci](family, sample))
-                        except CkleError:
-                            values.append(failed)
-                block[:, :, loose] = np.reshape(
-                    values, (*shape, len(loose), width)).swapaxes(0, 1)
+            block = out[g0 - start:reps.stop - start, first:last].swapaxes(0, 1)
+            for ci, cell in enumerate(cells):
+                block[:, :, ci] = cell(family, samples).reshape(*block.shape[:2], width)
     return out
 
 
@@ -340,16 +337,17 @@ def bias_check_exponential(lambda_true: float, n: int, reps: int,
     the mckle row of a one-size study; a failed replicate raises."""
     _check_count("n", n, 10)
     _check_count("reps", reps)
-    row = run_study(StudyConfig("exponential", (lambda_true,), (n,), reps, seed,
+    lam = float(EXPONENTIAL.validate((lambda_true,))[0])
+    row = run_study(StudyConfig("exponential", (lam,), (n,), reps, seed,
                                 estimators=("mckle",))).rows[0]
     if row.failures:
         raise InferenceError(f"{row.failures} of {reps} replicate fits failed")
     mean_hat = row.mean
     mean_u = EXPONENTIAL.mckle_unbiased((mean_hat,), n)[0]
-    return BiasReport(lambda_true=lambda_true, n=n, replicates=reps,
-                      mean_mckle=mean_hat, bias=mean_hat - lambda_true,
-                      first_order_bias=15.0 * lambda_true / (8.0 * n),
-                      mean_unbiased=mean_u, unbiased_bias=mean_u - lambda_true)
+    return BiasReport(lambda_true=lam, n=n, replicates=reps,
+                      mean_mckle=mean_hat, bias=mean_hat - lam,
+                      first_order_bias=15.0 * lam / (8.0 * n),
+                      mean_unbiased=mean_u, unbiased_bias=mean_u - lam)
 
 
 @dataclass(frozen=True)
@@ -374,8 +372,7 @@ def coverage_study(family, params, n: int, reps: int, level: float,
     _check_count("n", n)
     _check_count("reps", reps)
     check_seed(seed)
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
+    _check_levels("level", (level,))
     true_val = float(theta[0])
 
     def covers(family, sample):
@@ -386,7 +383,8 @@ def coverage_study(family, params, n: int, reps: int, level: float,
             ci = divergence_interval(family, sample, res, level)
         return (float(ci.lower <= true_val <= ci.upper),)
 
-    hit = _replicate_chunk((family, theta, (n,), (covers,), 1, seed, 0, reps)).ravel()
+    cells = (functools.partial(_each, covers, 1),)
+    hit = _replicate_chunk((family, theta, (n,), cells, 1, seed, 0, reps)).ravel()
     ok = ~np.isnan(hit)
     used = int(ok.sum())
     failures = reps - used
@@ -418,10 +416,7 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
     _check_count("n", n)
     _check_count("reps", reps, 100)
     check_seed(seed)
-    levels = tuple(float(lv) for lv in levels)
-    for lv in levels:
-        if not 0.0 < lv < 1.0:
-            raise DomainError("levels must be in (0, 1)")
+    levels = _check_levels("levels", levels)
 
     def gap(family, sample):
         res = fit(family, sample)
@@ -429,7 +424,8 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
             raise InferenceError("fit did not converge")
         return (g_objective(family, theta_true, sample) - res.g_at_opt,)
 
-    gaps = _replicate_chunk((family, theta_true, (n,), (gap,), 1, seed, 0, reps)).ravel()
+    cells = (functools.partial(_each, gap, 1),)
+    gaps = _replicate_chunk((family, theta_true, (n,), cells, 1, seed, 0, reps)).ravel()
     gaps = sorted(gaps[~np.isnan(gaps)].tolist())
     used = len(gaps)
     failures = reps - used

@@ -198,10 +198,6 @@ def test_batch_of_several_sizes_is_build_sample_of_each_row(blocks):
         assert len(got) == len(rows)
         assert got.n.tolist() == [len(row) for row in rows]
         assert [_fields(s) for s in got] == want_fields
-        assert [_fields(got[i]) for i in range(len(rows))] == want_fields
-        assert _fields(got[-1]) == want_fields[-1]
-        with pytest.raises(IndexError):
-            got[len(rows)]
 
 
 def test_sample_immutable():

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -711,6 +712,13 @@ def test_region_cutoffs_validation():
         # at entry, before any replicate draws
         with pytest.raises(DomainError, match="n must be >= 1"):
             divergence_region_cutoffs("twoparamexp", (1.0, 2.0), n, 100, (0.9,), 1)
+    # levels that are not numbers, or not a sequence, at entry too
+    in_unit = "levels must be in (0, 1)"
+    for levels, message in (((0.9, 1.0), in_unit), (("a",), in_unit), ((None,), in_unit),
+                            ("0.5", in_unit),
+                            (0.5, "levels must be a sequence of numbers in (0, 1), got 0.5")):
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            divergence_region_cutoffs("twoparamexp", (1.0, 2.0), 20, 100, levels, 1)
 
 
 @pytest.mark.parametrize("name,theta", [("normal", (2.0,)), ("normal", (2.0, 3.0, 1.0)),

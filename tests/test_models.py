@@ -88,6 +88,11 @@ def test_domain_errors_name_parameter():
         get_family("normal").validate((0.0, 0.0))
     with pytest.raises(DomainError, match="alpha must exceed 1"):
         get_family("pareto").validate((0.9, 5.0))
+    # parameters numpy cannot read as floats name the family
+    for name, theta in (("exponential", "a"), ("normal", (0.0, "b")), ("pareto", {}),
+                        ("laplace", [[1.0], [2.0, 3.0]])):
+        with pytest.raises(DomainError, match=f"^{name} parameters must be numbers, got "):
+            get_family(name).validate(theta)
 
 
 # ------------------------------------------------------------------ mean_abs

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -36,8 +37,10 @@ def test_mle_formulas():
 def test_study_config_validation():
     with pytest.raises(DomainError):
         StudyConfig("exponential", (5.0,), (10,), 0, 1)
-    with pytest.raises(DomainError):
-        StudyConfig("exponential", (5.0,), (), 10, 1)
+    for sizes in ((), 10, np.array([], dtype=int)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"sizes must be a nonempty sequence of integers, got {sizes!r}") + "$"):
+            StudyConfig("exponential", (5.0,), sizes, 10, 1)
     with pytest.raises(DomainError):
         StudyConfig("normal", (2.0, 3.0), (10,), 10, 1,
                     estimators=("mckle_unbiased",))
@@ -60,18 +63,15 @@ def test_run_study_deterministic_bytes_and_thread_independent():
 
 def _per_size_chunk(args):
     # the reference loop: one draw call per (replicate, size), and each
-    # cell's values written into a NaN-filled array
+    # cell called on that sample's one-row batch
     family, theta, sizes, cells, width, seed, start, stop = args
-    out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
+    out = np.empty((stop - start, len(sizes), len(cells), width))
     for i, r in enumerate(range(start, stop)):
         rng = make_rng(seed, r)
         for si, n in enumerate(sizes):
-            sample = build_sample(family.draw(theta, n, rng))
+            samples = build_samples(family.draw(theta, n, rng)[None])
             for ci, cell in enumerate(cells):
-                try:
-                    out[i, si, ci, :] = cell(family, sample)
-                except CkleError:
-                    pass
+                out[i, si, ci, :] = cell(family, samples)[0]
     return out
 
 
@@ -110,22 +110,19 @@ def test_block_draws_match_per_size_draws_bitwise(name, monkeypatch):
 def _replicate_loop_chunk(args):
     # the replicate-by-replicate reference: each replicate draws its blocks
     # from its own stream, slices them into sizes, builds each sample alone
-    # and runs the cells on it
+    # and runs the cells on its one-row batch
     family, theta, sizes, cells, width, seed, start, stop = args
-    out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
+    out = np.empty((stop - start, len(sizes), len(cells), width))
     for i, r in enumerate(range(start, stop)):
         rng = make_rng(seed, r)
         for first, last, total in simulate._size_blocks(sizes):
             xs = family.draw(theta, total, rng)
             offset = 0
             for si in range(first, last):
-                sample = build_sample(xs[offset:offset + sizes[si]])
+                samples = build_samples(xs[None, offset:offset + sizes[si]])
                 offset += sizes[si]
                 for ci, cell in enumerate(cells):
-                    try:
-                        out[i, si, ci, :] = cell(family, sample)
-                    except CkleError:
-                        pass
+                    out[i, si, ci, :] = cell(family, samples)[0]
     return out
 
 
@@ -167,10 +164,10 @@ def _rejecting_streams(state_before_word, rejected):
 
 def _numpy_draw_chunk(streams):
     # the reference: each replicate's blocks drawn from its stream with
-    # numpy's own integers(1, 2**53), one sample built per size
+    # numpy's own integers(1, 2**53), one one-row batch built per size
     def chunk(args):
         family, theta, sizes, cells, width, seed, start, stop = args
-        out = np.full((stop - start, len(sizes), len(cells), width), np.nan)
+        out = np.empty((stop - start, len(sizes), len(cells), width))
         rng = np.random.Generator(np.random.PCG64(0))
         for i, r in enumerate(range(start, stop)):
             rng.bit_generator.state = streams(seed, r, r + 1)[0]
@@ -178,13 +175,10 @@ def _numpy_draw_chunk(streams):
                 xs = family.quantile(theta, rng.integers(1, 2**53, size=total) / 2**53)
                 offset = 0
                 for si in range(first, last):
-                    sample = build_sample(xs[offset:offset + sizes[si]])
+                    samples = build_samples(xs[None, offset:offset + sizes[si]])
                     offset += sizes[si]
                     for ci, cell in enumerate(cells):
-                        try:
-                            out[i, si, ci, :] = cell(family, sample)
-                        except CkleError:
-                            pass
+                        out[i, si, ci, :] = cell(family, samples)[0]
         return out
     return chunk
 
@@ -289,12 +283,37 @@ def test_study_rows_do_not_depend_on_the_moment_g(name, theta, estimators, monke
     assert run_study(cfg).to_csv() == lean
 
 
+def test_errors_that_are_not_ckle_errors_propagate(monkeypatch):
+    # _each and the batch cells turn a CkleError into a NaN row, and nothing else
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "fit", broken)
+        for kind in ("wald", "divergence"):
+            with pytest.raises(RuntimeError, match="broken"):
+                coverage_study("exponential", (3.0,), 20, 10, 0.9, kind, 1)
+        with pytest.raises(RuntimeError, match="broken"):
+            divergence_region_cutoffs("twoparamexp", (1.0, 2.0), 20, 100, (0.5,), 1)
+    with monkeypatch.context() as m:
+        m.setattr(type(get_family("exponential")), "fit_rows", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            run_study(StudyConfig("exponential", (5.0,), (10, 20), 5, seed=1))
+    with monkeypatch.context() as m:
+        m.setattr(type(get_family("pareto")), "mle", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            run_study(StudyConfig("pareto", (4.0, 2.0), (10, 20), 5, seed=1,
+                                  estimators=("mle",)))
+
+
 def test_bias_check_is_the_study_mckle_row():
     rep = bias_check_exponential(5.0, 20, 300, seed=4)
     row = run_study(StudyConfig("exponential", (5.0,), (20,), 300, 4,
                                 estimators=("mckle",))).row(20, "mckle", "lambda")
     assert rep.mean_mckle == row.mean and rep.bias == row.mean - 5.0
     assert rep.mean_unbiased == 160 / 175 * row.mean
+    # a rate numpy reads as a float is that float throughout the report
+    assert bias_check_exponential("5", 20, 300, seed=4) == rep
 
 
 def test_bias_check_raises_on_a_failed_replicate(monkeypatch):
@@ -474,6 +493,20 @@ def test_a_grouped_cell_is_called_once_per_block(monkeypatch):
     run_study(StudyConfig("exponential", (5.0,), (400, 500), 1, seed=1,
                           estimators=("mckle", "mle")))
     assert calls == [[400], [500]]
+    # a per-sample cell (the Pareto mle) runs through _each, which gets the
+    # whole batch of a (group, block) in one call
+    original_each = simulate._each
+
+    def recording_each(fn, width, family, samples):
+        calls.append(samples.n.tolist())
+        return original_each(fn, width, family, samples)
+
+    monkeypatch.setattr(simulate, "_each", recording_each)
+    for bound, groups in ((2**16, (7,)), (700, (2, 2, 2, 1))):
+        calls.clear()
+        monkeypatch.setattr(simulate, "_GROUP_VALUES", bound)
+        run_study(StudyConfig("pareto", (4.0, 2.0), sizes, 7, seed=1, estimators=("mle",)))
+        assert calls == [[n for n in sizes for _ in range(g)] for g in groups]
 
 
 def test_block_draw_memory_stays_at_the_largest_size():
@@ -609,6 +642,21 @@ def test_coverage_validation():
         for kind in ("wald", "divergence"):
             with pytest.raises(DomainError):
                 coverage_study("exponential", (3.0,), n, reps, level, kind, 1)
+    for level in ("0.9", None, True):
+        for kind in ("wald", "divergence"):
+            with pytest.raises(DomainError, match=re.escape("level must be in (0, 1)") + "$"):
+                coverage_study("exponential", (3.0,), 50, 100, level, kind, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_study(StudyConfig("exponential", "a", (10,), 10, 1)),
+    lambda: bias_check_exponential("x", 10, 10, 1),
+    lambda: coverage_study("laplace", ({},), 10, 10, 0.9, "wald", 1),
+    lambda: divergence_region_cutoffs("normal", ("a", 1.0), 10, 100, (0.5,), 1)])
+def test_parameters_that_are_not_numbers_are_a_domain_error(call):
+    # numpy's own ValueError or TypeError escaped from the entry points
+    with pytest.raises(DomainError, match="^[a-z]+ parameters must be numbers, got "):
+        call()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, None])
@@ -659,6 +707,8 @@ def test_numpy_integer_counts_are_accepted():
     want = run_study(StudyConfig("exponential", (5.0,), (10, 20), 3, 7, threads=2))
     got = run_study(StudyConfig("exponential", (5.0,), (i(10), i(20)), i(3), 7, threads=i(2)))
     assert got.to_csv() == want.to_csv()
+    got = run_study(StudyConfig("exponential", (5.0,), np.array([10, 20]), 3, 7, threads=2))
+    assert got.to_csv() == want.to_csv()
     assert bias_check_exponential(5.0, i(20), i(30), 4) == bias_check_exponential(5.0, 20, 30, 4)
     assert (coverage_study("laplace", (3.0,), i(20), i(30), 0.9, "wald", 4)
             == coverage_study("laplace", (3.0,), 20, 30, 0.9, "wald", 4))
@@ -696,7 +746,7 @@ def _group_matches_the_cell_on_every_row(family, est, rows):
             want.append(math.nan.hex())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = simulate._cell(est, family).group(family, samples)
+        got = simulate._cell(est, family)(family, samples)
     assert got.shape == (len(rows), 1)
     assert [v.hex() for v in got[:, 0].tolist()] == want
 
@@ -718,6 +768,11 @@ def test_group_forms_are_the_cells_bitwise(name, est, rows):
 
 
 def test_group_forms_cover_both_scalar_families_only():
+    # the other families' cells run the per-sample estimate through _each;
+    # every cell pickles, as a threaded study sends it to its workers
     for name in STUDY_TRUTH:
         cell = simulate._cell("mle", get_family(name))
-        assert hasattr(cell, "group") == (name in ("exponential", "laplace"))
+        scalar = name in ("exponential", "laplace")
+        assert cell.func is (simulate._estimate_rows if scalar else simulate._each)
+        again = pickle.loads(pickle.dumps(cell))
+        assert repr(again) == repr(cell)
