@@ -168,6 +168,8 @@ def _check_prob(value: float, name: str):
 
 def _fit_document(family, sample, method: str):
     family = get_family(family)
+    if method == "closed" and not family.has_hook("closed_form"):
+        raise _UsageError(f"{family.name} has no closed-form estimator")
     fres = fit(family, sample, method=method)
     try:
         v_hat = sandwich(family, fres, sample).V_hat.tolist()
@@ -369,24 +371,22 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"ckle: warning: {message}", file=sys.stderr)
 
 
+# each error's exit code, first match first: DataError and DomainError are
+# also ValueErrors, so the package's errors come before the usage errors
+_EXITS = ((ParseError, EXIT_PARSE), (CkleError, EXIT_DOMAIN),
+          ((_UsageError, ValueError), EXIT_USAGE), (_OutputError, EXIT_CANTCREAT))
+
+
 def _run(args) -> int:
     try:
         code, doc = args.handler(args)
         if doc is not None:
             _emit_json(doc, args.out)
-    except (_UsageError, ValueError) as exc:
-        print(f"ckle: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _OutputError as exc:
-        print(f"ckle: error: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
-    except ParseError as exc:
-        print(f"ckle: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CkleError as exc:
-        print(f"ckle: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except Exception as exc:
+        for error, exit_code in _EXITS:
+            if isinstance(exc, error):
+                print(f"ckle: error: {exc}", file=sys.stderr)
+                return exit_code
         print(f"ckle: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
     return code

@@ -28,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import errors
 from .errors import DataError, ParseError
 
 
@@ -54,11 +55,12 @@ def build_sample(raw) -> Sample:
     """Validate, sort and summarize raw observations: the sample
     ``build_samples`` gives for the one row they make.
 
-    Raises ``ParseError`` (a ``DataError``) for an empty input or any
-    non-finite value (reported at its position in the original ordering),
-    and ``DataError`` when a moment overflows.
+    Raises ``ParseError`` (a ``DataError``) for anything but one row of
+    numbers, an empty row or any non-finite value (reported at its position
+    in the original ordering), and ``DataError`` when a moment overflows.
     """
-    obs, k, mean, mean_abs, mean_sq = _summarize(np.asarray(raw, dtype=float).reshape(1, -1))
+    row = errors.floats("observations", raw, error=ParseError)
+    obs, k, mean, mean_abs, mean_sq = _summarize(row[None])
     return Sample(obs[0], obs.shape[1], int(k[0]), float(mean[0]), float(mean_abs[0]),
                   float(mean_sq[0]))
 
@@ -128,8 +130,9 @@ def build_samples(*blocks: np.ndarray) -> Samples:
 
 
 def ecdf_eval(sample: Sample, x: float) -> float:
-    """F_n(x) = #{x_i <= x}/n, right-continuous."""
-    return np.searchsorted(sample.obs, x, side="right") / sample.n
+    """F_n(x) = #{x_i <= x}/n, right-continuous, at x or each entry of it; NaN at NaN."""
+    x = errors.floats("x", x, row=False)
+    return np.where(x == x, np.searchsorted(sample.obs, x, side="right") / sample.n, np.nan)[()]
 
 
 def esf_eval(sample: Sample, x: float) -> float:

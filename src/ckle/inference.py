@@ -46,6 +46,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import errors
 from .empirical import Sample
 from .errors import DataError, DomainError, InferenceError, SupportViolation
 from .models import Family, _special, get_family
@@ -73,14 +74,14 @@ def chi2_quantile_df1(q: float, name: str = "q", given: float | None = None) -> 
     """q-quantile of chi-square with 1 df, via the normal quantile:
     (Phi^-1((1+q)/2))^2.  ``name`` and ``given`` (default: q) name the
     probability the caller was given in the error for an infinite quantile."""
-    if not 0.0 < q <= 1.0:      # q = 1.0 (1 - alpha for a tiny alpha) is named below
+    if not 0.0 < errors.real(name, q) <= 1.0:  # 1.0 (1 - a tiny alpha) is named below
         raise DomainError("quantile requires 0 < q < 1")
     return _two_sided_z(q, name, q if given is None else given) ** 2
 
 
 def chi2_sf_df1(t: float) -> float:
     """P(chi-square_1 > t)."""
-    if t <= 0.0:
+    if (t := errors.real("t", t)) <= 0.0:
         return 1.0
     return math.erfc(math.sqrt(t / 2.0))
 
@@ -192,8 +193,7 @@ def avar_scalar(family, theta, method: str = "auto") -> AsymptoticVariance:
     the quadrature otherwise; ``method='quadrature'`` forces the integral
     path.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+    errors.choice("method", method, ("auto", "quadrature"))
     family = _scalar_family(family, "avar_scalar")
     theta = family.validate(theta)
     if method == "auto" and family.has_hook("closed_avar"):
@@ -209,8 +209,7 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
     theta = family.validate(theta)
     if family.dim < 2:
         raise DomainError("avar_matrix expects a vector family")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = errors.count("n", n)
     if family.has_hook("closed_avar"):
         A, B, V = family.closed_avar(theta, n)
         return AsymptoticVariance(A, B, V, None, "closed-form")
@@ -263,11 +262,10 @@ class IntervalResult:
 
 def wald_ci(fit_result: FitResult, variance, level: float) -> IntervalResult:
     """theta_hat -+ z_{alpha/2} sigma_hat / sqrt(n) for a scalar parameter."""
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
+    errors.prob("level", level)
     if isinstance(variance, AsymptoticVariance):
         variance = variance.sigma2
-    if variance is None or variance <= 0:
+    if variance is None or errors.real("variance", variance) <= 0:
         raise InferenceError("nonpositive variance")
     if len(fit_result.params.values) != 1:
         raise DomainError("wald_ci expects a scalar parameter")
@@ -295,8 +293,7 @@ def divergence_interval(family, sample: Sample, fit_result: FitResult,
     k = exp(-c(theta_hat) chi2_{alpha,1} / (2n)), in the one-parameter
     family's closed form."""
     family = _scalar_family(family, "divergence_interval")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
+    errors.prob("level", level)
     if not fit_result.converged:
         raise InferenceError("divergence interval requires a converged fit")
     theta_hat = fit_result.params.values[0]
@@ -339,9 +336,10 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     finite null grid): statistic 2n [g(theta0_hat) - g(theta_hat)], limiting
     law c(theta0_hat) chi-square_1."""
     family = _scalar_family(family, "gddt_test")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must be in (0, 1)")
-    nulls = np.atleast_1d(np.asarray(theta0, dtype=float))
+    errors.prob("alpha", alpha)
+    nulls = errors.floats("theta0", theta0).tolist()
+    if not nulls:
+        raise DomainError("theta0 must be a number or a nonempty sequence of them")
     for t0 in nulls:
         family.validate((t0,))
     fit_result = fit(family, sample)
@@ -349,7 +347,7 @@ def gddt_test(family, sample: Sample, theta0, alpha: float) -> TestResult:
     n = sample.n
     g0_vals = [g_objective(family, (t0,), sample) for t0 in nulls]
     i0 = int(np.argmin(g0_vals))
-    theta0_hat = float(nulls[i0])
+    theta0_hat = nulls[i0]
     stat = 2.0 * n * (g0_vals[i0] - fit_result.g_at_opt)
     c0 = c_value(family, sample, (theta0_hat,))
     chi2 = chi2_quantile_df1(1.0 - alpha, "alpha", alpha)
@@ -372,7 +370,7 @@ def _g_and_c(family, sample: Sample, theta0, theta1):
     """(g0, g1, c0, c1) at the scalars theta0 and theta1; SupportViolation,
     before c is read, where g is +inf at either (data below the support
     start), since the test has no law there."""
-    thetas = ((float(theta0),), (float(theta1),))
+    thetas = ((errors.real("theta0", theta0),), (errors.real("theta1", theta1),))
     g0, g1 = (g_objective(family, t, sample) for t in thetas)
     if math.inf in (g0, g1):
         raise SupportViolation("support violation: objective is +inf at theta0 or theta1")
@@ -385,9 +383,8 @@ def power_approx(family, sample: Sample, theta0, theta1, alpha: float,
     """Tail approximation of the test power at the alternative theta1:
     P(chi2_1 > (2n [g(theta1) - g(theta0)] + c(theta0) chi2_{alpha,1}) / c(theta1))."""
     family = get_family(family)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must be in (0, 1)")
-    n = sample.n if n is None else int(n)
+    errors.prob("alpha", alpha)
+    n = sample.n if n is None else errors.count("n", n)
     g0, g1, c0, c1 = _g_and_c(family, sample, theta0, theta1)
     threshold = (2.0 * n * (g1 - g0) + c0 * chi2_quantile_df1(1.0 - alpha, "alpha", alpha)) / c1
     return chi2_sf_df1(threshold)
@@ -410,8 +407,8 @@ def required_sample_size(family, sample: Sample, theta0, theta1,
     """Smallest integer n with approximate power beta at theta1:
     n* = [n0] + 1 with n0 = (c1 chi2_{beta,1} - c0 chi2_{alpha,1}) / (2 [g1 - g0])."""
     family = get_family(family)
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-        raise DomainError("alpha and beta must be in (0, 1)")
+    errors.prob("alpha", alpha)
+    errors.prob("beta", beta)
     g0, g1, c0, c1 = _g_and_c(family, sample, theta0, theta1)
     if g1 == g0:
         raise InferenceError("indistinguishable alternative")

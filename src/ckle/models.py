@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .empirical import Sample, Samples
 from .errors import DataError, DomainError, InferenceError, SupportViolation
 from .rng import uniform_open
@@ -128,12 +129,13 @@ class ParamVector:
             return self.values[self.names.index(key)]
         return self.values[key]
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype)
+
 
 def _as_theta(theta) -> np.ndarray:
     if type(theta) is np.ndarray and theta.dtype == np.float64 and theta.ndim:
         return theta                # the same array the general path returns
-    if isinstance(theta, ParamVector):
-        return np.asarray(theta.values, dtype=float)
     return np.atleast_1d(np.asarray(theta, dtype=float))
 
 
@@ -159,7 +161,7 @@ def _sqrt(x):
 
 
 def _open_unit(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = errors.floats("p", p, row=False)
     # one pass, and NaN fails both comparisons
     if not ((p > 0) & (p < 1)).all():
         raise DomainError("quantile requires 0 < p < 1")
@@ -210,12 +212,13 @@ class Family:
         of inheriting the generic default."""
         return getattr(type(self), hook) is not getattr(Family, hook)
 
+    @functools.cached_property      # built once: every g call reads theta through _theta
+    def _what(self) -> str:
+        return f"{self.name} parameters"
+
     def _theta(self, theta) -> np.ndarray:
-        """theta as an array, raising DomainError unless it has dim floats."""
-        try:
-            th = _as_theta(theta)
-        except (TypeError, ValueError):
-            raise DomainError(f"{self.name} parameters must be numbers, got {theta!r}") from None
+        """theta as a 1-D array, raising DomainError unless it has dim floats."""
+        th = errors.floats(self._what, theta)
         if th.size != len(self.param_names):
             raise DomainError(f"{self.name} expects {self.dim} parameters, got {th.size}")
         return th
@@ -383,13 +386,12 @@ class _PositiveScalar(Family):
         if sample.mean_sq < _MOMENT_SQ_FLOOR:
             return Family.g_fn(self, sample)
         a, b, c = self._coefficients(sample)
-        lo, g_at = self.lower[0], self._g
+        lo, g_at, read = self.lower[0], self._g, self._theta
 
         def g(theta):
-            th = _as_theta(theta)
-            t = th.item() if th.size == 1 else math.nan
+            t = read(theta).item()
             if not lo < t < math.inf:
-                self.validate(th)       # raises the DomainError naming the parameter
+                self.validate(t)        # raises the DomainError naming the parameter
             return g_at(a, b, c, t)
 
         return g
@@ -984,13 +986,12 @@ class Normal(_LocationScale):
     def g_fn(self, sample):
         # Family.g_fn on Python floats, with validate's checks inline: the
         # same values, without the numpy scalars and calls between them
-        s_sum, n, lo = self.s_sum_fn(sample), sample.n, self.lower[1]
+        s_sum, n, lo, read = self.s_sum_fn(sample), sample.n, self.lower[1], self._theta
 
         def g(theta):
-            th = _as_theta(theta)
-            mu, sig = th.tolist() if th.size == 2 else (math.nan, math.nan)
+            mu, sig = read(theta).tolist()
             if not (math.isfinite(mu) and lo < sig < math.inf):
-                self.validate(th)       # raises the DomainError naming the parameter
+                self.validate((mu, sig))    # raises the DomainError naming the parameter
             return _normal_mean_abs(mu, sig) - s_sum((mu, sig)) / n
 
         return g
@@ -1026,7 +1027,4 @@ def get_family(family: str | Family) -> Family:
     """The registered family of that name; a Family instance is returned as is."""
     if isinstance(family, Family):
         return family
-    try:
-        return FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}") from None
+    return FAMILIES[errors.choice("family", family, FAMILIES)]

@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from . import errors
 from .empirical import Sample, empirical_entropy_constant
 from .models import _central_diff, get_family
 from .models import quad  # noqa: F401  the name exists for perfbench/tracer.py to bind
@@ -92,7 +93,7 @@ def psi_matrix(family, theta, sample_or_xs) -> np.ndarray:
     """
     family = get_family(family)
     theta = family.validate(theta)
-    xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else np.asarray(sample_or_xs, float)
+    xs = sample_or_xs.obs if isinstance(sample_or_xs, Sample) else errors.floats("xs", sample_or_xs)
     ds = family.ds_dtheta_matrix(theta, xs)
     return family.mean_abs_grad(theta)[None, :] - ds
 

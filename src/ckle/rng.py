@@ -1,7 +1,7 @@
 """Deterministic random-number streams.
 
-All simulation entry points take a non-negative integer master seed (any
-other is a ``DomainError`` from ``check_seed``) and derive independent
+All simulation entry points take a master seed, an integer of at least 0
+(any other is a ``DomainError`` from ``errors.seed``), and derive independent
 substreams as ``(seed, stream_index)`` through :class:`numpy.random.SeedSequence`
 feeding a PCG64 bit generator.  Uniform variates for inverse-transform
 sampling are drawn as ``k / 2**53`` with ``k`` uniform on ``{1, ..., 2**53-1}``,
@@ -31,11 +31,9 @@ bit.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import DomainError
+from . import errors
 
 _TWO53 = 1 << 53
 # Lemire's rule for integers(1, 2**53): the split of a word at bit 11 and
@@ -53,16 +51,10 @@ _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def check_seed(seed) -> None:
-    """Raise DomainError unless seed is a non-negative integer (a Python or
-    numpy integer, not a bool); entry points check it before any draw."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for substream ``stream`` of master ``seed``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
+    entropy = (errors.seed(seed), errors.count("stream", stream, 0))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def lemire_open(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +78,7 @@ def lemire_open(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws on the open interval (0, 1), exactly representable."""
-    return rng.integers(1, _TWO53, size=size) / _TWO53
+    return rng.integers(1, _TWO53, size=errors.count("size", size, 0)) / _TWO53
 
 
 def _words(n: int) -> list[int]:

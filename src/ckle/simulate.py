@@ -30,16 +30,15 @@ draw is a ``DataError`` naming the family and parameters) come before any
 sample of that block is built, and a ``build_samples`` error (a moment
 overflow) is raised at the block's first failing size, at its first
 failing replicate.  Values are aggregated in replicate order, so no report
-depends on the worker count.  Every entry point raises ``DomainError`` for
-a seed that is not a non-negative integer before it draws.
+depends on the worker count.  Every entry point checks its seed, counts,
+levels and names in ``ckle.errors`` before it draws.
 
 ``run_study`` counts a row's failures and aggregates its finite estimates:
 the mean, the mean over the true value (NaN when that is 0) and the sample
 variance (0 for one success), all NaN when every replicate failed.  The
 failure-free columns are reduced together, one contiguous row each, which
 sums in the order a column alone does; a column with failures is reduced
-alone.  Counts (sizes, replicates, threads, n, reps) are integers, numpy
-ones too, and anything else is a ``DomainError``.
+alone.
 ``bias_check_exponential`` is the mckle row of a one-size study and raises
 ``InferenceError`` if a replicate failed; ``coverage_study`` counts failed
 fits or intervals and reports coverage over the rest;
@@ -51,45 +50,24 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
+from . import errors
 from .empirical import Sample, Samples, build_samples
 from .errors import CkleError, DataError, DomainError, InferenceError
 from .inference import _scalar_family, avar_scalar, divergence_interval, wald_ci
 from .models import EXPONENTIAL, Family, get_family
 from .objective import g_objective
-from .rng import check_seed, lemire_open, stream_states, uniform_open
+from .rng import lemire_open, stream_states, uniform_open
 from .solver import fit
 
 _ESTIMATORS = ("mckle", "mckle_unbiased", "mle", "mle_unbiased")
 # the draw budget: a replicate's sizes share one block, and replicates one
 # group, up to this many values
 _GROUP_VALUES = 1 << 16
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise DomainError unless value is an integer (a Python or numpy
-    integer, not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}")
-
-
-def _check_levels(name: str, levels) -> tuple[float, ...]:
-    """The sequence ``levels`` as floats, or DomainError unless each is a
-    real number in (0, 1)."""
-    if not isinstance(levels, Iterable):
-        raise DomainError(f"{name} must be a sequence of numbers in (0, 1), got {levels!r}")
-    levels = tuple(levels)
-    if not all(isinstance(lv, numbers.Real) and 0.0 < lv < 1.0 for lv in levels):
-        raise DomainError(f"{name} must be in (0, 1)")
-    return tuple(map(float, levels))
 
 
 @dataclass(frozen=True)
@@ -103,18 +81,15 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_count("replicates", self.replicates)
-        if not isinstance(self.sizes, Iterable) or not tuple(self.sizes):
-            raise DomainError(f"sizes must be a nonempty sequence of integers, got {self.sizes!r}")
-        for size in self.sizes:
-            _check_count("sizes", size)
-        _check_count("threads", self.threads)
-        for est in self.estimators:
-            if est not in _ESTIMATORS:
-                raise DomainError(f"unknown estimator {est!r}")
+        errors.count("replicates", self.replicates)
+        for size in errors.items("sizes", self.sizes, "integers", nonempty=True):
+            errors.count("sizes", size)
+        errors.count("threads", self.threads)
+        for est in errors.items("estimators", self.estimators, "names"):
+            errors.choice("estimator", est, _ESTIMATORS)
             if est.endswith("_unbiased") and not get_family(self.family).has_hook(est):
                 raise DomainError(f"{est} is not defined for the {self.family} family")
-        check_seed(self.seed)
+        errors.seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -335,8 +310,8 @@ def bias_check_exponential(lambda_true: float, n: int, reps: int,
     """Mean bias of the exponential estimate against its first-order value
     15 lambda / (8n), and the effect of the family's bias correction, from
     the mckle row of a one-size study; a failed replicate raises."""
-    _check_count("n", n, 10)
-    _check_count("reps", reps)
+    errors.count("n", n, 10)
+    errors.count("reps", reps)
     lam = float(EXPONENTIAL.validate((lambda_true,))[0])
     row = run_study(StudyConfig("exponential", (lam,), (n,), reps, seed,
                                 estimators=("mckle",))).rows[0]
@@ -367,12 +342,11 @@ def coverage_study(family, params, n: int, reps: int, level: float,
     """Fraction of seeded replicates whose interval covers the truth."""
     family = _scalar_family(family, "coverage_study")
     theta = family.validate(params)
-    if kind not in ("wald", "divergence"):
-        raise DomainError("kind must be 'wald' or 'divergence'")
-    _check_count("n", n)
-    _check_count("reps", reps)
-    check_seed(seed)
-    _check_levels("level", (level,))
+    errors.choice("kind", kind, ("wald", "divergence"))
+    errors.count("n", n)
+    errors.count("reps", reps)
+    errors.seed(seed)
+    errors.prob("level", level)
     true_val = float(theta[0])
 
     def covers(family, sample):
@@ -413,10 +387,11 @@ def divergence_region_cutoffs(family, theta_true, n: int, reps: int,
     theta_true = family.validate(theta_true)
     if family.dim < 2:
         raise DomainError("region cutoffs apply to vector parameters")
-    _check_count("n", n)
-    _check_count("reps", reps, 100)
-    check_seed(seed)
-    levels = _check_levels("levels", levels)
+    errors.count("n", n)
+    errors.count("reps", reps, 100)
+    errors.seed(seed)
+    levels = tuple(errors.prob("levels", lv)
+                   for lv in errors.items("levels", levels, "numbers in (0, 1)"))
 
     def gap(family, sample):
         res = fit(family, sample)

@@ -28,6 +28,7 @@ from operator import add, itemgetter
 
 import numpy as np
 
+from . import errors
 from .empirical import Sample
 from .errors import DataError, DomainError, SupportViolation
 from .models import ParamVector, get_family
@@ -92,7 +93,8 @@ def minimize_nelder_mead(fn, x0, tol: float = 1e-10,
     Vertices and values are Python floats, sorted stably before every step,
     and centroids sum the sorted vertices row by row; ``fn`` gets each point
     as a fresh 1-D float64 array."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+    x0 = errors.floats("x0", x0).tolist()
+    tol, init_scale = errors.real("tol", tol), errors.real("init_scale", init_scale)
     m = len(x0)
 
     def vertex(p):
@@ -261,11 +263,10 @@ def fit(family, sample: Sample, method: str = "auto") -> FitResult:
     support, or data the family calls degenerate) raises DataError.
     """
     family = get_family(family)
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
+    errors.choice("method", method, ("auto", "closed", "numeric"))
     has_closed = family.has_hook("closed_form")
     if method == "closed" and not has_closed:
-        raise ValueError(f"{family.name} has no closed-form estimator")
+        raise DomainError(f"{family.name} has no closed-form estimator")
     if method == "auto":
         method = "closed" if has_closed else "numeric"
     family.check_sample(sample)

@@ -47,6 +47,11 @@ def test_build_sample_errors():
                    ([3.0, -1.0, math.inf, math.nan, -math.inf], 2)):
         with pytest.raises(ParseError, match=f"non-finite observation at index {i}$"):
             build_sample(raw)
+    # not one row of numbers: a 2-D input was flattened, a string escaped
+    # as numpy's ValueError, and a bool was read as 1.0
+    for raw in ([[1.0, 2.0], [3.0, 4.0]], "abc", [1.0, "x"], None, True, [True, False]):
+        with pytest.raises(ParseError, match="^observations must be numbers, got "):
+            build_sample(raw)
 
 
 def test_ingestion_errors_are_parse_errors():
@@ -212,6 +217,11 @@ def test_ecdf_step_values():
     assert ecdf_eval(s, 0.0) == 0.0
     assert ecdf_eval(s, 3.0) == 1.0
     assert ecdf_eval(s, 1.0) == pytest.approx(1 / 3)   # right-continuous
+    # NaN sorts last, so searchsorted alone gave F_n(NaN) = 1
+    assert math.isnan(ecdf_eval(s, math.nan)) and math.isnan(esf_eval(s, math.nan))
+    # an array of points gives the array of values
+    np.testing.assert_array_equal(ecdf_eval(s, np.array([[0.0, 1.0], [3.0, math.nan]])),
+                                  [[0.0, 1 / 3], [1.0, math.nan]])
 
 
 def test_ecdf_ties_against_brute_force():

@@ -56,6 +56,9 @@ def test_chi2_domain():
         chi2_quantile_df1(0.0)
     with pytest.raises(DomainError):
         chi2_quantile_df1(1.0)
+    for call in (chi2_quantile_df1, chi2_sf_df1):
+        with pytest.raises(DomainError, match="must be a real number, got 'x'"):
+            call("x")
     assert chi2_sf_df1(-1.0) == 1.0
     assert chi2_sf_df1(CHI2_95) == pytest.approx(0.05, abs=1e-12)
 
