@@ -221,8 +221,10 @@ def avar_matrix(family, theta, n: int) -> AsymptoticVariance:
 
 def sandwich(family, fit_result: FitResult, sample: Sample) -> SandwichEstimate:
     """Sample ('sandwich') covariance V = I^-1 J I^-1 / n at the fitted point;
-    InferenceError where I fails ``positive_definite``, exactly where the
-    fit's ``hessian_pd`` is False.  V is formed in the units
+    InferenceError where I fails ``positive_definite`` and SupportViolation
+    where psi is -inf (a negative observation at the two-parameter
+    exponential's support start), exactly where the fit's ``hessian_pd`` is
+    False.  V is formed in the units
     D = sqrt(diag I) of that rule, from Psi D^-1 and D^-1 I D^-1, so it is
     finite wherever its entries are doubles; an entry of the reported J
     that is not a double is +inf."""

@@ -12,12 +12,14 @@ the support starts.  It implements on its open domain
 with its gradient ``ds_dtheta_matrix`` (central differences of s for the
 Normal, whose s has no closed form), ``quantile``, the upper-tail quantile
 ``isf`` (accurate for tiny survival probabilities) and ``mle``, where a
-simplex fit starts.  The optional hooks ``closed_form``,
-``profile_fit``, ``closed_fit_warning``, ``check_sample``, ``fit_rows``,
-``mckle_unbiased``, ``mle_unbiased``, ``check_avar``, ``closed_avar`` and
-``closed_test_region`` default to the generic numerical path, so callers
-ask the family (through ``has_hook`` where the choice of path depends on
-it) instead of its name.
+simplex fit starts.  The optional hooks ``d2s_mean`` (the mean over a
+sample of the Hessian of s in theta, in closed form, which every family
+but the Normal supplies together with ``mean_abs_hess``, the Hessian of
+E|X|), ``closed_form``, ``profile_fit``, ``closed_fit_warning``,
+``check_sample``, ``fit_rows``, ``mckle_unbiased``, ``mle_unbiased``,
+``check_avar``, ``closed_avar`` and ``closed_test_region`` default to the
+generic numerical path, so callers ask the family (through ``has_hook``
+where the choice of path depends on it) instead of its name.
 ``s_sum_fn`` and ``g_fn`` build the per-sample evaluators of sum_i s(x_i)
 and of g from the methods above; the Normal supplies its own, on fixed
 panel nodes and Python floats, from the one panel builder ``_sides`` that
@@ -40,10 +42,13 @@ on each row, also below the floor, since no estimate reads g.
 Families with support bounded below truncate s where the model survival is
 identically 1; an observation on the negative axis below the support start
 makes s integrate log 0 over positive measure, which ``_check_support``
-raises as ``SupportViolation`` from both ``s_values`` and
-``ds_dtheta_matrix`` (the objective is +inf there, and psi undefined).  The
-two-parameter exponential's ``ds_dtheta_matrix`` also raises it for a
-negative observation at the support start, where psi is -inf.
+raises as ``SupportViolation`` from ``s_values``, ``ds_dtheta_matrix`` and
+``d2s_mean`` (the objective is +inf there, and psi undefined).  The
+two-parameter exponential's ``ds_dtheta_matrix`` and ``d2s_mean`` also
+raise it for a negative observation at the support start, where psi is
+-inf.  s has kinks at x = mu (the two-parameter exponential) and x = beta
+(the Pareto); there ``d2s_mean`` takes the side that mu or beta
+increases into, the one where s is flat.
 
 ``scipy.special`` is imported on first use, through the cached accessor
 ``_special``: ``log_ndtr``, ``ndtr``, ``ndtri`` and ``spence`` are
@@ -262,6 +267,11 @@ class Family:
     def mean_abs_grad(self, theta) -> np.ndarray:
         raise NotImplementedError
 
+    def mean_abs_hess(self, theta) -> np.ndarray:
+        """The Hessian of E|X| in theta, shape (dim, dim); a family that
+        supplies ``d2s_mean`` supplies it."""
+        raise NotImplementedError
+
     def s_values(self, theta, xs: np.ndarray) -> np.ndarray:
         """s(x) per observation; SupportViolation if cdf vanishes on a
         positive-measure part of (x, 0)."""
@@ -316,6 +326,11 @@ class Family:
 
     # --- optional hooks: a default of None (or no check) selects the
     # generic path in the solver, inference and simulation layers ---
+    def d2s_mean(self, theta, sample: Sample):
+        """mean_i d^2 s(x_i) / d theta^2 over the sample, shape (dim, dim), in
+        closed form; it raises SupportViolation where ``ds_dtheta_matrix``
+        does on the sample's observations."""
+
     def closed_form(self, sample: Sample):
         """Closed-form minimum-divergence estimate."""
 
@@ -478,6 +493,17 @@ class Exponential(_PositiveScalar):
         self._check_support(theta, xs)
         return (-xs * xs / 2.0)[:, None]
 
+    def mean_abs_hess(self, theta):
+        # on Python floats, inf or 0 without a warning where 2 / lambda^3
+        # leaves the doubles (lambda beyond about 1e+-102)
+        lam = float(_as_theta(theta)[0])
+        return np.array([[2.0 / lam / lam / lam]])
+
+    def d2s_mean(self, theta, sample):
+        # s = -lambda x^2 / 2 is linear in lambda
+        self._check_support(theta, sample.obs)
+        return np.zeros((1, 1))
+
     def _coefficients(self, sample):
         # g = 1/lambda + lambda mean_sq / 2, +inf below the support start
         return _where(sample.k > 0, math.inf, 1.0), sample.mean_sq / 2.0, 0.0
@@ -565,6 +591,18 @@ class Laplace(_PositiveScalar):
         # x/theta first: x * x underflows on data near 1e-200
         return ((xs / th) ** 2 / 2.0)[:, None]
 
+    def mean_abs_hess(self, theta):
+        return np.zeros((1, 1))
+
+    def d2s_mean(self, theta, sample):
+        # d^2 s / d theta^2 = -(x/theta)^2 / theta: from the mean of squares,
+        # as g, unless some x^2 may have underflowed; then x/theta first
+        th = _as_theta(theta).item()
+        if sample.mean_sq >= _MOMENT_SQ_FLOOR:
+            return np.array([[-sample.mean_sq / th / th / th]])
+        u = sample.obs / th
+        return np.array([[-(u * u).sum() / u.size / th]])
+
     def _coefficients(self, sample):
         # g = mean_sq / (2 theta) + theta + log 2 mean_abs
         return sample.mean_sq / 2.0, 1.0, math.log(2.0) * sample.mean_abs
@@ -646,6 +684,17 @@ class TwoParamExponential(_LocationScale):
         e = math.exp(mu / sig)
         return np.array([-1.0 + 2.0 * e, -1.0 + 2.0 * e * (1.0 - mu / sig)])
 
+    def mean_abs_hess(self, theta):
+        # the mu >= 0 side at mu = 0, as in mean_abs
+        mu, sig = _as_theta(theta)
+        if mu >= 0:
+            return np.zeros((2, 2))
+        # (2 e^m / sigma)(1, -m, m^2) with m = mu/sigma; e m m is formed as
+        # (e m) m, which is 0, not 0 times inf, where m^2 overflows
+        m = mu / sig
+        e = 2.0 * math.exp(m) / sig
+        return np.array([[e, -e * m], [-e * m, e * m * m]])
+
     def s_values(self, theta, xs):
         mu, sig = _as_theta(theta)
         xs = np.asarray(xs, dtype=float)
@@ -681,6 +730,41 @@ class TwoParamExponential(_LocationScale):
             G = lambda t: t * np.log(-np.expm1(-t)) - _dilog(np.exp(-t))
             dsig[neg] = G(tx) - G(t0)
         return np.column_stack([dmu, dsig])
+
+    def d2s_mean(self, theta, sample):
+        # sigma times the Hessian of s is a function of (x - mu)/sigma and
+        # -mu/sigma alone, so the mean is formed in those units and divided
+        # by sigma once
+        mu, sig = _as_theta(theta)
+        self._check_support(theta, sample.obs)
+        pos = sample.obs[sample.k:]
+        # x >= 0: with B = max(-mu, 0)/sigma and D = max(x - mu, 0)/sigma - B
+        # (never negative), sigma d2s = (1{mu < 0} - 1{x > mu}, -D,
+        # -D (D + 2B)), taking 1{x > mu} = 0 at the kink x = mu
+        B = max(-mu, 0.0) / sig
+        D = np.maximum(pos - mu, 0.0) / sig - B
+        d_sum = D.sum()
+        mm = (pos.size if mu < 0 else 0) - np.count_nonzero(pos > mu)
+        ms, ss = -d_sum, -((D * D).sum() + 2.0 * B * d_sum)
+        if sample.k:
+            # x < 0 (so mu < x): with t = (x - mu)/sigma, t0 = -mu/sigma and
+            # r(t) = 1/expm1(t), sigma d2s = (r(t0) - r(t), t0 r(t0) - t r(t),
+            # t0^2 r(t0) - t^2 r(t))
+            t, t0 = (sample.obs[:sample.k] - mu) / sig, -mu / sig
+            if not t.min() > 0:
+                raise SupportViolation("support violation: a negative observation "
+                                       "at the support start")
+            # e^-t / (1 - e^-t) is 0, not inf/inf, at large t, and t (t r)
+            # keeps t^2 from overflowing there; r overflows only within a
+            # subnormal t of the support start (inf or NaN then, never
+            # positive definite)
+            r = lambda t: np.exp(-t) / -np.expm1(-t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r0, rt, k = r(t0), r(t), t.size
+                mm += k * r0 - rt.sum()
+                ms += k * (t0 * r0) - (t * rt).sum()
+                ss += k * (t0 * (t0 * r0)) - (t * (t * rt)).sum()
+        return np.array([[mm, ms], [ms, ss]]) / (sig * sample.n)
 
     def quantile(self, theta, p):
         mu, sig = _as_theta(theta)
@@ -783,6 +867,21 @@ class Pareto(Family):
         da = -(z * (np.log(z) - math.log(b) - 1.0) + b)
         db = a * (z - b) / b
         return np.column_stack([da, db])
+
+    def mean_abs_hess(self, theta):
+        a, b = _as_theta(theta)
+        d = a - 1.0
+        return np.array([[2.0 * b / d**3, -1.0 / d**2], [-1.0 / d**2, 0.0]])
+
+    def d2s_mean(self, theta, sample):
+        # s = 0 for x <= beta (the side beta increases into at x = beta);
+        # above, d2s/dalpha dbeta = x/beta - 1 and d2s/dbeta2 = -alpha x/beta^2
+        a, b = _as_theta(theta)
+        self._check_support(theta, sample.obs)
+        above = sample.obs[np.searchsorted(sample.obs, b, side="right"):]
+        m = above.sum() / b / sample.n       # mean of 1{x > beta} x/beta
+        off = m - above.size / sample.n
+        return np.array([[0.0, off], [off, -a * m / b]])
 
     def quantile(self, theta, p):
         a, b = _as_theta(theta)

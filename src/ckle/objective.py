@@ -16,12 +16,14 @@ negative axis) make g = +inf; the sentinel keeps numeric minimizers total.
 the family's ``g_fn`` builds for the sample) and of its derivatives; psi
 takes d s/d theta from the family's ``ds_dtheta_matrix``, and ``gee_sum``,
 its sum over the sample, is the estimating equations, n grad g.  The
-derivatives of g are central differences from ``models._central_diff``, the
-one owner of the step rule: the gradient differences g, and the Hessian
-differences psi and averages over the observations, since mean psi = grad g.
-That Hessian is the sandwich's I.  The sandwich and ``FitResult.hessian_pd``
-judge it with one rule, ``positive_definite``, which does not depend on the
-parameters' units.
+Hessian of g, the sandwich's I, is exact where the family has the
+``d2s_mean`` hook (every family but the Normal): the Hessian of E|X| minus
+the mean Hessian of s.  Central differences from ``models._central_diff``,
+the one owner of the step rule, remain for the gradient, which differences
+g, and for the Normal's Hessian, which differences psi and averages over
+the observations, since mean psi = grad g.  The sandwich and
+``FitResult.hessian_pd`` judge I with one rule, ``positive_definite``,
+which does not depend on the parameters' units.
 """
 
 from __future__ import annotations
@@ -52,10 +54,15 @@ class ObjectiveContext:
         return _central_diff(self.family, self.g, self.family.validate(theta))
 
     def hessian(self, theta) -> np.ndarray:
-        """I = mean_i d psi_i / d theta, the Hessian of g: psi differenced per
-        observation, averaged, and symmetrized as (I + I^T)/2."""
-        I = _central_diff(self.family, lambda t: psi_matrix(self.family, t, self.sample),
-                          self.family.validate(theta)).mean(axis=0)
+        """I = mean_i d psi_i / d theta, the Hessian of g, symmetrized as
+        (I + I^T)/2: the Hessian of E|X| minus ``d2s_mean`` where the family
+        has that hook, else psi differenced per observation and averaged."""
+        family, theta = self.family, self.family.validate(theta)
+        if family.has_hook("d2s_mean"):
+            I = family.mean_abs_hess(theta) - family.d2s_mean(theta, self.sample)
+        else:
+            I = _central_diff(family, lambda t: psi_matrix(family, t, self.sample),
+                              theta).mean(axis=0)
         return (I + I.T) / 2.0
 
 

@@ -12,9 +12,9 @@ numeric fit reads g through a memo keyed on the exact internal point, which
 lives as long as that fit, so no point is evaluated twice.  A first simplex
 run that finds no finite point ends the fit without restarts.
 ``FitResult.hessian_pd``, the post-fit check that the Hessian of g (the
-averaged derivative of psi) is positive definite, is computed on first read
-and cached, so the result keeps a reference to its sample; it is False
-without a Hessian where g is +inf.
+sandwich's I, ``ObjectiveContext.hessian``) is positive definite, is
+computed on first read and cached, so the result keeps a reference to its
+sample; it is False without a Hessian where g is +inf.
 Everything here is pure and reentrant; identical inputs give bitwise
 identical results.
 """
@@ -61,7 +61,8 @@ class FitResult:
         try:
             return positive_definite(ObjectiveContext(family, sample).hessian(theta))
         except (DomainError, SupportViolation):
-            # a difference probe can cross an observation where g is finite
+            # psi is -inf at a negative observation on the support start, and
+            # a difference probe of the Normal may leave the domain
             return False
 
 

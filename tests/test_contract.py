@@ -128,7 +128,7 @@ NOT_ROWS = {
     **dict.fromkeys(("EXPONENTIAL", "LAPLACE", "NORMAL", "PARETO", "TWOPARAMEXP"), _FAMILY),
 }
 
-JUNK = ["a", "", None, True, False, math.nan, math.inf, -math.inf, 0, -1, -2.5, [],
+JUNK = ["a", "", "1", ["1", "2"], None, True, False, math.nan, math.inf, -math.inf, 0, -1, -2.5, [],
         [[1.0, 2.0]], [[0.5], [2.0, 3.0]], np.array(0.5), np.array([[0.5, 2.0], [1.0, 3.0]])]
 
 

@@ -8,8 +8,8 @@ import pytest
 import scipy.special
 from scipy.special import erf
 
-from ckle import (DataError, DomainError, InferenceError, ObjectiveContext, avar_matrix,
-                  avar_scalar, build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
+from ckle import (DataError, DomainError, InferenceError, ObjectiveContext, SupportViolation,
+                  avar_matrix, avar_scalar, build_sample, c_value, chi2_quantile_df1, chi2_sf_df1,
                   coverage_study, divergence_interval, divergence_region_cutoffs, fit,
                   g_objective, gddt_test, get_family, make_rng, pivotal_q,
                   power_approx, required_sample_size, sandwich, wald_ci)
@@ -393,20 +393,42 @@ def test_sandwich_where_psi_squared_overflows():
 
 
 def test_sandwich_refuses_exactly_where_hessian_pd_is_false():
-    # at small scales the twoparamexp I is indefinite (its unit-diagonal form
-    # has eigenvalues near -1487 and +1489 at 1e-12) yet well conditioned
+    # the exact twoparamexp I is positive definite at every scale; on [-1, 1]
+    # mu_hat = x_(1) < 0 puts that observation at the support start, where
+    # psi is -inf, so there is neither an I nor a sandwich
     x = get_family("twoparamexp").draw(np.array([1.0, 1.0]), 30, make_rng(1, 0))
+    samples = [build_sample(c * x) for c in (1e-12, 1e-6, 1.0, 1e6)]
+    samples.append(build_sample([-1.0, 1.0]))
     flags = []
-    for c in (1e-12, 1e-6, 1.0, 1e6):
-        s = build_sample(c * x)
+    for s in samples:
         res = fit("twoparamexp", s)
         flags.append(res.hessian_pd)
         if res.hessian_pd:
             assert np.all(np.isfinite(sandwich("twoparamexp", res, s).V_hat))
         else:
-            with pytest.raises(InferenceError, match="locally flat"):
+            with pytest.raises(SupportViolation, match="at the support start"):
                 sandwich("twoparamexp", res, s)
-    assert flags == [False, False, True, True]
+    assert flags == [True, True, True, True, False]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,theta,units", [
+    ("twoparamexp", (1.0, 1.0), (1, 1)),
+    ("pareto", (3.0, 1.0), (0, 1)),
+])
+def test_exact_hessian_sandwich_is_scale_equivariant(name, theta, units):
+    # mu and sigma (and beta) are scales, so V_hat of c x is c^2 V_hat of x
+    # entry by entry (alpha has no unit); no difference step breaks that
+    x = get_family(name).draw(np.asarray(theta), 30, make_rng(1, 0))
+    s1 = build_sample(x)
+    V1 = sandwich(name, fit(name, s1), s1).V_hat
+    for c in (1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12):
+        s = build_sample(c * x)
+        res = fit(name, s)
+        d = c ** np.asarray(units, dtype=float)
+        V = sandwich(name, res, s).V_hat / np.outer(d, d)
+        assert np.abs(V - V1).max() <= 1e-9 * np.abs(V1).max(), c
+        assert res.hessian_pd, c
 
 
 def test_sandwich_requires_convergence():

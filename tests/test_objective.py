@@ -66,14 +66,16 @@ def test_psi_raises_below_the_support_start():
     fam = get_family("twoparamexp")
     with pytest.raises(SupportViolation):
         psi_matrix(fam, fam.closed_form(s), s)
-    # g is finite here, but the Hessian's mu probe crosses the observation -1
+    # just above the observation -1, g, psi and the exact Hessian are finite
+    # (no difference probe crosses the observation)
     theta = np.array([-1.0 - 1e-6, 1.5])
     g = g_objective(fam, theta, s)
     assert g < math.inf
-    with pytest.raises(SupportViolation):
-        ObjectiveContext(fam, s).hessian(theta)
+    assert np.all(np.isfinite(psi_matrix(fam, theta, s)))
+    H = ObjectiveContext(fam, s).hessian(theta)
+    assert np.all(np.isfinite(H))
     res = replace(fit(fam, s), _hessian_inputs=(fam, s, theta, g))
-    assert res.hessian_pd is False
+    assert res.hessian_pd is True
 
 
 def test_psi_raises_at_a_negative_observation_on_the_support_start():
@@ -348,6 +350,87 @@ def test_unbiasedness_of_psi_monte_carlo():
         mean = P.mean(axis=0)
         se = P.std(axis=0) / 1000.0
         assert np.all(np.abs(mean) < 4 * se), name
+
+
+def _mp_g(mp, name, xs):
+    """g(theta) at the working precision of mpmath, from each family's closed
+    E|X| and s, on the observations xs (doubles, read exactly)."""
+    xs = [mp.mpf(float(x)) for x in xs]
+    n = len(xs)
+
+    def s_tpe(x, mu, sig):
+        if x >= 0:
+            a, b = max(x - mu, 0), max(-mu, 0)
+            return -(a * a - b * b) / (2 * sig)
+        return sig * (mp.polylog(2, mp.exp(mu / sig)) - mp.polylog(2, mp.exp((mu - x) / sig)))
+
+    def g(*th):
+        if name == "exponential":
+            (lam,) = th
+            return 1 / lam + lam * mp.fsum(x * x for x in xs) / (2 * n)
+        if name == "laplace":
+            (t,) = th
+            return t + mp.fsum(abs(x) * mp.log(2) + x * x / (2 * t) for x in xs) / n
+        if name == "pareto":
+            a, b = th
+            s = mp.fsum(-a * (z * (mp.log(z) - mp.log(b) - 1) + b)
+                        for z in (max(x, b) for x in xs))
+            return a * b / (a - 1) - s / n
+        mu, sig = th
+        e_abs = mu + sig if mu >= 0 else -mu - sig + 2 * sig * mp.exp(mu / sig)
+        return e_abs - mp.fsum(s_tpe(x, mu, sig) for x in xs) / n
+
+    return g
+
+
+_NONNEG = [0.2, 0.7, 1.1, 1.9, 2.5, 4.0]
+_MIXED = [-0.8, -0.3, 0.2, 1.1, 2.5, 4.0]
+_PARETO = [5.3, 5.9, 6.8, 8.1, 11.0, 19.5]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,xs,theta", [
+    ("exponential", _NONNEG, (0.3,)),
+    ("exponential", _NONNEG, (2.0,)),
+    ("exponential", _NONNEG, (9.0,)),
+    ("laplace", _MIXED, (0.5,)),
+    ("laplace", _MIXED, (1.5,)),
+    ("laplace", _MIXED, (7.0,)),
+    ("pareto", _PARETO, (3.0, 2.5)),
+    ("pareto", _PARETO, (4.0, 5.2)),
+    ("pareto", _PARETO, (2.5, 6.3)),         # beta inside the data
+    ("twoparamexp", _NONNEG, (0.1, 1.5)),
+    ("twoparamexp", _NONNEG, (1.5, 2.0)),    # mu inside the data
+    ("twoparamexp", _NONNEG, (-0.7, 2.0)),   # mu < 0, data nonnegative
+    ("twoparamexp", _MIXED, (-1.2, 1.5)),    # mu < 0, negative data
+    ("twoparamexp", _MIXED, (-0.9, 0.3)),
+])
+def test_exact_hessian_against_mpmath(name, xs, theta):
+    # the closed Hessian of g is the 30-digit second derivative of g, away
+    # from the kinks x = mu and x = beta
+    mp = pytest.importorskip("mpmath")
+    H = ObjectiveContext(name, build_sample(xs)).hessian(theta)
+    with mp.workdps(30):
+        g = _mp_g(mp, name, xs)
+        th = [mp.mpf(t) for t in theta]
+        d = len(theta)
+        orders = lambda i, j: tuple((k == i) + (k == j) for k in range(d))
+        want = np.array([[float(mp.diff(g, th, orders(i, j))) for j in range(d)]
+                         for i in range(d)])
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_laplace_hessian_below_the_moment_floor():
+    # below a mean of squares of 1e-290 some x^2 may have underflowed, so the
+    # Laplace Hessian reads (x/theta)^2 per element: I(c x, c theta) = I/c
+    x = np.array(_MIXED)
+    H1 = ObjectiveContext("laplace", build_sample(x)).hessian((1.5,))[0, 0]
+    for c in (1e-150, 1e-160):
+        s = build_sample(c * x)
+        assert s.mean_sq < 1e-290
+        H = ObjectiveContext("laplace", s).hessian((1.5 * c,))[0, 0]
+        assert abs(H * c - H1) <= 1e-13 * H1, c
 
 
 def test_g_second_derivative_exponential():
